@@ -1,7 +1,7 @@
 // Package repro's benchmark harness: one benchmark per paper artifact
-// (E1, E2, E3, F1) and per ablation (A1–A5), plus substrate microbenches
-// (link grammar parsing, ontology lookup via B-tree index vs linear
-// scan). Run with:
+// (E1, E2, E3, F1) and per ablation (A1–A7), plus substrate microbenches
+// (link grammar parsing, POS tagging, ontology lookup, store inserts)
+// and the before/after corpus pipeline pair. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -48,7 +48,6 @@ func BenchmarkE1NumericExtraction(b *testing.B) {
 func BenchmarkE2TermExtraction(b *testing.B) {
 	recs := corpus(b, 0)
 	ont := ontology.MustNew(ontology.Options{})
-	defer ont.Close()
 	var res eval.E2Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -187,7 +186,6 @@ func BenchmarkA6SplitCriterion(b *testing.B) {
 func BenchmarkA7NegationFilter(b *testing.B) {
 	recs := corpus(b, 0)
 	ont := ontology.MustNew(ontology.Options{})
-	defer ont.Close()
 	var res eval.A7Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -266,35 +264,10 @@ var ontologyProbeTerms = []string{"diabetes", "gallbladder removal", "high blood
 // hot path.
 func BenchmarkOntologyLookup(b *testing.B) {
 	ont := ontology.MustNew(ontology.Options{})
-	defer ont.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ont.Lookup(ontologyProbeTerms[i%len(ontologyProbeTerms)])
-	}
-}
-
-// BenchmarkOntologyLookupIndexed probes the B-tree secondary index (the
-// persistence-layer baseline).
-func BenchmarkOntologyLookupIndexed(b *testing.B) {
-	ont := ontology.MustNew(ontology.Options{})
-	defer ont.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ont.LookupIndexed(ontologyProbeTerms[i%len(ontologyProbeTerms)])
-	}
-}
-
-// BenchmarkOntologyLookupScan is the linear-scan ablation baseline for
-// the same probes.
-func BenchmarkOntologyLookupScan(b *testing.B) {
-	ont := ontology.MustNew(ontology.Options{})
-	defer ont.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ont.LookupLinear(ontologyProbeTerms[i%len(ontologyProbeTerms)])
 	}
 }
 
@@ -337,25 +310,29 @@ func BenchmarkPipelineProcess(b *testing.B) {
 // every extractor re-splits sections and re-tokenizes its text from
 // scratch (numeric over the whole record, terms per history section,
 // classifier over the record again), exactly as the pre-Document code
-// did. It is the "before" side of the refactor benchmark.
+// did: one Analyze per extractor. It is the "before" side of the
+// refactor benchmark.
 func seedProcess(sys *core.System, recordText string) core.Extraction {
-	ex := core.Extraction{Numeric: sys.Numeric.Extract(recordText)}
+	ex := core.Extraction{Numeric: sys.Numeric.ExtractDoc(textproc.Analyze(recordText))}
+	// body analyzes one section body on its own, as the seed's
+	// per-section term extraction did.
+	body := func(sec textproc.Section) *textproc.DocSection { return textproc.Analyze(sec.Body).Sections[0] }
 	secs := textproc.SplitSections(recordText)
-	if sec, ok := textproc.FindSection(secs, "Past Medical History"); ok {
-		ex.PreMedical, ex.OtherMedical = core.SplitTerms(sys.Terms.Extract(sec.Body, ontology.PredefinedMedical))
+	if sec, ok := textproc.FindSection(secs, "Past Medical History"); ok && sec.Body != "" {
+		ex.PreMedical, ex.OtherMedical = core.SplitTerms(sys.Terms.ExtractSection(body(sec), ontology.PredefinedMedical))
 	}
-	if sec, ok := textproc.FindSection(secs, "Past Surgical History"); ok {
-		ex.PreSurgical, ex.OtherSurgical = core.SplitTerms(sys.Terms.Extract(sec.Body, ontology.PredefinedSurgical))
+	if sec, ok := textproc.FindSection(secs, "Past Surgical History"); ok && sec.Body != "" {
+		ex.PreSurgical, ex.OtherSurgical = core.SplitTerms(sys.Terms.ExtractSection(body(sec), ontology.PredefinedSurgical))
 	}
-	if sec, ok := textproc.FindSection(secs, "Medications"); ok {
-		for _, t := range sys.Terms.Extract(sec.Body, nil) {
+	if sec, ok := textproc.FindSection(secs, "Medications"); ok && sec.Body != "" {
+		for _, t := range sys.Terms.ExtractSection(body(sec), nil) {
 			if t.Concept.Type == ontology.Medication {
 				ex.Medications = append(ex.Medications, t.Concept.Preferred)
 			}
 		}
 	}
 	if sys.Smoking != nil {
-		ex.Smoking = sys.Smoking.Classify(recordText)
+		ex.Smoking = sys.Smoking.ClassifyDoc(textproc.Analyze(recordText))
 	}
 	return ex
 }

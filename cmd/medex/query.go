@@ -65,20 +65,7 @@ func runQuery(args []string, out io.Writer) error {
 	if !health.Ok() {
 		fmt.Fprintf(out, "warning: engine health: %s\n", health)
 	}
-	// The ontology only serves concept-term resolution; skip its load
-	// for patient-chart and pure numeric questions.
-	needOnt := *value != ""
-	for _, c := range extraConds {
-		needOnt = needOnt || c.Term != ""
-	}
-	var ont *ontology.Ontology
-	if needOnt {
-		if ont, err = ontology.New(ontology.Options{}); err != nil {
-			return err
-		}
-		defer ont.Close()
-	}
-	w, err := core.OpenWarehouse(db, ont)
+	w, err := core.OpenWarehouse(db, ontology.MustNew(ontology.Options{}))
 	if err != nil {
 		return err
 	}

@@ -319,6 +319,52 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	verifyAcked(t, dbPath, acked)
 }
 
+// TestSigtermRightAfterReadyDrains: a SIGTERM sent as soon as the
+// daemon reports ready must drain it, not kill it — the signal handler
+// is in place before the daemon listens. Ten fresh daemons are
+// signalled on their first 200 from /readyz and ten more on their
+// "listening on" line, the earliest report, which a handler installed
+// after Listen usually loses. Every one must exit 0 with its drain log
+// line.
+func TestSigtermRightAfterReadyDrains(t *testing.T) {
+	for _, atReadyz := range []bool{true, false} {
+		for run := 0; run < 10; run++ {
+			d := startDaemon(t, filepath.Join(t.TempDir(), fmt.Sprintf("ready-%d.db", run)))
+			if atReadyz {
+				waitReadyz(t, d)
+			}
+			if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.cmd.Wait(); err != nil {
+				t.Fatalf("run %d (at /readyz: %v): SIGTERM did not drain: %v\nstderr:\n%s",
+					run, atReadyz, err, d.stderr.String())
+			}
+			if !strings.Contains(d.stderr.String(), "drained and closed") {
+				t.Fatalf("run %d (at /readyz: %v): no drain log line; stderr:\n%s", run, atReadyz, d.stderr.String())
+			}
+		}
+	}
+}
+
+// waitReadyz polls /readyz without pause until it answers 200.
+func waitReadyz(t *testing.T, d *daemon) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for time.Now().Before(deadline) {
+		resp, err := http.Get("http://" + d.addr + "/readyz")
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				return
+			}
+		}
+	}
+	d.cmd.Process.Kill()
+	d.cmd.Wait()
+	t.Fatalf("daemon never ready; stderr:\n%s", d.stderr.String())
+}
+
 // TestDaemonBadFlagsExitNonZero: fail-fast config validation — a
 // misconfigured daemon must die at startup with a one-line error, not
 // limp along.

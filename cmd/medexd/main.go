@@ -1,6 +1,6 @@
 // Command medexd is the long-running warehouse daemon: it owns a
-// store.Engine and serves the extraction pipeline and warehouse queries
-// over HTTP/JSON.
+// sharded store and serves the extraction pipeline and warehouse
+// queries over HTTP/JSON.
 //
 //	medexd -db warehouse.db [-shards 4] [-addr 127.0.0.1:8606]
 //
@@ -77,7 +77,10 @@ func run(args []string, out io.Writer) error {
 		log.Printf("warning: engine health: %s", h)
 	}
 
-	sys, err := core.NewSystem(core.Config{Strategy: cfg.Strategy, ResolveSynonyms: true})
+	// One vocabulary serves both extraction and the warehouse's
+	// concept-term synonym resolution.
+	ont := ontology.MustNew(ontology.Options{})
+	sys, err := core.NewSystem(core.Config{Strategy: cfg.Strategy, ResolveSynonyms: true, Ontology: ont})
 	if err != nil {
 		db.Close()
 		return err
@@ -97,18 +100,17 @@ func run(args []string, out io.Writer) error {
 		log.Printf("trained smoking classifier on %d records (backend %s, %s)",
 			len(recs), backend.Name(), backend.Params())
 	}
-	// The ontology only powers concept-term synonym resolution; run
-	// without it rather than refuse to start.
-	ont, err := ontology.New(ontology.Options{})
-	if err != nil {
-		log.Printf("warning: ontology unavailable, concept terms will not resolve synonyms: %v", err)
-		ont = nil
-	}
 	wh, err := core.OpenWarehouse(db, ont)
 	if err != nil {
 		db.Close()
 		return err
 	}
+
+	// Catch SIGTERM before listening: once the daemon can answer
+	// /readyz, a SIGTERM must drain it rather than kill it.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGTERM, os.Interrupt)
+	defer signal.Stop(sigc)
 
 	srv := newServer(cfg, db, sys, wh)
 	ln, err := net.Listen("tcp", cfg.Addr)
@@ -131,10 +133,6 @@ func run(args []string, out io.Writer) error {
 	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, os.Interrupt)
-	defer signal.Stop(sigc)
 
 	select {
 	case err := <-serveErr:

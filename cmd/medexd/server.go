@@ -15,6 +15,18 @@ import (
 	"repro/internal/store"
 )
 
+// engine is the part of *store.DB the daemon uses: the ingester's
+// write path plus what the handlers read. Tests wrap a *store.DB to fake
+// Health or gate Sync.
+type engine interface {
+	core.Storage
+	Table(name string) (*store.Table, error)
+	Health() store.Health
+	CompactionStats() store.CompactionStats
+	Shards() int
+	LogSize() int64
+}
+
 // server owns the daemon's runtime state: the engine, the extraction
 // system, the warehouse facade over it, and the single-writer ingester
 // that serializes all writes. Handlers never touch the engine's write
@@ -22,7 +34,7 @@ import (
 // never collide and acknowledgment implies durability.
 type server struct {
 	cfg config
-	db  store.Engine
+	db  engine
 	sys *core.System
 	wh  *core.Warehouse
 	ing *core.Ingester
@@ -32,7 +44,7 @@ type server struct {
 	started  time.Time
 }
 
-func newServer(cfg config, db store.Engine, sys *core.System, wh *core.Warehouse) *server {
+func newServer(cfg config, db engine, sys *core.System, wh *core.Warehouse) *server {
 	return &server{
 		cfg: cfg,
 		db:  db,

@@ -33,10 +33,13 @@ func testConfig() config {
 	}
 }
 
-// newTestServer builds a server over the given engine plus an
-// httptest.Server in front of its routes. Cleanup drains the ingester
-// and closes both.
-func newTestServer(t *testing.T, cfg config, db store.Engine) (*server, *httptest.Server) {
+// newTestServer builds a server over the given engine — a *store.DB or
+// a test wrapper around one — plus an httptest.Server in front of its
+// routes. Cleanup drains the ingester and closes both.
+func newTestServer(t *testing.T, cfg config, db interface {
+	engine
+	Close() error
+}) (*server, *httptest.Server) {
 	t.Helper()
 	sys, err := core.NewSystem(core.Config{Strategy: cfg.Strategy, ResolveSynonyms: true})
 	if err != nil {
@@ -220,7 +223,7 @@ func TestIngestRejectsBadInput(t *testing.T) {
 // the ingest queue full deterministically. The first Sync announces
 // itself on entered, then blocks until gate closes.
 type gatedEngine struct {
-	store.Engine
+	*store.DB
 	entered chan struct{}
 	gate    chan struct{}
 }
@@ -231,7 +234,7 @@ func (g *gatedEngine) Sync() error {
 	default:
 	}
 	<-g.gate
-	return g.Engine.Sync()
+	return g.DB.Sync()
 }
 
 // TestIngestBackpressure429 proves the overload contract: with the
@@ -243,7 +246,7 @@ func TestIngestBackpressure429(t *testing.T) {
 	cfg.QueueDepth = 1
 	cfg.MaxGroup = 1
 	eng := &gatedEngine{
-		Engine:  store.OpenMemorySharded(2),
+		DB:      store.OpenMemorySharded(2),
 		entered: make(chan struct{}, 1),
 		gate:    make(chan struct{}),
 	}
@@ -313,7 +316,7 @@ func TestIngestBackpressure429(t *testing.T) {
 // healthEngine overrides Health to simulate a failed-compaction latch
 // without reaching into store internals.
 type healthEngine struct {
-	store.Engine
+	*store.DB
 	h store.Health
 }
 
@@ -324,7 +327,7 @@ func (e *healthEngine) Health() store.Health { return e.h }
 // caveat into query stats.
 func TestDegradedReadOnlyMode(t *testing.T) {
 	eng := &healthEngine{
-		Engine: store.OpenMemorySharded(2),
+		DB: store.OpenMemorySharded(2),
 		h: store.Health{
 			ReadOnly:     true,
 			FailedShards: []int{1},

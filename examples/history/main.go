@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/lexicon"
 	"repro/internal/ontology"
+	"repro/internal/textproc"
 )
 
 func main() {
@@ -20,7 +21,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer ont.Close()
+	// A section body without a header analyzes into one section.
+	section := func(body string) *textproc.DocSection { return textproc.Analyze(body).Sections[0] }
 
 	body := "Significant for a postoperative CVA after undergoing a cholecystectomy and a midline hernia closure."
 	fmt.Printf("input: %s\n\n", body)
@@ -32,7 +34,7 @@ func main() {
 	fmt.Println()
 
 	x := &core.TermExtractor{Ont: ont, ResolveSynonyms: true}
-	for _, term := range x.Extract(body, ontology.PredefinedSurgical) {
+	for _, term := range x.ExtractSection(section(body), ontology.PredefinedSurgical) {
 		kind := "other"
 		if term.Predefined {
 			kind = "predefined"
@@ -46,7 +48,7 @@ func main() {
 	fmt.Printf("\ninput: %s\n", body2)
 	for _, resolve := range []bool{false, true} {
 		x := &core.TermExtractor{Ont: ont, ResolveSynonyms: resolve}
-		pre, other := core.SplitTerms(x.Extract(body2, ontology.PredefinedSurgical))
+		pre, other := core.SplitTerms(x.ExtractSection(section(body2), ontology.PredefinedSurgical))
 		fmt.Printf("  synonym resolution %-5v → predefined=%v other=%v\n", resolve, pre, other)
 	}
 }

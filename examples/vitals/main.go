@@ -48,7 +48,7 @@ func main() {
 		x := core.NewNumericExtractor(s)
 		correct, wrong, missed := 0, 0, 0
 		for _, r := range recs {
-			got := x.Extract(r.Text)
+			got := x.ExtractDoc(textproc.Analyze(r.Text))
 			for attr, gold := range r.Gold.Numeric {
 				v, ok := got[attr]
 				switch {

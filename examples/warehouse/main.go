@@ -53,7 +53,6 @@ func main() {
 	// below maintain them transactionally and the questions afterwards
 	// never fall back to a full scan.
 	ont := ontology.MustNew(ontology.Options{})
-	defer ont.Close()
 	w, err := core.OpenWarehouse(db, ont)
 	if err != nil {
 		log.Fatal(err)

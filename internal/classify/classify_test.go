@@ -2,6 +2,7 @@ package classify
 
 import (
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -185,6 +186,9 @@ func TestVectorTieBreaksOnFirstSortedLabel(t *testing.T) {
 }
 
 func TestCrossValidateDegenerate(t *testing.T) {
+	if res := CrossValidate(ID3{}, nil, 5, 10, 7); res.Accuracy != 0 || res.Confusion != nil {
+		t.Errorf("empty input should yield a zero result, got %+v", res)
+	}
 	if res := CrossValidate(ID3{}, treeExamples(), 1, 10, 7); res.Accuracy != 0 || res.Backend != "id3" {
 		t.Errorf("k=1 should yield a zero result tagged with the backend, got %+v", res)
 	}
@@ -211,5 +215,133 @@ func TestCrossValidateCountsAndDeterminism(t *testing.T) {
 	}
 	if a.Backend != "id3" || a.Folds != 4 || a.Rounds != 3 {
 		t.Errorf("protocol fields drifted: %+v", a)
+	}
+}
+
+// smokingExamples is a miniature smoking task (never / former /
+// current) over Boolean word features. Class markers repeat across
+// examples, as they do in real dictation from a single clinician.
+func smokingExamples() []Example {
+	ex := func(class string, words ...string) Example {
+		feats := make(map[string]bool, len(words))
+		for _, w := range words {
+			feats[w] = true
+		}
+		return Example{Instance: FeatureInstance(feats), Class: class}
+	}
+	return []Example{
+		ex("never", "she", "have", "never", "smoke"),
+		ex("never", "never", "smoke", "tobacco"),
+		ex("never", "patient", "never", "smoke"),
+		ex("never", "deny", "smoke"),
+		ex("never", "deny", "tobacco", "use"),
+		ex("never", "she", "deny", "smoke", "history"),
+		ex("never", "no", "tobacco", "use"),
+		ex("never", "no", "smoke", "history"),
+		ex("former", "quit", "smoke", "year", "ago"),
+		ex("former", "quit", "smoke"),
+		ex("former", "she", "quit", "tobacco"),
+		ex("former", "former", "smoker"),
+		ex("former", "former", "smoker", "year"),
+		ex("former", "stop", "smoke", "year"),
+		ex("former", "stop", "smoke"),
+		ex("current", "currently", "smoker"),
+		ex("current", "currently", "smoke", "pack"),
+		ex("current", "current", "smoker"),
+		ex("current", "current", "smoker", "pack", "day"),
+		ex("current", "smoke", "pack", "day"),
+		ex("current", "she", "smoke", "pack", "daily"),
+	}
+}
+
+func TestCrossValidate(t *testing.T) {
+	res := CrossValidate(ID3{}, smokingExamples(), 5, 10, 1)
+	if res.Accuracy < 0.5 {
+		t.Errorf("CV accuracy = %.2f, suspiciously low", res.Accuracy)
+	}
+	if res.MinFeatures <= 0 || res.MaxFeatures < res.MinFeatures {
+		t.Errorf("feature range %d–%d", res.MinFeatures, res.MaxFeatures)
+	}
+	if res.Rounds != 10 || res.Folds != 5 {
+		t.Error("round/fold bookkeeping")
+	}
+	// One PerClass entry per class, each with its per-round support.
+	support := map[string]int{"never": 8, "former": 7, "current": 6}
+	if len(res.PerClass) != len(support) {
+		t.Errorf("PerClass = %v, want one entry per class", res.PerClass)
+	}
+	for class, n := range support {
+		if got := res.PerClass[class].Support; got != n {
+			t.Errorf("PerClass[%s].Support = %d, want %d", class, got, n)
+		}
+	}
+	s := res.String()
+	for _, want := range []string{"5-fold CV × 10 rounds (id3)", "accuracy", "never", "former", "current"} {
+		if !strings.Contains(s, want) {
+			t.Errorf("CVResult.String() lacks %q:\n%s", want, s)
+		}
+	}
+}
+
+func TestCrossValidateConfusionMatrix(t *testing.T) {
+	exs := smokingExamples()
+	res := CrossValidate(ID3{}, exs, 5, 4, 1)
+	// Row sums equal actual counts × rounds.
+	counts := map[string]int{}
+	for _, e := range exs {
+		counts[e.Class]++
+	}
+	if len(res.Confusion) != len(counts) {
+		t.Errorf("confusion has %d rows, want %d", len(res.Confusion), len(counts))
+	}
+	for class, row := range res.Confusion {
+		sum := 0
+		for _, n := range row {
+			sum += n
+		}
+		if sum != counts[class]*res.Rounds {
+			t.Errorf("confusion row %q sums to %d, want %d", class, sum, counts[class]*res.Rounds)
+		}
+	}
+	s := res.ConfusionString()
+	for class := range counts {
+		if !strings.Contains(s, class) {
+			t.Errorf("ConfusionString missing %q:\n%s", class, s)
+		}
+	}
+	if !strings.HasPrefix(s, "actual\\pred") {
+		t.Errorf("ConfusionString lacks its header:\n%s", s)
+	}
+	if res.StdDev < 0 || res.StdDev > 0.5 {
+		t.Errorf("implausible round stddev %v", res.StdDev)
+	}
+}
+
+func TestStddev(t *testing.T) {
+	if got := stddev(nil); got != 0 {
+		t.Errorf("stddev(nil) = %v", got)
+	}
+	if got := stddev([]float64{5, 5, 5}); got != 0 {
+		t.Errorf("stddev(constant) = %v", got)
+	}
+	if got := stddev([]float64{0, 1}); got != 0.5 {
+		t.Errorf("stddev(0,1) = %v, want 0.5", got)
+	}
+}
+
+// TestCrossValidateWithCriteria runs both tree criteria under the one
+// protocol: same folds and rounds, each with a usable accuracy.
+func TestCrossValidateWithCriteria(t *testing.T) {
+	exs := smokingExamples()
+	id3Res := CrossValidate(ID3{}, exs, 5, 5, 42)
+	giniRes := CrossValidate(Gini{}, exs, 5, 5, 42)
+	if id3Res.Accuracy <= 0 || giniRes.Accuracy <= 0 {
+		t.Fatalf("accuracies: id3=%v gini=%v", id3Res.Accuracy, giniRes.Accuracy)
+	}
+	if id3Res.Folds != giniRes.Folds || id3Res.Rounds != giniRes.Rounds {
+		t.Error("protocol mismatch")
+	}
+	if id3Res.Backend != "id3" || giniRes.Backend != "gini" {
+		t.Errorf("results tagged %q and %q", id3Res.Backend, giniRes.Backend)
 	}
 }

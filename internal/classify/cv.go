@@ -10,10 +10,8 @@ import (
 
 // CVResult aggregates a repeated k-fold cross validation of one backend,
 // the paper's evaluation protocol ("We run a five-fold cross validation
-// ten times, and each time the dataset is randomly shuffled"). The fold
-// protocol, shuffle stream and aggregation are identical to
-// id3.CrossValidate, so the ID3 backend reproduces its numbers
-// bit-for-bit — the parity tests pin that equivalence.
+// ten times, and each time the dataset is randomly shuffled"). The golden
+// E3 and A6 tests pin its numbers on the default corpus.
 type CVResult struct {
 	Backend     string  // backend name the result belongs to
 	Accuracy    float64 // micro-averaged: correct / total over all folds and rounds

@@ -6,9 +6,7 @@ import "repro/internal/id3"
 // interface. The adapters are thin on purpose: training converts
 // examples to the id3.Example shape (reusing the memoized feature maps,
 // so no analysis re-runs) and prediction walks the tree over the
-// instance's feature view. id3.CrossValidate and the classify
-// cross-validation harness therefore produce bit-identical results for
-// the same examples and seed — pinned by the parity tests.
+// instance's feature view.
 
 // ID3 is the paper's backend: information-gain (mutual information)
 // decision trees over Boolean link-grammar features.

@@ -117,25 +117,6 @@ func CategoricalFields() []CategoricalField {
 	}
 }
 
-// FieldText returns the text the field's features are extracted from.
-func (f CategoricalField) FieldText(recordText string) string {
-	secs := textproc.SplitSections(recordText)
-	sec, ok := textproc.FindSection(secs, f.Section)
-	if !ok {
-		return ""
-	}
-	return sec.Body
-}
-
-// Features extracts the field's ID3 feature map from an analyzed record,
-// consuming the section's cached tag/parse analysis.
-func (f CategoricalField) Features(doc *textproc.Document) map[string]bool {
-	if sec, ok := doc.Section(f.Section); ok {
-		return id3.FeaturesFromSection(sec, f.Options)
-	}
-	return map[string]bool{}
-}
-
 // Instance builds the field's classification view of an analyzed record:
 // a lazy Boolean feature map (tree backends; POS-tags and parses the
 // section through its memoized Document slots) and a lazy token stream
@@ -203,12 +184,6 @@ func TrainCategorical(f CategoricalField, recs []records.Record) *CategoricalCla
 // Backend names the backend that trained the classifier (for stats and
 // plan lines).
 func (c *CategoricalClassifier) Backend() string { return c.Model.Backend() }
-
-// Classify labels one record's text. It analyzes the text and delegates
-// to ClassifyDoc.
-func (c *CategoricalClassifier) Classify(recordText string) string {
-	return c.ClassifyDoc(textproc.Analyze(recordText))
-}
 
 // ClassifyDoc labels one analyzed record, reusing its sentence analysis.
 func (c *CategoricalClassifier) ClassifyDoc(doc *textproc.Document) string {

@@ -3,7 +3,9 @@ package core
 import (
 	"testing"
 
+	"repro/internal/id3"
 	"repro/internal/records"
+	"repro/internal/textproc"
 )
 
 func TestSmokingFieldExamples(t *testing.T) {
@@ -50,7 +52,7 @@ func TestTrainAndClassifySmoking(t *testing.T) {
 			continue
 		}
 		total++
-		if clf.Classify(r.Text) == r.Gold.Smoking {
+		if clf.ClassifyDoc(textproc.Analyze(r.Text)) == r.Gold.Smoking {
 			correct++
 		}
 	}
@@ -81,8 +83,36 @@ func TestShapeField(t *testing.T) {
 	}
 }
 
-func TestFieldTextMissingSection(t *testing.T) {
-	if got := SmokingField().FieldText("Chief Complaint:  Pain.\n"); got != "" {
-		t.Errorf("FieldText on missing section = %q", got)
+func TestInstanceMissingSection(t *testing.T) {
+	in := SmokingField().Instance(textproc.Analyze("Chief Complaint:  Pain.\n"))
+	if in.Features() != nil || in.Tokens() != nil {
+		t.Errorf("record without the field's section has views %v / %v, want none", in.Features(), in.Tokens())
+	}
+}
+
+// TestTrainCategoricalBackendDefault pins that a nil Backend still means
+// the paper's ID3 trees: the trained classifier predicts exactly what a
+// tree trained directly on the same examples predicts.
+func TestTrainCategoricalBackendDefault(t *testing.T) {
+	recs := records.Generate(records.DefaultGenOptions())
+	c := TrainCategorical(SmokingField(), recs)
+	if c.Backend() != "id3" {
+		t.Errorf("default backend = %q, want id3", c.Backend())
+	}
+
+	var exs []id3.Example
+	for _, e := range SmokingField().Examples(recs) {
+		exs = append(exs, id3.Example{Features: e.Features(), Class: e.Class})
+	}
+	tree := id3.Train(exs)
+	for _, r := range recs {
+		if r.Gold.Smoking == "" {
+			continue
+		}
+		doc := textproc.Analyze(r.Text)
+		want := tree.Classify(SmokingField().Instance(doc).Features())
+		if got := c.ClassifyDoc(doc); got != want {
+			t.Errorf("record %d: interface path predicted %q, direct tree %q", r.ID, got, want)
+		}
 	}
 }

@@ -92,9 +92,9 @@ func TestProcessMalformedPatientSection(t *testing.T) {
 	}
 }
 
-// TestPersistAllMatchesPersist checks the batched path writes exactly the
-// rows the per-record path does.
-func TestPersistAllMatchesPersist(t *testing.T) {
+// TestPersistAllBatchMatchesSingles checks that one batched PersistAll
+// writes exactly the rows that one PersistAll per record does.
+func TestPersistAllBatchMatchesSingles(t *testing.T) {
 	recs := records.Generate(records.GenOptions{N: 5, Seed: 23})
 	sys, err := NewSystem(Config{Strategy: LinkGrammar, ResolveSynonyms: true})
 	if err != nil {
@@ -105,7 +105,7 @@ func TestPersistAllMatchesPersist(t *testing.T) {
 	single := store.OpenMemory()
 	nSingle := 0
 	for _, ex := range exs {
-		n, err := Persist(single, ex)
+		n, err := PersistAll(single, []Extraction{ex})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func TestPersistAllMatchesPersist(t *testing.T) {
 		t.Fatal(err)
 	}
 	if nBatch != nSingle || nBatch == 0 {
-		t.Fatalf("PersistAll wrote %d rows, Persist loop wrote %d", nBatch, nSingle)
+		t.Fatalf("batched PersistAll wrote %d rows, per-record loop wrote %d", nBatch, nSingle)
 	}
 
 	ts, err := single.Table("extracted")

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/store"
 )
 
 // ErrBackpressure is returned by Ingester.Submit when the bounded batch
@@ -58,7 +56,7 @@ type IngestStats struct {
 	PeakQueue int64 // high-water mark of Queued since start
 }
 
-// Ingester serializes extraction batches into a store.Engine through a
+// Ingester serializes extraction batches into a store through a
 // single writer goroutine with a bounded queue and group commit. It is
 // the write path of a long-lived server: many producers Submit
 // concurrently, exactly one goroutine calls PersistAll (so persisted row
@@ -67,7 +65,7 @@ type IngestStats struct {
 // instead of buffering, which is what keeps a daemon's memory bounded
 // under overload.
 type Ingester struct {
-	db  store.Engine
+	db  Storage
 	cfg IngestConfig
 
 	mu     sync.RWMutex // guards closed vs. the jobs channel close
@@ -96,8 +94,8 @@ type ackResult struct {
 
 // NewIngester starts the writer goroutine. Callers must Close it to
 // drain the queue and release the goroutine; Close does not close the
-// underlying engine.
-func NewIngester(db store.Engine, cfg IngestConfig) *Ingester {
+// underlying store.
+func NewIngester(db Storage, cfg IngestConfig) *Ingester {
 	cfg = cfg.withDefaults()
 	ing := &Ingester{
 		db:       db,

@@ -89,17 +89,17 @@ func TestIngesterConcurrentSubmit(t *testing.T) {
 	}
 }
 
-// gatedEngine wraps an Engine, parking every Sync on a gate so tests
+// gatedStore wraps a store, parking every Sync on a gate so tests
 // can stall the writer goroutine deterministically. Each Sync call
 // announces itself on entered (when set) before parking; closing gate
 // unparks every present and future Sync.
-type gatedEngine struct {
-	store.Engine
+type gatedStore struct {
+	*store.DB
 	entered chan struct{}
 	gate    chan struct{}
 }
 
-func (g *gatedEngine) Sync() error {
+func (g *gatedStore) Sync() error {
 	if g.entered != nil {
 		select {
 		case g.entered <- struct{}{}:
@@ -107,19 +107,19 @@ func (g *gatedEngine) Sync() error {
 		}
 	}
 	<-g.gate
-	return g.Engine.Sync()
+	return g.DB.Sync()
 }
 
 // TestIngesterBackpressure: with the writer stalled, Submit fills the
 // queue and then fails fast with ErrBackpressure instead of blocking or
 // buffering without bound.
 func TestIngesterBackpressure(t *testing.T) {
-	eng := &gatedEngine{
-		Engine:  store.OpenMemory(),
+	eng := &gatedStore{
+		DB:      store.OpenMemory(),
 		entered: make(chan struct{}, 1),
 		gate:    make(chan struct{}),
 	}
-	defer eng.Engine.Close()
+	defer eng.DB.Close()
 	const depth = 3
 	ing := NewIngester(eng, IngestConfig{QueueDepth: depth, MaxGroup: 1})
 	defer func() {
@@ -166,12 +166,12 @@ func waitFor(t *testing.T, cond func() bool) {
 // fsynced and acknowledged during the drain; submits after Close are
 // refused.
 func TestIngesterCloseDrains(t *testing.T) {
-	eng := &gatedEngine{
-		Engine:  store.OpenMemory(),
+	eng := &gatedStore{
+		DB:      store.OpenMemory(),
 		entered: make(chan struct{}, 1),
 		gate:    make(chan struct{}),
 	}
-	defer eng.Engine.Close()
+	defer eng.DB.Close()
 	ing := NewIngester(eng, IngestConfig{QueueDepth: 16, MaxGroup: 4})
 
 	const n = 6
@@ -218,12 +218,12 @@ func TestIngesterCloseDrains(t *testing.T) {
 // ctx.Err(), and the batch (already queued) still persists — it is
 // unacknowledged, not lost.
 func TestIngesterSubmitContextCancel(t *testing.T) {
-	eng := &gatedEngine{
-		Engine:  store.OpenMemory(),
+	eng := &gatedStore{
+		DB:      store.OpenMemory(),
 		entered: make(chan struct{}, 1),
 		gate:    make(chan struct{}),
 	}
-	defer eng.Engine.Close()
+	defer eng.DB.Close()
 	ing := NewIngester(eng, IngestConfig{QueueDepth: 4, MaxGroup: 1})
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -46,12 +46,11 @@ func TestNegationStart(t *testing.T) {
 
 func TestTermExtractorFilterNegated(t *testing.T) {
 	ont := ontology.MustNew(ontology.Options{})
-	defer ont.Close()
 	body := "Significant for diabetes and asthma.  No history of stroke."
 
 	plain := &TermExtractor{Ont: ont, ResolveSynonyms: true}
 	var names []string
-	for _, tm := range plain.Extract(body, ontology.PredefinedMedical) {
+	for _, tm := range extractBody(plain, body, ontology.PredefinedMedical) {
 		names = append(names, tm.Concept.Preferred)
 	}
 	if !containsStr(names, "postoperative cva") { // "stroke" resolves to the CVA concept
@@ -60,7 +59,7 @@ func TestTermExtractorFilterNegated(t *testing.T) {
 
 	filtered := &TermExtractor{Ont: ont, ResolveSynonyms: true, FilterNegated: true}
 	names = names[:0]
-	for _, tm := range filtered.Extract(body, ontology.PredefinedMedical) {
+	for _, tm := range extractBody(filtered, body, ontology.PredefinedMedical) {
 		names = append(names, tm.Concept.Preferred)
 	}
 	if containsStr(names, "postoperative cva") {
@@ -73,12 +72,11 @@ func TestTermExtractorFilterNegated(t *testing.T) {
 
 func TestNegationScopeIsPerSentence(t *testing.T) {
 	ont := ontology.MustNew(ontology.Options{})
-	defer ont.Close()
 	// The negation in sentence one must not leak into sentence two.
 	body := "No history of stroke.  Significant for diabetes."
 	x := &TermExtractor{Ont: ont, ResolveSynonyms: true, FilterNegated: true}
 	var names []string
-	for _, tm := range x.Extract(body, ontology.PredefinedMedical) {
+	for _, tm := range extractBody(x, body, ontology.PredefinedMedical) {
 		names = append(names, tm.Concept.Preferred)
 	}
 	if !containsStr(names, "diabetes") {

@@ -113,14 +113,6 @@ func (x *NumericExtractor) expansionsFor(i int) [][]string {
 	return x.expansions[i]
 }
 
-// Extract runs numeric extraction over the whole record text. It is a
-// convenience wrapper that analyzes the text and calls ExtractDoc; callers
-// processing a record through several extractors should Analyze once and
-// share the Document.
-func (x *NumericExtractor) Extract(recordText string) map[string]NumericValue {
-	return x.ExtractDoc(textproc.Analyze(recordText))
-}
-
 // ExtractDoc runs numeric extraction over an analyzed record, reusing its
 // section and sentence analysis.
 func (x *NumericExtractor) ExtractDoc(doc *textproc.Document) map[string]NumericValue {

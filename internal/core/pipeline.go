@@ -185,22 +185,22 @@ func extractionRows(ex Extraction, next int64) []store.Row {
 // individual log records modest.
 const persistBatchRows = 512
 
-// Persist writes an extraction into the database, one row per attribute
-// value and one WAL record for the whole extraction, and returns the
-// number of rows written.
-func Persist(db store.Engine, ex Extraction) (int, error) {
-	return PersistAll(db, []Extraction{ex})
+// Storage is the part of *store.DB that PersistAll, the Ingester and
+// OpenWarehouse use; tests wrap a *store.DB to gate Sync.
+type Storage interface {
+	CreateTable(s store.Schema) (*store.Table, error)
+	Sync() error
 }
 
 // PersistAll writes many extractions into the database, creating the
 // extracted table once and batching rows into a few WAL records instead
 // of logging row-at-a-time. It returns the number of rows written.
 //
-// PersistAll is engine-agnostic: on a sharded engine each InsertBatch
-// call routes its rows to their home shards and flushes the per-shard
-// sub-batches to the shard WALs in parallel, so ingest throughput
-// scales with the shard count instead of serializing on one log mutex.
-func PersistAll(db store.Engine, exs []Extraction) (int, error) {
+// On a sharded store each InsertBatch call routes its rows to their
+// home shards and flushes the per-shard sub-batches to the shard WALs
+// in parallel, so ingest throughput scales with the shard count instead
+// of serializing on one log mutex.
+func PersistAll(db Storage, exs []Extraction) (int, error) {
 	tbl, err := db.CreateTable(resultSchema())
 	if err != nil {
 		return 0, err

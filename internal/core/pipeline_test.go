@@ -42,7 +42,7 @@ func TestPersistExtraction(t *testing.T) {
 	db := store.OpenMemory()
 	total := 0
 	for _, r := range recs {
-		n, err := Persist(db, sys.Process(r.Text))
+		n, err := PersistAll(db, []Extraction{sys.Process(r.Text)})
 		if err != nil {
 			t.Fatal(err)
 		}

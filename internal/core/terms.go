@@ -86,43 +86,18 @@ var termPatterns = [][]func(pos.Tag) bool{
 func isJJ(t pos.Tag) bool { return t.IsAdjective() }
 func isNN(t pos.Tag) bool { return t.IsNoun() }
 
-// Extract finds the medical terms of one section body and classifies each
-// as predefined or other against the given predefined name list. It is a
-// convenience wrapper around ExtractSentences for callers holding raw
-// text; pipeline code passes the analyzed sentences of a
-// textproc.Document section instead.
-func (x *TermExtractor) Extract(body string, predefined []string) []ExtractedTerm {
-	return x.ExtractSentences(textproc.SplitSentences(body), predefined)
-}
-
-// ExtractSentences finds the medical terms of pre-analyzed sentences and
-// classifies each as predefined or other. Sentences are tagged directly;
-// pipeline code holding a Document section should call ExtractSection so
-// the tagging is shared with the other extractors.
-func (x *TermExtractor) ExtractSentences(sents []textproc.Sentence, predefined []string) []ExtractedTerm {
-	return x.extract(sents, x.predefined(predefined), func(i int) []pos.TaggedToken {
-		return pos.TagSentence(sents[i])
-	})
-}
-
-// ExtractSection finds the medical terms of an analyzed Document section,
-// consuming the section's cached POS tagging: each sentence is tagged at
-// most once per Document regardless of how many extractors read it.
+// ExtractSection finds the medical terms of an analyzed Document section
+// and classifies each as predefined or other against the given
+// predefined name list. It consumes the section's cached POS tagging:
+// each sentence is tagged at most once per Document regardless of how
+// many extractors read it.
 func (x *TermExtractor) ExtractSection(sec *textproc.DocSection, predefined []string) []ExtractedTerm {
-	sents := sec.Sentences()
-	return x.extract(sents, x.predefined(predefined), func(i int) []pos.TaggedToken {
-		return pos.TagSection(sec, i)
-	})
-}
-
-// extract is the shared §3.2 scan: tagAt supplies the tagging of sentence
-// i (cached or direct).
-func (x *TermExtractor) extract(sents []textproc.Sentence, pre *predefinedSet, tagAt func(int) []pos.TaggedToken) []ExtractedTerm {
+	pre := x.predefined(predefined)
 	var out []ExtractedTerm
 	seen := map[string]bool{}
 	var wordBuf [4]string // candidate-word scratch; longest pattern is 3
-	for si, sent := range sents {
-		tagged := tagAt(si)
+	for si, sent := range sec.Sentences() {
+		tagged := pos.TagSection(sec, si)
 		negFrom := 1 << 30
 		if x.FilterNegated {
 			negFrom = negationStart(sent)

@@ -20,7 +20,6 @@ import (
 // one answer, so questions see the whole table regardless of how it is
 // partitioned.
 type Warehouse struct {
-	db  store.Engine
 	tbl *store.Table
 	ont *ontology.Ontology // optional: resolves concept terms to preferred names
 }
@@ -29,7 +28,7 @@ type Warehouse struct {
 // and ensures its secondary indexes on the attribute and patient columns.
 // A nil ontology disables synonym resolution in term conditions; terms
 // then match by normalized string only.
-func OpenWarehouse(db store.Engine, ont *ontology.Ontology) (*Warehouse, error) {
+func OpenWarehouse(db Storage, ont *ontology.Ontology) (*Warehouse, error) {
 	tbl, err := db.CreateTable(resultSchema())
 	if err != nil {
 		return nil, err
@@ -39,7 +38,7 @@ func OpenWarehouse(db store.Engine, ont *ontology.Ontology) (*Warehouse, error) 
 			return nil, err
 		}
 	}
-	return &Warehouse{db: db, tbl: tbl, ont: ont}, nil
+	return &Warehouse{tbl: tbl, ont: ont}, nil
 }
 
 // Table exposes the underlying extracted table (for stats and ad-hoc

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -48,7 +49,6 @@ func TestGoldenE1Numeric(t *testing.T) {
 
 func TestGoldenE2Terms(t *testing.T) {
 	ont := ontology.MustNew(ontology.Options{})
-	defer ont.Close()
 	res := RunE2(goldenCorpus(), ont, false)
 	cases := []struct {
 		name                 string
@@ -85,12 +85,10 @@ func TestGoldenE3Smoking(t *testing.T) {
 	}
 }
 
-// TestGoldenE3Confusion pins E3's full confusion matrix, cell by cell,
-// to the values the pre-refactor id3.CrossValidate produced. This is
-// the backend-parity smoke: the ID3 path now runs through the
-// classify.Backend interface, and any behavioral drift in the adapter —
-// a changed shuffle stream, a differently-built feature map, a fold
-// split off by one — moves at least one cell here.
+// TestGoldenE3Confusion pins E3's full confusion matrix, cell by cell.
+// Any behavioral drift in the ID3 backend or the CV harness — a changed
+// shuffle stream, a differently-built feature map, a fold split off by
+// one — moves at least one cell here.
 func TestGoldenE3Confusion(t *testing.T) {
 	res := RunE3(goldenCorpus(), 7)
 	want := map[string]map[string]int{
@@ -121,5 +119,37 @@ func TestGoldenE3Confusion(t *testing.T) {
 	}
 	if res.Backend != "id3" {
 		t.Errorf("E3 ran backend %q, want id3", res.Backend)
+	}
+}
+
+// TestGoldenA6Gini pins the Gini backend's cross-validation on the
+// golden corpus: accuracy, stddev, tree size and the full confusion
+// matrix. On this corpus the Gini trees score exactly what the ID3
+// trees do.
+func TestGoldenA6Gini(t *testing.T) {
+	res := RunA6(goldenCorpus(), 7).Gini
+	if res.Backend != "gini" {
+		t.Fatalf("A6 Gini ran backend %q", res.Backend)
+	}
+	if got, want := res.Accuracy, 0.9488888888888889; math.Abs(got-want) > 1e-12 {
+		t.Errorf("A6 Gini accuracy drifted: %.16f, want %.16f", got, want)
+	}
+	if got, want := res.StdDev, 0.020000000000000028; math.Abs(got-want) > 1e-12 {
+		t.Errorf("A6 Gini stddev drifted: %.16f, want %.16f", got, want)
+	}
+	if res.MinFeatures != 3 || res.MaxFeatures != 5 {
+		t.Errorf("A6 Gini tree size drifted: features %d–%d, want 3–5",
+			res.MinFeatures, res.MaxFeatures)
+	}
+	if res.Rounds != 10 || res.Folds != 5 {
+		t.Errorf("A6 Gini protocol changed: %d rounds × %d folds", res.Rounds, res.Folds)
+	}
+	want := map[string]map[string]int{
+		"current": {"current": 107, "former": 3, "never": 10},
+		"former":  {"current": 10, "former": 40},
+		"never":   {"never": 280},
+	}
+	if !reflect.DeepEqual(res.Confusion, want) {
+		t.Errorf("A6 Gini confusion drifted:\n%v\nwant\n%v", res.Confusion, want)
 	}
 }

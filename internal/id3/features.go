@@ -53,54 +53,31 @@ func DefaultOptions() FeatureOptions {
 	}
 }
 
-// ExtractFeatures converts free text (one field of one record) into the
-// Boolean feature map used by the ID3 classifier. It is a convenience
-// wrapper around FeaturesFromSentences; pipeline code passes the analyzed
-// section of a textproc.Document instead of re-splitting.
-func ExtractFeatures(text string, opts FeatureOptions) map[string]bool {
-	return FeaturesFromSentences(textproc.SplitSentences(text), opts)
-}
-
-// FeaturesFromSentences converts pre-analyzed sentences into the Boolean
-// feature map used by the ID3 classifier. Sentences are tagged (and, when
-// constituent options demand it, parsed) directly; pipeline code holding
-// a Document section should call FeaturesFromSection so those analyses
-// are shared with the other extractors.
-func FeaturesFromSentences(sents []textproc.Sentence, opts FeatureOptions) map[string]bool {
-	feats := map[string]bool{}
-	for _, sent := range sents {
-		tagged := pos.TagSentence(sent)
-		extractSentence(sent, tagged, func() (*linkgram.Linkage, error) {
-			return linkgram.Parse(tagged)
-		}, opts, feats)
-	}
-	return feats
-}
-
 // FeaturesFromSection converts an analyzed Document section into the
-// Boolean feature map, consuming the section's cached POS tagging and
-// linkage: each sentence is tagged at most once and parsed at most once
-// per Document regardless of how many consumers read it.
+// Boolean feature map used by the ID3 classifier, consuming the
+// section's cached POS tagging and linkage: each sentence is tagged at
+// most once and parsed at most once per Document regardless of how many
+// consumers read it.
 func FeaturesFromSection(sec *textproc.DocSection, opts FeatureOptions) map[string]bool {
 	feats := map[string]bool{}
-	for i, sent := range sec.Sentences() {
-		extractSentence(sent, pos.TagSection(sec, i), func() (*linkgram.Linkage, error) {
-			return linkgram.ParseSection(sec, i)
-		}, opts, feats)
+	for i := range sec.Sentences() {
+		extractSentence(sec, i, opts, feats)
 	}
 	return feats
 }
 
-// extractSentence folds one tagged sentence into feats. parse supplies
-// the sentence's linkage on demand (cached or direct); it is only invoked
-// when a constituent option requires the parse.
-func extractSentence(sent textproc.Sentence, tagged []pos.TaggedToken, parse func() (*linkgram.Linkage, error), opts FeatureOptions, feats map[string]bool) {
+// extractSentence folds sentence si of the section into feats. The
+// sentence is parsed only when a constituent option requires it.
+func extractSentence(sec *textproc.DocSection, si int, opts FeatureOptions, feats map[string]bool) {
+	sent := sec.Sentences()[si]
+	tagged := pos.TagSection(sec, si)
+
 	// Constituent filter: parse the sentence; when the parse fails (or no
 	// constituent option is set) every token passes the filter.
 	wantConstituent := opts.Subject || opts.Verb || opts.Object || opts.Supplement
 	var roles map[int]Constituent
 	if wantConstituent {
-		if lk, err := parse(); err == nil {
+		if lk, err := linkgram.ParseSection(sec, si); err == nil {
 			roles = constituentRoles(lk, len(tagged))
 		}
 	}

@@ -2,19 +2,27 @@ package id3
 
 import (
 	"testing"
+
+	"repro/internal/textproc"
 )
+
+// features extracts the feature map of a header-less text, which
+// Analyze turns into one section.
+func features(text string, opts FeatureOptions) map[string]bool {
+	return FeaturesFromSection(textproc.Analyze(text).Sections[0], opts)
+}
 
 func TestExtractFeaturesLemma(t *testing.T) {
 	opts := DefaultOptions()
 	// The paper's example: "denies," "denied" and "deny" collapse to one
 	// feature when lemma is enabled.
-	a := ExtractFeatures("She denies smoking.", opts)
-	b := ExtractFeatures("She denied smoking.", opts)
+	a := features("She denies smoking.", opts)
+	b := features("She denied smoking.", opts)
 	if !a["deny"] || !b["deny"] {
 		t.Errorf("lemma features: %v / %v", a, b)
 	}
 	opts.UseLemma = false
-	c := ExtractFeatures("She denies smoking.", opts)
+	c := features("She denies smoking.", opts)
 	if c["deny"] || !c["denies"] {
 		t.Errorf("no-lemma features: %v", c)
 	}
@@ -22,7 +30,7 @@ func TestExtractFeaturesLemma(t *testing.T) {
 
 func TestExtractFeaturesPOSFilter(t *testing.T) {
 	opts := FeatureOptions{Verbs: true, UseLemma: true}
-	f := ExtractFeatures("She quit smoking five years ago.", opts)
+	f := features("She quit smoking five years ago.", opts)
 	if !f["quit"] {
 		t.Errorf("verb 'quit' missing: %v", f)
 	}
@@ -30,7 +38,7 @@ func TestExtractFeaturesPOSFilter(t *testing.T) {
 		t.Errorf("noun leaked through verb-only filter: %v", f)
 	}
 	opts = FeatureOptions{Adverbs: true}
-	f = ExtractFeatures("She has never smoked.", opts)
+	f = features("She has never smoked.", opts)
 	if !f["never"] {
 		t.Errorf("adverb 'never' missing: %v", f)
 	}
@@ -40,13 +48,13 @@ func TestExtractFeaturesPOSFilter(t *testing.T) {
 }
 
 func TestExtractFeaturesFunctionWordsExcluded(t *testing.T) {
-	f := ExtractFeatures("She has never smoked.", DefaultOptions())
+	f := features("She has never smoked.", DefaultOptions())
 	if f["she"] {
 		t.Errorf("pronoun extracted as feature: %v", f)
 	}
 	// "has" is a verb and legitimately extracted ("have" after lemma);
 	// but determiners and prepositions must not be.
-	f = ExtractFeatures("Smoking history of a patient.", DefaultOptions())
+	f = features("Smoking history of a patient.", DefaultOptions())
 	if f["of"] || f["a"] {
 		t.Errorf("function words extracted: %v", f)
 	}
@@ -55,7 +63,7 @@ func TestExtractFeaturesFunctionWordsExcluded(t *testing.T) {
 func TestExtractFeaturesHeadOnly(t *testing.T) {
 	opts := DefaultOptions()
 	opts.HeadOnly = true
-	f := ExtractFeatures("She reports heavy tobacco use.", opts)
+	f := features("She reports heavy tobacco use.", opts)
 	// "heavy tobacco use": head is "use".
 	if !f["use"] {
 		t.Errorf("head noun missing: %v", f)
@@ -67,7 +75,7 @@ func TestExtractFeaturesHeadOnly(t *testing.T) {
 
 func TestExtractFeaturesConstituents(t *testing.T) {
 	opts := FeatureOptions{Nouns: true, Verbs: true, Adjectives: true, Adverbs: true, UseLemma: true, Object: true}
-	f := ExtractFeatures("She quit smoking five years ago.", opts)
+	f := features("She quit smoking five years ago.", opts)
 	// Object of "quit" is "smoking" (a noun here; its noun lemma is
 	// itself, matching WordNet's morphy).
 	if !f["smoking"] {
@@ -77,7 +85,7 @@ func TestExtractFeaturesConstituents(t *testing.T) {
 		t.Errorf("supplement word leaked through object-only filter: %v", f)
 	}
 	opts = FeatureOptions{Nouns: true, Verbs: true, UseLemma: true, Verb: true}
-	f = ExtractFeatures("She quit smoking five years ago.", opts)
+	f = features("She quit smoking five years ago.", opts)
 	if !f["quit"] {
 		t.Errorf("verb constituent missing: %v", f)
 	}
@@ -86,10 +94,10 @@ func TestExtractFeaturesConstituents(t *testing.T) {
 func TestExtractFeaturesConstituentFallback(t *testing.T) {
 	// Unparseable fragment: constituent filter falls back to all words.
 	opts := FeatureOptions{Nouns: true, UseLemma: true, Subject: true}
-	f := ExtractFeatures("None", opts)
+	f := features("None", opts)
 	_ = f // must not panic; "None" is an interjection, no noun features
 	opts2 := FeatureOptions{Nouns: true, UseLemma: true, Object: true}
-	f2 := ExtractFeatures("for with tobacco", opts2) // dangling prepositions: no linkage
+	f2 := features("for with tobacco", opts2) // dangling prepositions: no linkage
 	if !f2["tobacco"] {
 		t.Errorf("fallback should extract nouns from unparseable text: %v", f2)
 	}
@@ -98,15 +106,15 @@ func TestExtractFeaturesConstituentFallback(t *testing.T) {
 func TestNumericThresholdFeatures(t *testing.T) {
 	opts := DefaultOptions()
 	opts.NumericThresholds = []float64{2}
-	f := ExtractFeatures("Alcohol use 1-2 day per week.", opts)
+	f := features("Alcohol use 1-2 day per week.", opts)
 	if !f["num<=2"] {
 		t.Errorf("range 1-2 should set num<=2: %v", f)
 	}
-	f = ExtractFeatures("She drinks 4 days per week.", opts)
+	f = features("She drinks 4 days per week.", opts)
 	if !f["num>2"] || f["num<=2"] {
 		t.Errorf("4 should set only num>2: %v", f)
 	}
-	f = ExtractFeatures("Alcohol use is social.", opts)
+	f = features("Alcohol use is social.", opts)
 	if f["num>2"] || f["num<=2"] {
 		t.Errorf("no numbers should set no numeric features: %v", f)
 	}
@@ -129,11 +137,11 @@ func TestExtractFeaturesEndToEndSmoking(t *testing.T) {
 	opts := DefaultOptions()
 	var exs []Example
 	for text, class := range texts {
-		exs = append(exs, Example{Features: ExtractFeatures(text, opts), Class: class})
+		exs = append(exs, Example{Features: features(text, opts), Class: class})
 	}
 	tr := Train(exs)
 	for text, class := range texts {
-		if got := tr.Classify(ExtractFeatures(text, opts)); got != class {
+		if got := tr.Classify(features(text, opts)); got != class {
 			t.Errorf("%q → %q, want %q", text, got, class)
 		}
 	}

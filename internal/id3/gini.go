@@ -107,9 +107,3 @@ func giniGain(examples []Example, f string) float64 {
 		float64(len(yes))/n*gini(yes) -
 		float64(len(no))/n*gini(no)
 }
-
-// CrossValidateWith is CrossValidate with a custom training function, so
-// criteria can be compared under the identical fold protocol.
-func CrossValidateWith(examples []Example, k, rounds int, seed int64, train func([]Example) *Tree) CVResult {
-	return crossValidate(examples, k, rounds, seed, train)
-}

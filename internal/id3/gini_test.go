@@ -36,24 +36,6 @@ func TestGiniGainPerfectSplit(t *testing.T) {
 	}
 }
 
-func TestCrossValidateWithCriteria(t *testing.T) {
-	exs := smokingExamples()
-	id3Res := CrossValidateWith(exs, 5, 5, 42, Train)
-	giniRes := CrossValidateWith(exs, 5, 5, 42, TrainGini)
-	if id3Res.Accuracy <= 0 || giniRes.Accuracy <= 0 {
-		t.Fatalf("accuracies: id3=%v gini=%v", id3Res.Accuracy, giniRes.Accuracy)
-	}
-	// Identical protocol: same folds, so both see the same test splits.
-	if id3Res.Folds != giniRes.Folds || id3Res.Rounds != giniRes.Rounds {
-		t.Error("protocol mismatch")
-	}
-	// CrossValidateWith(Train) must agree exactly with CrossValidate.
-	plain := CrossValidate(exs, 5, 5, 42)
-	if plain.Accuracy != id3Res.Accuracy {
-		t.Errorf("CrossValidateWith(Train) %.4f != CrossValidate %.4f", id3Res.Accuracy, plain.Accuracy)
-	}
-}
-
 func TestGiniTreeAlsoCompact(t *testing.T) {
 	// Both criteria should produce compact trees on separable data; the
 	// paper's expectation is only that ID3 is no worse.

@@ -3,8 +3,8 @@
 // extraction options of Zhou et al. §3.3 (part-of-speech selection,
 // sentence-constituent selection, head-word-only, lemma) and the numeric
 // Boolean threshold features the paper proposes for numeric categorical
-// fields such as alcohol use. A k-fold cross-validation harness with
-// shuffled rounds reproduces the paper's evaluation protocol.
+// fields such as alcohol use. The paper's evaluation protocol, k-fold
+// cross validation with shuffled rounds, lives in internal/classify.
 package id3
 
 import (

@@ -152,81 +152,3 @@ func TestTrainConsistencyQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestCrossValidate(t *testing.T) {
-	exs := smokingExamples()
-	res := CrossValidate(exs, 5, 10, 1)
-	if res.Accuracy < 0.5 {
-		t.Errorf("CV accuracy = %.2f, suspiciously low", res.Accuracy)
-	}
-	if res.MinFeatures <= 0 || res.MaxFeatures < res.MinFeatures {
-		t.Errorf("feature range %d–%d", res.MinFeatures, res.MaxFeatures)
-	}
-	if res.Rounds != 10 || res.Folds != 5 {
-		t.Error("round/fold bookkeeping")
-	}
-	if len(res.PerClass) != 3 {
-		t.Errorf("PerClass = %v", res.PerClass)
-	}
-	if s := res.String(); !strings.Contains(s, "accuracy") {
-		t.Errorf("CVResult.String() = %q", s)
-	}
-}
-
-func TestCrossValidateConfusionMatrix(t *testing.T) {
-	exs := smokingExamples()
-	res := CrossValidate(exs, 5, 4, 1)
-	// Row sums equal actual counts × rounds.
-	counts := map[string]int{}
-	for _, e := range exs {
-		counts[e.Class]++
-	}
-	for class, row := range res.Confusion {
-		sum := 0
-		for _, n := range row {
-			sum += n
-		}
-		if sum != counts[class]*res.Rounds {
-			t.Errorf("confusion row %q sums to %d, want %d", class, sum, counts[class]*res.Rounds)
-		}
-	}
-	s := res.ConfusionString()
-	for class := range counts {
-		if !strings.Contains(s, class) {
-			t.Errorf("ConfusionString missing %q:\n%s", class, s)
-		}
-	}
-	if res.StdDev < 0 || res.StdDev > 0.5 {
-		t.Errorf("implausible round stddev %v", res.StdDev)
-	}
-}
-
-func TestStddev(t *testing.T) {
-	if got := stddev(nil); got != 0 {
-		t.Errorf("stddev(nil) = %v", got)
-	}
-	if got := stddev([]float64{5, 5, 5}); got != 0 {
-		t.Errorf("stddev(constant) = %v", got)
-	}
-	if got := stddev([]float64{0, 1}); got != 0.5 {
-		t.Errorf("stddev(0,1) = %v, want 0.5", got)
-	}
-}
-
-func TestCrossValidateDeterministic(t *testing.T) {
-	exs := smokingExamples()
-	a := CrossValidate(exs, 5, 3, 42)
-	b := CrossValidate(exs, 5, 3, 42)
-	if a.Accuracy != b.Accuracy {
-		t.Error("same seed must give same accuracy")
-	}
-}
-
-func TestCrossValidateDegenerate(t *testing.T) {
-	if res := CrossValidate(nil, 5, 10, 1); res.Accuracy != 0 {
-		t.Error("empty input")
-	}
-	if res := CrossValidate([]Example{ex("a", "x")}, 5, 1, 1); res.Accuracy != 0 {
-		t.Error("fewer examples than folds")
-	}
-}

@@ -231,17 +231,6 @@ var seedConcepts = []Concept{
 	{CUI: "C0410", Preferred: "abdomen", Synonyms: nil, Type: Anatomy},
 }
 
-// Medications returns the medication concepts, for the corpus generator.
-func Medications() []Concept {
-	var out []Concept
-	for _, c := range seedConcepts {
-		if c.Type == Medication {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // PredefinedMedical is the project's fixed list of tracked past-medical
 // conditions (paper: "Predefined Past Medical History"); everything else
 // found in the ontology is "Other Past Medical History".

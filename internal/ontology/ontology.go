@@ -1,23 +1,17 @@
 package ontology
 
 import (
-	"fmt"
 	"strings"
 
 	"repro/internal/lexicon"
-	"repro/internal/store"
 )
 
-// Ontology is a loaded medical vocabulary: concepts stored in an embedded
-// store table (the persistence layer and ablation baseline) and mirrored
-// in in-memory maps so the extraction hot path pays one probe per lookup.
+// Ontology is a loaded medical vocabulary held in in-memory maps, so the
+// extraction hot path pays one probe per lookup.
 type Ontology struct {
-	db       *store.DB
-	terms    *store.Table // one row per (normalized surface form → CUI)
 	concepts map[string]*Concept
 	byNorm   map[string]*Concept // normalized surface form → concept
 	byName   map[string]*Concept // lower-cased preferred name → concept
-	coverage float64
 	synonyms bool
 }
 
@@ -30,55 +24,20 @@ type Options struct {
 	// paper's low recall on predefined surgical history ("failures to
 	// recognize the synonyms of predefined surgical terms").
 	DisableSynonyms bool
-	// Path, when non-empty, persists the vocabulary to a store database
-	// file; otherwise the ontology is memory-only.
-	Path string
 }
 
-// termSchema is the vocabulary table: normalized form → concept id.
-func termSchema() store.Schema {
-	return store.Schema{
-		Name: "umls_terms",
-		Columns: []store.Column{
-			{Name: "id", Type: store.TInt},
-			{Name: "norm", Type: store.TString},
-			{Name: "cui", Type: store.TString},
-			{Name: "surface", Type: store.TString},
-			{Name: "preferred", Type: store.TBool},
-		},
-		Primary: 0,
-	}
-}
-
-// New loads the embedded vocabulary with the given options.
+// New loads the embedded vocabulary with the given options. It cannot
+// fail: the error result is always nil.
 func New(opts Options) (*Ontology, error) {
-	var db *store.DB
-	var err error
-	if opts.Path != "" {
-		db, err = store.Open(opts.Path)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		db = store.OpenMemory()
-	}
-	tbl, err := db.CreateTable(termSchema())
-	if err != nil {
-		return nil, err
-	}
 	o := &Ontology{
-		db:       db,
-		terms:    tbl,
 		concepts: make(map[string]*Concept, len(seedConcepts)),
 		byNorm:   make(map[string]*Concept, 4*len(seedConcepts)),
 		byName:   make(map[string]*Concept, len(seedConcepts)),
-		coverage: opts.Coverage,
 		synonyms: !opts.DisableSynonyms,
 	}
 	// normPref tracks, during load only, whether a byNorm entry came from
-	// a preferred name; it mirrors the indexed-lookup tie-break.
+	// a preferred name.
 	normPref := make(map[string]bool, 4*len(seedConcepts))
-	id := int64(1)
 	for i := range seedConcepts {
 		c := &seedConcepts[i]
 		if opts.Coverage > 0 && opts.Coverage < 1 && !keepForCoverage(c.CUI, opts.Coverage) {
@@ -95,32 +54,20 @@ func New(opts Options) (*Ontology, error) {
 			if norm == "" {
 				continue
 			}
-			// In-memory mirror of the indexed-lookup preference: the first
-			// preferred-name hit for a form wins, else the first hit.
+			// When several concepts share a normalized form, the first
+			// concept whose preferred name has that form wins; failing
+			// that, the first concept loaded with it. Today every shared
+			// form belongs to one concept ("migraine"/"migraines").
 			if _, ok := o.byNorm[norm]; !ok || (fi == 0 && !normPref[norm]) {
 				o.byNorm[norm] = c
 				normPref[norm] = fi == 0
 			}
-			row := store.Row{
-				store.Int(id),
-				store.Str(norm),
-				store.Str(c.CUI),
-				store.Str(f),
-				store.Bool(fi == 0),
-			}
-			if err := tbl.Insert(row); err != nil {
-				return nil, fmt.Errorf("ontology: load %q: %w", f, err)
-			}
-			id++
 		}
-	}
-	if err := tbl.CreateIndex("norm"); err != nil {
-		return nil, err
 	}
 	return o, nil
 }
 
-// MustNew is New for tests and examples; it panics on error.
+// MustNew is New without the always-nil error result.
 func MustNew(opts Options) *Ontology {
 	o, err := New(opts)
 	if err != nil {
@@ -129,14 +76,8 @@ func MustNew(opts Options) *Ontology {
 	return o
 }
 
-// Close releases the underlying store.
-func (o *Ontology) Close() error { return o.db.Close() }
-
 // Len returns the number of loaded concepts.
 func (o *Ontology) Len() int { return len(o.concepts) }
-
-// TermCount returns the number of indexed surface forms.
-func (o *Ontology) TermCount() int { return o.terms.Len() }
 
 // Lookup finds the concept for a candidate surface term. The term is
 // normalized (lemma of each word, words sorted alphabetically — §3.2)
@@ -157,48 +98,6 @@ func (o *Ontology) LookupWords(words []string) *Concept {
 		return nil
 	}
 	return o.byNorm[norm]
-}
-
-// LookupIndexed resolves a term through the store table's B-tree
-// secondary index instead of the in-memory map — the persistence-layer
-// path, kept benchmarkable alongside LookupLinear as an ablation
-// baseline.
-func (o *Ontology) LookupIndexed(term string) *Concept {
-	norm := lexicon.Normalize(term)
-	if norm == "" {
-		return nil
-	}
-	rows, err := o.terms.Lookup("norm", store.Str(norm))
-	if err != nil || len(rows) == 0 {
-		return nil
-	}
-	// Prefer a preferred-name hit when several concepts share a form.
-	best := rows[0]
-	for _, r := range rows {
-		if r[4].B {
-			best = r
-			break
-		}
-	}
-	return o.concepts[best[2].S]
-}
-
-// LookupLinear is the index-ablation baseline: a full-table scan instead
-// of the secondary-index probe.
-func (o *Ontology) LookupLinear(term string) *Concept {
-	norm := lexicon.Normalize(term)
-	if norm == "" {
-		return nil
-	}
-	var found *Concept
-	o.terms.Scan(func(r store.Row) bool {
-		if r[1].S == norm {
-			found = o.concepts[r[2].S]
-			return false
-		}
-		return true
-	})
-	return found
 }
 
 // Concept returns the concept with the given CUI, or nil.

@@ -12,12 +12,19 @@ type TaggedToken struct {
 	Tag Tag
 }
 
-// Tag tags every token of the sentence. The pipeline is: (1) lexicon
-// lookup, (2) morphological suffix guesser for unknown words, (3) a pass
-// of contextual repair rules in the style of Brill's transformation-based
+// TagSentence tags every token of the sentence and increments the
+// process-wide tag pass counter. The pipeline is: (1) lexicon lookup,
+// (2) morphological suffix guesser for unknown words, (3) a pass of
+// contextual repair rules in the style of Brill's transformation-based
 // tagger.
 func TagSentence(s textproc.Sentence) []TaggedToken {
-	return tagTokens(s.Tokens)
+	tagPasses.Add(1)
+	out := make([]TaggedToken, len(s.Tokens))
+	for i, tok := range s.Tokens {
+		out[i] = TaggedToken{Token: tok, Tag: initialTag(tok)}
+	}
+	applyContextRules(out)
+	return out
 }
 
 // TagSection returns the POS tagging of sentence i of an analyzed
@@ -29,38 +36,6 @@ func TagSection(sec *textproc.DocSection, i int) []TaggedToken {
 	v := sec.Derived(i).Tags(func() any { return TagSentence(sents[i]) })
 	tagged, _ := v.([]TaggedToken)
 	return tagged
-}
-
-// tagTokens is the single tagging core behind TagSentence and TagWords:
-// initial tag per token, then the contextual repair pass. It increments
-// the process-wide tag pass counter.
-func tagTokens(toks []textproc.Token) []TaggedToken {
-	tagPasses.Add(1)
-	out := make([]TaggedToken, len(toks))
-	for i, tok := range toks {
-		out[i] = TaggedToken{Token: tok, Tag: initialTag(tok)}
-	}
-	applyContextRules(out)
-	return out
-}
-
-// TagWords tags a plain word sequence (used by tests and by the ID3
-// feature extractor when it already has words).
-func TagWords(words []string) []Tag {
-	toks := make([]textproc.Token, len(words))
-	for i, w := range words {
-		kind := textproc.Word
-		if len(w) > 0 && w[0] >= '0' && w[0] <= '9' {
-			kind = textproc.Number
-		}
-		toks[i] = textproc.Token{Text: w, Kind: kind}
-	}
-	tagged := tagTokens(toks)
-	tags := make([]Tag, len(tagged))
-	for i, t := range tagged {
-		tags[i] = t.Tag
-	}
-	return tags
 }
 
 // initialTag assigns the most likely tag from the lexicon or the suffix

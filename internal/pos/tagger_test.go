@@ -100,9 +100,8 @@ func TestTagUnknownMedicalSuffixes(t *testing.T) {
 		"calcifications": NNS, // -s plural
 	}
 	for w, want := range cases {
-		toks := TagWords([]string{w})
-		if toks[0] != want {
-			t.Errorf("suffixTag(%q) = %v, want %v", w, toks[0], want)
+		if got := tagOne(t, w)[0].Tag; got != want {
+			t.Errorf("suffixTag(%q) = %v, want %v", w, got, want)
 		}
 	}
 }
@@ -118,9 +117,9 @@ func TestTagScreeningMammogram(t *testing.T) {
 }
 
 func TestTagWordsNumbers(t *testing.T) {
-	tags := TagWords([]string{"pulse", "of", "84"})
-	if tags[2] != CD {
-		t.Errorf("84 = %v, want CD", tags[2])
+	toks := tagOne(t, "pulse of 84")
+	if tag, _ := findTag(toks, "84"); tag != CD {
+		t.Errorf("84 = %v, want CD", tag)
 	}
 }
 

@@ -117,10 +117,10 @@ func (db *DB) compactShard(sh *Shard, mode compactMode) error {
 type tableCompact struct {
 	name    string
 	ts      *tableShard
-	snap    shardSnap        // pinned segments + captured memtable view
-	capMem  map[string]Row   // captured live memtable rows by encoded pk
-	idxCols []string         // secondary-index inventory at capture
-	seg     *segment         // the new run (nil: minor with nothing to fold)
+	snap    shardSnap         // pinned segments + captured memtable view
+	capMem  map[string]Row    // captured live memtable rows by encoded pk
+	idxCols []string          // secondary-index inventory at capture
+	seg     *segment          // the new run (nil: minor with nothing to fold)
 	newIdx  map[string]*btree // major: rebuilt by-reference indexes
 
 	// Commit plan, computed under the table's write lock in phase C.

@@ -34,12 +34,6 @@ const (
 	DefaultCompactFanout   = 8
 )
 
-// DefaultCompactionPolicy returns the enabled policy with every
-// default threshold filled in.
-func DefaultCompactionPolicy() CompactionPolicy {
-	return CompactionPolicy{}.withDefaults()
-}
-
 // withDefaults fills unset thresholds.
 func (p CompactionPolicy) withDefaults() CompactionPolicy {
 	if p.MemRows <= 0 {

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -114,6 +115,31 @@ func TestTableCRUD(t *testing.T) {
 	bad := Row{Str("not-an-int"), Str("a"), Str("b"), Float(0), Bool(false)}
 	if err := tbl.Insert(bad); err == nil {
 		t.Error("type mismatch accepted")
+	}
+}
+
+// TestLookupErrors pins Lookup's error contract on one shard and on
+// four: an unindexed or unknown column is ErrNoIndex, a value of the
+// wrong type is ErrTypeMism.
+func TestLookupErrors(t *testing.T) {
+	for _, n := range []int{1, 4} {
+		db := OpenMemorySharded(n)
+		tbl, _ := db.CreateTable(testSchema())
+		if err := tbl.Insert(Row{Int(1), Str("a"), Str("p"), Float(0), Bool(true)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.CreateIndex("norm"); err != nil {
+			t.Fatal(err)
+		}
+		for _, col := range []string{"preferred", "nope"} {
+			if _, err := tbl.Lookup(col, Str("p")); !errors.Is(err, ErrNoIndex) {
+				t.Errorf("%d shard(s): Lookup on %q = %v, want ErrNoIndex", n, col, err)
+			}
+		}
+		if _, err := tbl.Lookup("norm", Int(1)); !errors.Is(err, ErrTypeMism) {
+			t.Errorf("%d shard(s): Lookup with an int on a string column = %v, want ErrTypeMism", n, err)
+		}
+		db.Close()
 	}
 }
 
@@ -302,10 +328,9 @@ func TestScanAndSelect(t *testing.T) {
 	if len(active) != 10 {
 		t.Fatalf("Select = %d rows", len(active))
 	}
-	var ranged int
-	tbl.ScanRange(Int(5), Int(15), func(r Row) bool { ranged++; return true })
-	if ranged != 10 {
-		t.Fatalf("ScanRange = %d rows, want 10", ranged)
+	ranged, st, err := tbl.Query(Query{Preds: []Pred{Ge("id", Int(5)), Lt("id", Int(15))}})
+	if err != nil || len(ranged) != 10 || !st.FullScan {
+		t.Fatalf("pk-bounded scan = %d rows (%+v, %v), want 10 by scan", len(ranged), st, err)
 	}
 }
 
@@ -346,5 +371,20 @@ func TestColTypeString(t *testing.T) {
 	}
 	if Int(1).Equal(Float(1)) {
 		t.Error("cross-type Equal")
+	}
+}
+
+func TestStats(t *testing.T) {
+	db := OpenMemory()
+	tbl, _ := db.CreateTable(testSchema())
+	tbl.Insert(Row{Int(1), Str("a"), Str("p"), Float(0), Bool(true)})
+	tbl.CreateIndex("norm")
+	tbl.CreateIndex("preferred")
+	s := tbl.Stats()
+	if s.Rows != 1 || s.Indexes != 2 {
+		t.Fatalf("stats = %+v", s)
+	}
+	if len(s.IndexNames) != 2 || s.IndexNames[0] != "norm" {
+		t.Errorf("index names = %v", s.IndexNames)
 	}
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"sync"
@@ -530,11 +531,14 @@ func TestCacheDropsObsoleteSegments(t *testing.T) {
 
 // TestCacheInvariantUnderCompaction is the race-enabled invariant test:
 // concurrent readers and writers run against the auto-compactor
-// swapping runs underneath them. Every read must observe a
-// monotonically non-decreasing version of its key (the cache must
-// never serve a row from an obsolete segment as current), and closing
-// the engine must leave the cache empty — every segment's entries
-// released with its last pin.
+// swapping runs underneath them. Writers replace each key (Delete, then
+// Insert) with a higher version. A read that finds a key must observe a
+// version no older than the last one published for it (the cache must
+// never serve a row from an obsolete segment as current); a key may be
+// briefly absent while it is being replaced. The test runs until the
+// compactor has swapped at least three runs, then checks that every key
+// holds its last published version and that closing the engine leaves
+// the cache empty — every segment's entries released with its last pin.
 func TestCacheInvariantUnderCompaction(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "race.db")
 	db, err := OpenShardedWithPolicy(path, 1, CompactionPolicy{MemRows: 50, WALBytes: 1 << 20, Fanout: 3})
@@ -569,11 +573,15 @@ func TestCacheInvariantUnderCompaction(t *testing.T) {
 				}
 				for i := w; i < nKeys; i += 2 {
 					pk := int64(i)
-					if err := tbl.Update(Int(pk), Row{Int(pk), Int(v), Str("pulse"), Str("v"), Float(0)}); err != nil {
-						t.Errorf("update: %v", err)
+					if err := tbl.Delete(Int(pk)); err != nil {
+						t.Errorf("delete: %v", err)
 						return
 					}
-					// Published only after the update is durable+applied:
+					if err := tbl.Insert(Row{Int(pk), Int(v), Str("pulse"), Str("v"), Float(0)}); err != nil {
+						t.Errorf("insert: %v", err)
+						return
+					}
+					// Published only after the insert is durable+applied:
 					// any later read must see at least this version.
 					versions[i].Store(v)
 				}
@@ -593,6 +601,9 @@ func TestCacheInvariantUnderCompaction(t *testing.T) {
 				for i := 0; i < nKeys; i++ {
 					floor := versions[i].Load()
 					row, err := tbl.Get(Int(int64(i)))
+					if errors.Is(err, ErrNotFound) {
+						continue // between a writer's Delete and Insert
+					}
 					if err != nil {
 						t.Errorf("get(%d): %v", i, err)
 						return
@@ -609,12 +620,28 @@ func TestCacheInvariantUnderCompaction(t *testing.T) {
 			}
 		}()
 	}
-	time.Sleep(400 * time.Millisecond)
+	// Keep the load on until background compaction has swapped runs
+	// under the readers at least three times.
+	deadline := time.Now().Add(30 * time.Second)
+	for cst := db.CompactionStats(); cst.MinorRuns+cst.MajorRuns < 3; cst = db.CompactionStats() {
+		if time.Now().After(deadline) {
+			close(stop)
+			wg.Wait()
+			db.Close()
+			t.Fatalf("fewer than 3 background compactions within 30s: %+v", cst)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 	close(stop)
 	wg.Wait()
-	cst := db.CompactionStats()
-	if cst.MinorRuns+cst.MajorRuns == 0 {
-		t.Log("warning: no background compaction ran; invariant untested under swaps")
+	for i := 0; i < nKeys; i++ {
+		row, err := tbl.Get(Int(int64(i)))
+		if err != nil {
+			t.Fatalf("key %d missing after the writers stopped: %v", i, err)
+		}
+		if want := versions[i].Load(); row[1].I != want {
+			t.Errorf("key %d holds version %d, last published %d", i, row[1].I, want)
+		}
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -652,7 +679,10 @@ func TestBatchedResolveMatchesSingle(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 500; i += 2 {
-		if err := tbl.Update(Int(int64(i)), Row{Int(int64(i)), Int(2), Str("pulse"), Str("v"), Float(0)}); err != nil {
+		if err := tbl.Delete(Int(int64(i))); err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.Insert(Row{Int(int64(i)), Int(2), Str("pulse"), Str("v"), Float(0)}); err != nil {
 			t.Fatal(err)
 		}
 	}

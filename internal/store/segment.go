@@ -419,8 +419,8 @@ func (sg *segment) getBatch(entries []postingEntry, missing []int, out []Row, rs
 		return missing, nil
 	}
 	rest := missing[:0]
-	bi := 0                    // first candidate block (monotone: pks ascend)
-	var rows []Row             // currently decoded block
+	bi := 0        // first candidate block (monotone: pks ascend)
+	var rows []Row // currently decoded block
 	var keys [][]byte
 	loaded := -1
 	for _, pos := range missing {

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // --- segment file format ---
@@ -393,6 +394,7 @@ func TestSnapshotIsolation(t *testing.T) {
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
+	deleted := make(chan struct{}) // closed once victims 1..20 are gone
 	wg.Add(2)
 	go func() { // writer: batches of new rows + deletes of old ones
 		defer wg.Done()
@@ -419,6 +421,9 @@ func TestSnapshotIsolation(t *testing.T) {
 					return
 				}
 				victim++
+				if victim > 20 {
+					close(deleted)
+				}
 			}
 		}
 	}()
@@ -449,6 +454,18 @@ func TestSnapshotIsolation(t *testing.T) {
 		if s := snap.Seq(); s != seq0 {
 			t.Fatalf("snapshot watermark moved: %d -> %d", seq0, s)
 		}
+	}
+	// The reader can finish before the writer has run at all; stop the
+	// writer only once it has deleted every victim.
+	select {
+	case <-deleted:
+	case <-time.After(30 * time.Second):
+		t.Fatal("writer did not delete its 20 victims within 30s")
+	}
+	// The snapshot still predates every delete.
+	var got []Row
+	if err := snap.Scan(func(r Row) bool { got = append(got, r); return true }); err != nil || len(got) != len(want) {
+		t.Fatalf("snapshot after the deletes: %d rows (%v), want %d", len(got), err, len(want))
 	}
 	close(stop)
 	wg.Wait()

@@ -185,7 +185,7 @@ func TestShardedQueryParity(t *testing.T) {
 		}
 	}
 
-	// Lookup, LookupRange and Scan merge into the single-shard order.
+	// Lookup and Scan merge into the single-shard order.
 	for _, col := range []string{"attribute"} {
 		want, err := st.Lookup(col, Str("pulse"))
 		if err != nil {
@@ -202,22 +202,6 @@ func TestShardedQueryParity(t *testing.T) {
 			if !rowsEqual(got[i], want[i]) {
 				t.Errorf("Lookup(%s) row %d: %v != %v", col, i, got[i], want[i])
 			}
-		}
-	}
-	wantR, err := st.LookupRange("numeric", Float(60), Float(90))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotR, err := sh.LookupRange("numeric", Float(60), Float(90))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(wantR) != len(gotR) {
-		t.Fatalf("LookupRange: %d vs %d rows", len(gotR), len(wantR))
-	}
-	for i := range wantR {
-		if !rowsEqual(gotR[i], wantR[i]) {
-			t.Errorf("LookupRange row %d: %v != %v", i, gotR[i], wantR[i])
 		}
 	}
 	var wantScan, gotScan []Row

@@ -38,24 +38,17 @@ type Snapshot struct {
 }
 
 // Snapshot captures a stable view of the table: per shard, the pinned
-// segment set and the memtable entries within [lo, hi) (nil bounds =
-// everything). Each shard is captured under its read lock — a short,
-// bounded hold — after which iteration never locks.
-func (t *Table) Snapshot() *Snapshot { return t.snapshotRange(nil, nil) }
-
-func (t *Table) snapshotRange(lo, hi []byte) *Snapshot {
+// segment set and every memtable entry. Each shard is captured under
+// its read lock — a short, bounded hold — after which iteration never
+// locks.
+func (t *Table) Snapshot() *Snapshot {
 	snap := &Snapshot{table: t, shards: make([]shardSnap, len(t.shards))}
 	for i, ts := range t.shards {
-		snap.shards[i] = ts.capture(lo, hi)
+		ts.mu.RLock()
+		snap.shards[i] = ts.captureLocked(nil, nil)
+		ts.mu.RUnlock()
 	}
 	return snap
-}
-
-// capture takes one shard's snapshot under its read lock.
-func (ts *tableShard) capture(lo, hi []byte) shardSnap {
-	ts.mu.RLock()
-	defer ts.mu.RUnlock()
-	return ts.captureLocked(lo, hi)
 }
 
 // captureLocked captures with the shard's lock already held (read or
@@ -133,22 +126,14 @@ type readStats struct {
 // Scan streams every live row in ascending primary-key order without
 // holding any lock. fn returning false stops early. It returns any
 // segment read error (a memtable-only snapshot cannot fail).
+//
+// Each shard's merged stream is itself merged k-way across shards
+// (shards partition the key space by hash, so cross-shard order still
+// needs the comparison; within a shard, newest-wins resolves
+// duplicates).
 func (s *Snapshot) Scan(fn func(Row) bool) error {
-	return s.scan(nil, nil, nil, fn)
-}
-
-// ScanRange streams live rows with primary key in [lo, hi).
-func (s *Snapshot) ScanRange(lo, hi Value, fn func(Row) bool) error {
-	return s.scan(encodeKey(lo), encodeKey(hi), nil, fn)
-}
-
-// scan merges the per-shard snapshots into global key order: each
-// shard's merged stream is itself merged k-way across shards (shards
-// partition the key space by hash, so cross-shard order still needs
-// the comparison; within a shard, newest-wins resolves duplicates).
-func (s *Snapshot) scan(lo, hi []byte, stats *readStats, fn func(Row) bool) error {
 	if len(s.shards) == 1 {
-		return s.shards[0].iterate(lo, hi, stats, fn)
+		return s.shards[0].iterate(nil, nil, nil, fn)
 	}
 	// Fan the per-shard merges out into sorted row slices, then k-way
 	// merge (the same shape the pre-segment fan-out used). Iteration
@@ -160,7 +145,7 @@ func (s *Snapshot) scan(lo, hi []byte, stats *readStats, fn func(Row) bool) erro
 	done := make(chan int, len(s.shards))
 	for i := range s.shards {
 		go func(i int) {
-			errs[i] = s.shards[i].iterate(lo, hi, stats, func(r Row) bool {
+			errs[i] = s.shards[i].iterate(nil, nil, nil, func(r Row) bool {
 				parts[i] = append(parts[i], r)
 				return true
 			})

@@ -86,7 +86,6 @@ var (
 	ErrDuplicate = errors.New("store: duplicate primary key")
 	ErrNotFound  = errors.New("store: not found")
 	ErrNoIndex   = errors.New("store: no index on column")
-	ErrPKChange  = errors.New("store: update may not change the primary key")
 )
 
 // Schema returns a copy of the table's schema.
@@ -404,7 +403,7 @@ func (ts *tableShard) applyDelete(key []byte, row Row) {
 // on every shard. The index is durable: each shard's WAL carries a
 // create-index record re-created on replay and through Compact, so once
 // built it exists after every reopen and is maintained transactionally
-// by Insert/InsertBatch/Update/Delete alongside the rows. Creating an
+// by Insert/InsertBatch/Delete alongside the rows. Creating an
 // existing index is a no-op.
 func (t *Table) CreateIndex(col string) error {
 	if t.schema.colIndex(col) < 0 {
@@ -523,16 +522,6 @@ func (ts *tableShard) resolveAll(entries []postingEntry, rs *readStats) ([]Row, 
 	return out, nil
 }
 
-// appendResolved appends the posting rows (already pk-sorted) to out,
-// resolving by-reference entries from the segments.
-func (ts *tableShard) appendResolved(pl *postingList, out []Row, rs *readStats) ([]Row, error) {
-	rows, err := ts.resolveAll(pl.entries, rs)
-	if err != nil {
-		return out, err
-	}
-	return append(out, rows...), nil
-}
-
 func indexAdd(idx *btree, sk, pk []byte, row Row) {
 	v, ok := idx.Get(sk)
 	if !ok {
@@ -563,43 +552,19 @@ func indexRemove(idx *btree, sk, pk []byte) {
 }
 
 // Lookup returns all rows whose indexed column equals v in ascending
-// primary-key order, using the secondary index on col. The column must
-// have an index. With multiple shards the per-shard posting lists are
-// fanned out and merged by primary key.
+// primary-key order: Query's equality path, one posting-list probe per
+// shard. The column must have an index (ErrNoIndex otherwise); a value
+// of the wrong type is ErrTypeMism.
 func (t *Table) Lookup(col string, v Value) ([]Row, error) {
-	if len(t.shards) == 1 {
-		return t.shards[0].lookup(col, v)
-	}
-	parts := make([][]Row, len(t.shards))
-	errs := make([]error, len(t.shards))
-	var wg sync.WaitGroup
-	for i, ts := range t.shards {
-		wg.Add(1)
-		go func(i int, ts *tableShard) {
-			defer wg.Done()
-			parts[i], errs[i] = ts.lookup(col, v)
-		}(i, ts)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	return kwayMerge(parts, t.lessByPK()), nil
-}
-
-func (ts *tableShard) lookup(col string, v Value) ([]Row, error) {
+	ts := t.shards[0] // every shard holds the same index inventory
 	ts.mu.RLock()
-	defer ts.mu.RUnlock()
-	idx, ok := ts.secondary[col]
+	_, ok := ts.secondary[col]
+	ts.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoIndex, col)
 	}
-	pv, ok := idx.Get(encodeKey(v))
-	if !ok {
-		return nil, nil
-	}
-	pl := pv.(*postingList)
-	return ts.resolveAll(pl.entries, nil)
+	rows, _, err := t.Query(Query{Preds: []Pred{Eq(col, v)}})
+	return rows, err
 }
 
 // kwayMerge merges per-shard result slices that are each already
@@ -662,17 +627,6 @@ func (t *Table) Scan(fn func(Row) bool) {
 	snap := t.Snapshot()
 	defer snap.Release()
 	_ = snap.Scan(fn) // a segment read error ends the scan early
-}
-
-// ScanRange calls fn for rows with primary key in [lo, hi), in
-// ascending primary-key order; snapshotting as in Scan, with the
-// bounds pruning both the memtable capture and (via zone maps) the
-// segment blocks read.
-func (t *Table) ScanRange(lo, hi Value, fn func(Row) bool) {
-	lok, hik := encodeKey(lo), encodeKey(hi)
-	snap := t.snapshotRange(lok, hik)
-	defer snap.Release()
-	_ = snap.scan(lok, hik, nil, fn)
 }
 
 // Select returns all rows matching a predicate, by full scan.
