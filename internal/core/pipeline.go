@@ -207,9 +207,15 @@ func PersistAll(db Storage, exs []Extraction) (int, error) {
 	}
 	// Seed ids past the largest existing key, not the row count: a
 	// recovered store can hold sparse ids (a torn shard WAL drops rows
-	// from the middle of the id space), and Len()+1 would collide.
+	// from the middle of the id space), and Len()+1 would collide. A
+	// read error stops the batch: ids seeded below keys MaxPK could not
+	// read would be allocated over them.
+	maxPK, ok, err := tbl.MaxPK()
+	if err != nil {
+		return 0, fmt.Errorf("core: seeding row ids: %w", err)
+	}
 	next := int64(1)
-	if maxPK, ok := tbl.MaxPK(); ok {
+	if ok {
 		next = maxPK.I + 1
 	}
 	written := 0

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"repro/internal/records"
@@ -111,6 +115,86 @@ func TestPersistAllAfterShardCrash(t *testing.T) {
 	// duplicate-key collisions against the surviving sparse ids.
 	if _, err := PersistAll(db, exs); err != nil {
 		t.Fatalf("PersistAll after shard crash: %v", err)
+	}
+}
+
+// TestPersistAllStopsOnCorruptRunTail flips a byte in the last block
+// of one shard's newest segment run under a live store. MaxPK cannot
+// read that shard's largest key, so PersistAll must fail with
+// ErrCorrupt and write nothing rather than allocate ids over rows it
+// could not read. Each shard is damaged in turn, so the run covers a
+// damaged shard that does not hold the global maximum, whatever the
+// key routing.
+func TestPersistAllStopsOnCorruptRunTail(t *testing.T) {
+	const shards = 4
+	for victim := 0; victim < shards; victim++ {
+		path := filepath.Join(t.TempDir(), "extracted.db")
+		db, err := store.OpenSharded(path, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for run := 0; run < 2; run++ {
+			if _, err := PersistAll(db, syntheticExtractions(40)); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tbl, err := db.Table(ResultTable)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := tbl.Len()
+		flipLastBlockByte(t, filepath.Join(path, fmt.Sprintf("shard-%03d", victim), "wal.log.segs"))
+		_, err = PersistAll(db, syntheticExtractions(5))
+		if !errors.Is(err, store.ErrCorrupt) {
+			t.Errorf("shard %d damaged: PersistAll err = %v, want ErrCorrupt", victim, err)
+		}
+		if got := tbl.Len(); got != before {
+			t.Errorf("shard %d damaged: Len = %d after the failed PersistAll, want %d", victim, got, before)
+		}
+		db.Close()
+	}
+}
+
+// flipLastBlockByte corrupts the final byte of the last row block of
+// the newest segment file in segsDir. The segment tail is indexLen,
+// schemaLen and filterLen (uint32 each), a CRC and an 8-byte magic;
+// the metadata regions precede it and the blocks precede them.
+func flipLastBlockByte(t *testing.T, segsDir string) {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(segsDir, "seg-*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segment in %s: %v", segsDir, err)
+	}
+	sort.Strings(segs) // generation-major names: the last is the newest run
+	f, err := os.OpenFile(segs[len(segs)-1], os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tailLen = 24
+	tail := make([]byte, tailLen)
+	if _, err := f.ReadAt(tail, st.Size()-tailLen); err != nil {
+		t.Fatal(err)
+	}
+	if string(tail[16:]) != "MEDSEGF2" {
+		t.Fatalf("unexpected segment tail %q", tail[16:])
+	}
+	meta := int64(binary.BigEndian.Uint32(tail[0:4])) + int64(binary.BigEndian.Uint32(tail[4:8])) + int64(binary.BigEndian.Uint32(tail[8:12]))
+	off := st.Size() - tailLen - meta - 1
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0xff
+	if _, err := f.WriteAt(b, off); err != nil {
+		t.Fatal(err)
 	}
 }
 

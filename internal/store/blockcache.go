@@ -147,6 +147,8 @@ func (c *blockCache) segEntries(seg uint64) int {
 }
 
 // CacheStats reports the shared decoded-block cache for monitoring.
+// Hits and Misses count the block reads of queries and point
+// operations; compaction merges bypass the cache and are not counted.
 // BloomSkips counts segment probes rejected by a bloom filter — reads
 // that cost no IO at all.
 type CacheStats struct {

@@ -44,32 +44,6 @@ func (t *btree) Get(key []byte) (interface{}, bool) {
 	}
 }
 
-// Max returns the largest key's value and whether the tree is
-// non-empty: a walk down the rightmost spine, backtracking past
-// subtrees that lazy deletion has emptied.
-func (t *btree) Max() ([]byte, interface{}, bool) {
-	if t.size == 0 {
-		return nil, nil, false
-	}
-	return t.root.max()
-}
-
-func (n *bnode) max() ([]byte, interface{}, bool) {
-	if n.leaf {
-		if len(n.keys) == 0 {
-			return nil, nil, false
-		}
-		last := len(n.keys) - 1
-		return n.keys[last], n.vals[last], true
-	}
-	for i := len(n.children) - 1; i >= 0; i-- {
-		if k, v, ok := n.children[i].max(); ok {
-			return k, v, ok
-		}
-	}
-	return nil, nil, false
-}
-
 // Put inserts or replaces the value for key. It reports whether the key
 // was newly inserted.
 func (t *btree) Put(key []byte, val interface{}) bool {
@@ -113,6 +87,12 @@ func (t *btree) Delete(key []byte) bool {
 // returns false.
 func (t *btree) Ascend(fn func(key []byte, val interface{}) bool) {
 	t.root.ascend(fn)
+}
+
+// Descend calls fn for every key/value in descending key order until
+// fn returns false. Leaves that lazy deletion has emptied are skipped.
+func (t *btree) Descend(fn func(key []byte, val interface{}) bool) {
+	t.root.descend(fn)
 }
 
 // AscendRange calls fn for keys in [lo, hi) in ascending order.
@@ -204,6 +184,23 @@ func (n *bnode) ascend(fn func([]byte, interface{}) bool) bool {
 			return false
 		}
 		_ = i
+	}
+	return true
+}
+
+func (n *bnode) descend(fn func([]byte, interface{}) bool) bool {
+	if n.leaf {
+		for i := len(n.keys) - 1; i >= 0; i-- {
+			if !fn(n.keys[i], n.vals[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for i := len(n.children) - 1; i >= 0; i-- {
+		if !n.children[i].descend(fn) {
+			return false
+		}
 	}
 	return true
 }

@@ -115,18 +115,15 @@ func (db *DB) compactShard(sh *Shard, mode compactMode) error {
 
 // tableCompact carries one table's state across the three phases.
 type tableCompact struct {
-	name    string
-	ts      *tableShard
-	snap    shardSnap         // pinned segments + captured memtable view
-	capMem  map[string]Row    // captured live memtable rows by encoded pk
-	idxCols []string          // secondary-index inventory at capture
-	seg     *segment          // the new run (nil: minor with nothing to fold)
-	newIdx  map[string]*btree // major: rebuilt by-reference indexes
+	name   string
+	ts     *tableShard
+	snap   shardSnap      // pinned segments + captured memtable view
+	capMem map[string]Row // captured live memtable rows by encoded pk
+	seg    *segment       // the new run (nil: minor with nothing to fold)
 
 	// Commit plan, computed under the table's write lock in phase C.
-	newMem      *btree
-	folded      []Row    // minor: rows moved from memtable to the new run
-	rebuildCols []string // major: indexes created after the capture
+	newMem *btree
+	folded []Row // rows moved from the memtable to the new run
 }
 
 // compactShardLocked is the compaction body; compactMu is held. It
@@ -164,19 +161,14 @@ func (db *DB) compactShardLocked(sh *Shard, mode compactMode) (rowsOut, bytesOut
 		ts := sh.tables[name]
 		ts.mu.RLock()
 		snap := ts.captureLocked(nil, nil)
-		idxCols := make([]string, 0, len(ts.secondary))
-		for col := range ts.secondary {
-			idxCols = append(idxCols, col)
-		}
 		ts.mu.RUnlock()
-		sortKeys(idxCols)
 		capMem := make(map[string]Row, len(snap.mem))
 		for _, mr := range snap.mem {
 			if mr.row != nil {
 				capMem[string(mr.key)] = mr.row
 			}
 		}
-		tcs = append(tcs, &tableCompact{name: name, ts: ts, snap: snap, capMem: capMem, idxCols: idxCols})
+		tcs = append(tcs, &tableCompact{name: name, ts: ts, snap: snap, capMem: capMem})
 	}
 
 	// Phase B: build the new runs with no table lock held — everything
@@ -214,25 +206,11 @@ func (db *DB) compactShardLocked(sh *Shard, mode compactMode) (rowsOut, bytesOut
 				return nil
 			})
 		case majorCompact:
-			// The merged stream also seeds the fresh by-reference
-			// secondary indexes: every captured-live key starts as a
-			// segment-resident posting.
-			c.newIdx = make(map[string]*btree, len(c.idxCols))
-			for _, col := range c.idxCols {
-				c.newIdx[col] = newBtree()
-			}
 			seg, serr = writeTableRun(path, c.ts.schema, func(add func(Row) error) error {
 				var addErr error
-				iterErr := c.snap.iterate(nil, nil, nil, func(row Row) bool {
-					if addErr = add(row); addErr != nil {
-						return false
-					}
-					key := encodeKey(row[c.ts.schema.Primary])
-					for _, col := range c.idxCols {
-						ci := c.ts.schema.colIndex(col)
-						indexAdd(c.newIdx[col], encodeKey(row[ci]), key, nil)
-					}
-					return true
+				iterErr := c.snap.iterate(nil, nil, &readStats{noFill: true}, func(row Row) bool {
+					addErr = add(row)
+					return addErr == nil
 				})
 				if addErr != nil {
 					return addErr
@@ -360,32 +338,18 @@ func (db *DB) compactShardLocked(sh *Shard, mode compactMode) (rowsOut, bytesOut
 				if c.seg != nil {
 					ts.segs = append(ts.segs, c.seg)
 				}
-				ts.primary = c.newMem
-				// Folded rows now live in the new run: de-inline their
-				// index postings so the index stops holding row memory
-				// the segment already persists.
-				for col, idx := range ts.secondary {
-					ci := ts.schema.colIndex(col)
-					for _, row := range c.folded {
-						indexAdd(idx, encodeKey(row[ci]), encodeKey(row[ts.schema.Primary]), nil)
-					}
-				}
 			case majorCompact:
 				for _, old := range ts.segs {
 					old.markObsolete()
 					old.unref()
 				}
 				ts.segs = []*segment{c.seg}
-				ts.primary = c.newMem
-				ts.secondary = c.newIdx
-				// Indexes created between capture and commit were not in
-				// the build; rebuild them from the installed state.
-				for _, col := range c.rebuildCols {
-					if err := ts.createIndexLocked(col); err != nil {
-						sh.cstats.noteError(fmt.Errorf("store: compact index rebuild %s.%s: %w", c.name, col, err))
-					}
-				}
 			}
+			ts.primary = c.newMem
+			// A compaction never changes the live set, so the index keys
+			// stand; folded rows now live in the new run and leave the
+			// side lists, which stop holding row memory the run persists.
+			ts.deinline(c.folded)
 			ts.seq++
 		}
 		sh.gen = gen
@@ -425,11 +389,11 @@ func (db *DB) compactShardLocked(sh *Shard, mode compactMode) (rowsOut, bytesOut
 // Per current memtable entry:
 //
 //   - A row content-equal to its captured version is folded: it lives
-//     in the new run, leaves the memtable, and (major) keeps its
-//     by-reference posting. Equality is by value — the capture copied
-//     slice headers, and a post-capture delete+reinsert of identical
-//     content is indistinguishable from no write, which is exactly the
-//     equivalence the swap needs.
+//     in the new run, leaves the memtable, and leaves the side lists of
+//     its index postings (deinline). Equality is by value — the capture
+//     copied slice headers, and a post-capture delete+reinsert of
+//     identical content is indistinguishable from no write, which is
+//     exactly the equivalence the swap needs.
 //   - A changed or new row is residue: it stays in the memtable
 //     (shadowing the run) and is re-logged as a batch insert.
 //   - A tombstone is kept in a minor compaction (old runs survive, so
@@ -437,6 +401,9 @@ func (db *DB) compactShardLocked(sh *Shard, mode compactMode) (rowsOut, bytesOut
 //     compaction it is kept only if the new run actually holds its key
 //     (deleted after capture), and dropped otherwise — the old runs it
 //     masked are gone.
+//
+// The indexes need no plan: every write since the capture maintained
+// them, and the swap changes where rows live, never which rows are live.
 func (c *tableCompact) planCommit(mode compactMode) (residueRows []Row, residueDels []Value, err error) {
 	ts := c.ts
 	c.newMem = newBtree()
@@ -452,7 +419,7 @@ func (c *tableCompact) planCommit(mode compactMode) (residueRows []Row, residueD
 			matched++
 		}
 		if !inCap && mode == majorCompact && c.seg != nil {
-			capRow, inCap, segErr = c.seg.get(key, nil)
+			capRow, inCap, segErr = c.seg.get(key, &readStats{noFill: true})
 			if segErr != nil {
 				return false
 			}
@@ -464,30 +431,12 @@ func (c *tableCompact) planCommit(mode compactMode) (residueRows []Row, residueD
 			}
 			c.newMem.Put(key, row)
 			residueRows = append(residueRows, row)
-			if mode == majorCompact {
-				for col, idx := range c.newIdx {
-					ci := ts.schema.colIndex(col)
-					if inCap {
-						indexRemove(idx, encodeKey(capRow[ci]), key)
-					}
-					indexAdd(idx, encodeKey(row[ci]), key, row)
-				}
-			}
 			return true
 		}
 		tomb := val.(tombstone)
-		if mode == minorCompact {
+		if mode == minorCompact || inCap {
 			c.newMem.Put(key, tomb)
 			residueDels = append(residueDels, tomb.pk)
-			return true
-		}
-		if inCap {
-			c.newMem.Put(key, tomb)
-			residueDels = append(residueDels, tomb.pk)
-			for col, idx := range c.newIdx {
-				ci := ts.schema.colIndex(col)
-				indexRemove(idx, encodeKey(capRow[ci]), key)
-			}
 		}
 		return true
 	})
@@ -504,25 +453,10 @@ func (c *tableCompact) planCommit(mode compactMode) (residueRows []Row, residueD
 			if _, ok := ts.primary.Get([]byte(k)); ok {
 				continue
 			}
-			key := []byte(k)
 			tomb := tombstone{pk: capRow[ts.schema.Primary]}
-			c.newMem.Put(key, tomb)
+			c.newMem.Put([]byte(k), tomb)
 			residueDels = append(residueDels, tomb.pk)
-			if mode == majorCompact {
-				for col, idx := range c.newIdx {
-					ci := ts.schema.colIndex(col)
-					indexRemove(idx, encodeKey(capRow[ci]), key)
-				}
-			}
 		}
-	}
-	if mode == majorCompact {
-		for col := range ts.secondary {
-			if _, ok := c.newIdx[col]; !ok {
-				c.rebuildCols = append(c.rebuildCols, col)
-			}
-		}
-		sortKeys(c.rebuildCols)
 	}
 	return residueRows, residueDels, nil
 }

@@ -256,8 +256,9 @@ func TestMinorCompactionResurrectionMask(t *testing.T) {
 }
 
 // TestStatsResponsiveDuringCompaction pins the narrowed critical
-// section: monitoring, reads and writes must all return while a
-// compaction build is in flight, not block behind it.
+// section: monitoring, reads, writes and re-creating an existing table
+// must all return while a compaction build is in flight, not block
+// behind it.
 func TestStatsResponsiveDuringCompaction(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "live.db")
 	db, err := Open(path)
@@ -288,6 +289,11 @@ func TestStatsResponsiveDuringCompaction(t *testing.T) {
 		if got := tbl.Stats().Rows; got != 50 {
 			t.Errorf("Stats mid-compaction: Rows = %d", got)
 		}
+		// Ingest re-creates its table per batch; that must not queue a
+		// writer on the database lock the compaction holds shared.
+		if got, err := db.CreateTable(testSchema()); err != nil || got != tbl {
+			t.Errorf("CreateTable(existing) mid-compaction: %v, %v", got, err)
+		}
 		if h := db.Health(); h.ReadOnly {
 			t.Errorf("Health mid-compaction: %+v", h)
 		}
@@ -301,7 +307,8 @@ func TestStatsResponsiveDuringCompaction(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Stats/Health/Get/Insert blocked behind an in-flight compaction")
+		close(release) // let the compaction end so the deferred Close returns
+		t.Fatal("Stats/CreateTable/Health/Get/Insert blocked behind an in-flight compaction")
 	}
 	close(release)
 	if err := <-compactErr; err != nil {
@@ -314,6 +321,117 @@ func TestStatsResponsiveDuringCompaction(t *testing.T) {
 	if tbl.Len() != 51 {
 		t.Fatalf("Len = %d, want 51", tbl.Len())
 	}
+}
+
+// TestIndexCreatedDuringMajorCompaction creates an index on a new
+// column while a major compaction's build is held. The capture never
+// saw that index, and the commit keeps the live indexes rather than
+// rebuilding any, so the index built mid-flight must come out of the
+// commit exactly consistent with the table (rows folded into the new
+// run, residue written during the build, deletes on both sides of the
+// capture), answer an equality query, and survive a reopen.
+func TestIndexCreatedDuringMajorCompaction(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "idxmid.db")
+	db, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { db.Close() }()
+	tbl, err := db.CreateTable(attrSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.CreateIndex("attribute"); err != nil {
+		t.Fatal(err)
+	}
+	row := func(id int64) Row {
+		return Row{Int(id), Int(id % 9), Str("pulse"), Str(fmt.Sprintf("v%d", id%7)), Float(float64(id))}
+	}
+	insert := func(lo, hi int64) {
+		t.Helper()
+		for id := lo; id < hi; id++ {
+			if err := tbl.Insert(row(id)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	insert(0, 600)
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	insert(600, 900) // memtable rows the merge folds
+	for _, id := range []int64{5, 6, 650, 651} {
+		if err := tbl.Delete(Int(id)); err != nil { // run and memtable keys
+			t.Fatal(err)
+		}
+	}
+
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	testHookCompactBuild = func() {
+		close(entered)
+		<-release
+	}
+	defer func() { testHookCompactBuild = nil }()
+	compactErr := make(chan error, 1)
+	go func() { compactErr <- db.Compact() }()
+	<-entered
+	if err := tbl.CreateIndex("value"); err != nil {
+		close(release)
+		t.Fatal(err)
+	}
+	// Post-capture writes: residue rows, a replaced run row, and deletes
+	// of a run key and of a captured memtable key.
+	insert(900, 950)
+	for _, id := range []int64{10, 700} {
+		if err := tbl.Delete(Int(id)); err != nil {
+			close(release)
+			t.Fatal(err)
+		}
+	}
+	if err := tbl.Insert(Row{Int(10), Int(1), Str("pulse"), Str("v3"), Float(10)}); err != nil {
+		close(release)
+		t.Fatal(err)
+	}
+	close(release)
+	if err := <-compactErr; err != nil {
+		t.Fatal(err)
+	}
+	if got := len(tbl.shards[0].segs); got != 1 {
+		t.Fatalf("major compaction left %d runs", got)
+	}
+
+	verify := func(stage string) {
+		t.Helper()
+		checkIndexConsistent(t, tbl)
+		want := tbl.Select(func(r Row) bool { return r[3].S == "v3" })
+		got, stats, err := tbl.Query(Query{Preds: []Pred{Eq("value", Str("v3"))}})
+		if err != nil {
+			t.Fatalf("%s: query: %v", stage, err)
+		}
+		if !stats.UsedIndex || stats.IndexCol != "value" {
+			t.Fatalf("%s: plan %s, want index(value)", stage, stats.Plan())
+		}
+		if len(got) != len(want) || len(got) == 0 {
+			t.Fatalf("%s: index answered %d rows, scan %d", stage, len(got), len(want))
+		}
+		for i := range got {
+			if !rowsEqual(got[i], want[i]) {
+				t.Fatalf("%s: row %d: index %v, scan %v", stage, i, got[i], want[i])
+			}
+		}
+	}
+	verify("after commit")
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = Open(path); err != nil {
+		t.Fatal(err)
+	}
+	if tbl, err = db.Table("extracted"); err != nil {
+		t.Fatal(err)
+	}
+	verify("after reopen")
 }
 
 // TestBackgroundCompactionUnderLoad drives concurrent batch ingest and

@@ -425,8 +425,17 @@ func (db *DB) LogSize() int64 {
 }
 
 // CreateTable creates a table with the given schema on every shard.
-// Creating an existing table with an identical schema is a no-op.
+// Creating an existing table with an identical schema is a no-op, and
+// takes only the read lock: ingest calls it per batch, and a write
+// lock would queue it behind every in-flight compaction, with Health
+// and every other reader queued behind it in turn.
 func (db *DB) CreateTable(s Schema) (*Table, error) {
+	db.mu.RLock()
+	t, ok := db.tables[s.Name]
+	db.mu.RUnlock()
+	if ok {
+		return t, nil
+	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if t, ok := db.tables[s.Name]; ok {
@@ -445,7 +454,7 @@ func (db *DB) CreateTable(s Schema) (*Table, error) {
 		}
 		shards[i] = sh.newTableShard(s)
 	}
-	t := &Table{schema: s, shards: shards}
+	t = &Table{schema: s, shards: shards}
 	db.tables[s.Name] = t
 	return t, nil
 }

@@ -224,29 +224,27 @@ func (ts *tableShard) query(q Query, cis []int) (out []Row, stats QueryStats, er
 		stats.UsedIndex = true
 		stats.IndexCol = p.Col
 		stats.IndexProbes = 1
-		segReads := 0
+		segReads := false
 		if pv, ok := idx.Get(encodeKey(p.V)); ok {
 			// Resolve the whole posting list in one batched segment walk
 			// (each touched block decoded once), then examine in order.
-			entries := pv.(*postingList).entries
-			rows, rerr := ts.resolveAll(entries, &rs)
+			pl := pv.(*postingList)
+			segReads = len(pl.mem) < len(pl.keys)
+			rows, rerr := ts.resolveAll(pl, &rs)
 			if rerr != nil {
 				return nil, stats, rerr
 			}
-			for j, e := range entries {
+			for _, row := range rows {
 				stats.RowsExamined++
-				if e.row == nil {
-					segReads++
-				}
-				if filter(rows[j], i) {
-					out = append(out, rows[j])
+				if filter(row, i) {
+					out = append(out, row)
 					if done() {
 						break
 					}
 				}
 			}
 		}
-		if segReads > 0 {
+		if segReads {
 			stats.Segments = len(ts.segs)
 		}
 		return out, stats, nil
@@ -261,24 +259,22 @@ func (ts *tableShard) query(q Query, cis []int) (out []Row, stats QueryStats, er
 		stats.UsedIndex = true
 		stats.IndexCol = col
 		var walkErr error
-		segReads := 0
+		segReads := false
 		idx.AscendRange(lo, hi, func(_ []byte, v interface{}) bool {
 			stats.IndexProbes++
-			// One batched resolve per posting list: entries are pk-sorted,
-			// so the segment walk touches each block at most once.
-			entries := v.(*postingList).entries
-			rows, rerr := ts.resolveAll(entries, &rs)
+			// One batched resolve per posting list: keys are sorted, so
+			// the segment walk touches each block at most once.
+			pl := v.(*postingList)
+			segReads = segReads || len(pl.mem) < len(pl.keys)
+			rows, rerr := ts.resolveAll(pl, &rs)
 			if rerr != nil {
 				walkErr = rerr
 				return false
 			}
-			for j, e := range entries {
+			for _, row := range rows {
 				stats.RowsExamined++
-				if e.row == nil {
-					segReads++
-				}
-				if filterExceptCol(q.Preds, cis, col, rows[j]) {
-					out = append(out, rows[j])
+				if filterExceptCol(q.Preds, cis, col, row) {
+					out = append(out, row)
 					if done() {
 						return false
 					}
@@ -289,7 +285,7 @@ func (ts *tableShard) query(q Query, cis []int) (out []Row, stats QueryStats, er
 		if walkErr != nil {
 			return nil, stats, walkErr
 		}
-		if segReads > 0 {
+		if segReads {
 			stats.Segments = len(ts.segs)
 		}
 		return out, stats, nil

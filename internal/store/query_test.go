@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -307,6 +308,13 @@ func checkShardIndexConsistent(t *testing.T, ts *tableShard) {
 	if len(live) != ts.count {
 		t.Errorf("shard %d: live count %d, merged view has %d rows", ts.shard.id, ts.count, len(live))
 	}
+	memRows := 0 // live rows the memtable holds
+	ts.primary.Ascend(func(_ []byte, v interface{}) bool {
+		if liveRow(v) != nil {
+			memRows++
+		}
+		return true
+	})
 	for col, idx := range ts.secondary {
 		ci := ts.schema.colIndex(col)
 		// Every live row appears in the index under its column value.
@@ -316,26 +324,38 @@ func checkShardIndexConsistent(t *testing.T, ts *tableShard) {
 				t.Errorf("shard %d: index %s missing value %v", ts.shard.id, col, row[ci])
 				continue
 			}
-			if _, found := v.(*postingList).find(pk); !found {
+			if _, found := slices.BinarySearch(v.(*postingList).keys, pk); !found {
 				t.Errorf("shard %d: index %s missing row pk %v", ts.shard.id, col, row[pkc])
 			}
 		}
-		// And the index holds no extra or stale rows; by-reference
-		// entries must resolve from the segments.
-		indexed := 0
+		// And the index holds no extra or stale rows: every key resolves
+		// (side list or segments) to the live row. Every side-list row
+		// is the memtable's row for that key, and the side lists hold
+		// every memtable row.
+		indexed, inMem := 0, 0
 		idx.Ascend(func(_ []byte, v interface{}) bool {
 			pl := v.(*postingList)
-			indexed += len(pl.entries)
-			for _, e := range pl.entries {
-				want, ok := live[e.pk]
+			indexed += len(pl.keys)
+			inMem += len(pl.mem)
+			for _, e := range pl.mem {
+				if _, found := slices.BinarySearch(pl.keys, e.pk); !found {
+					t.Errorf("shard %d: index %s side-list pk missing from its keys", ts.shard.id, col)
+				}
+				mv, ok := ts.primary.Get([]byte(e.pk))
+				if mr := liveRow(mv); !ok || mr == nil || !rowsEqual(mr, e.row) {
+					t.Errorf("shard %d: index %s side-list row %v is not the memtable's row", ts.shard.id, col, e.row[pkc])
+				}
+			}
+			got, err := ts.resolveAll(pl, nil)
+			if err != nil {
+				t.Errorf("shard %d: index %s resolve: %v", ts.shard.id, col, err)
+				return true
+			}
+			for i, pk := range pl.keys {
+				want, ok := live[pk]
 				if !ok {
 					t.Errorf("shard %d: index %s holds pk absent from live view", ts.shard.id, col)
-					continue
-				}
-				got, err := ts.resolveAll([]postingEntry{e}, nil)
-				if err != nil {
-					t.Errorf("shard %d: index %s entry resolve: %v", ts.shard.id, col, err)
-				} else if !rowsEqual(got[0], want) {
+				} else if !rowsEqual(got[i], want) {
 					t.Errorf("shard %d: index %s holds stale row for pk %v", ts.shard.id, col, want[pkc])
 				}
 			}
@@ -343,6 +363,9 @@ func checkShardIndexConsistent(t *testing.T, ts *tableShard) {
 		})
 		if indexed != len(live) {
 			t.Errorf("shard %d: index %s holds %d rows, table has %d", ts.shard.id, col, indexed, len(live))
+		}
+		if inMem != memRows {
+			t.Errorf("shard %d: index %s side lists hold %d rows, memtable has %d", ts.shard.id, col, inMem, memRows)
 		}
 	}
 }

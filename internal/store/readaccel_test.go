@@ -529,6 +529,68 @@ func TestCacheDropsObsoleteSegments(t *testing.T) {
 	}
 }
 
+// TestCompactionDoesNotFillCache pins the merge's cache discipline: a
+// major compaction reads every block of the runs it retires (and probes
+// the new run for memtable tombstones) yet adds no block-cache entry.
+// A snapshot pins the old runs across the merge, so blocks the merge
+// cached would outlive the commit and show in the counts.
+func TestCompactionDoesNotFillCache(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "nofill.db")
+	db, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tbl, err := db.CreateTable(attrSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 3; r++ {
+		var rows []Row
+		for i := 0; i < 600; i++ {
+			pk := int64(r*600 + i)
+			rows = append(rows, Row{Int(pk), Int(pk % 5), Str("pulse"), Str("v"), Float(0)})
+		}
+		if err := tbl.InsertBatch(rows); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, pk := range []int64{3, 900, 1700} { // tombstones over each run
+		if err := tbl.Delete(Int(pk)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for pk := int64(1); pk < 1800; pk += 300 { // what readers cached
+		if _, err := tbl.Get(Int(pk)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := db.BlockCacheStats()
+	if before.Entries == 0 {
+		t.Fatal("reads cached nothing")
+	}
+	snap := tbl.Snapshot()
+	if err := db.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	after := db.BlockCacheStats()
+	if after.Entries > before.Entries || after.Bytes > before.Bytes {
+		t.Fatalf("major compaction filled the cache: %d entries / %d bytes before, %d / %d after",
+			before.Entries, before.Bytes, after.Entries, after.Bytes)
+	}
+	if after.Hits != before.Hits || after.Misses != before.Misses {
+		t.Fatalf("major compaction counted cache lookups: hits %d→%d, misses %d→%d",
+			before.Hits, after.Hits, before.Misses, after.Misses)
+	}
+	snap.Release()
+	if got := tbl.Len(); got != 1797 {
+		t.Fatalf("Len = %d, want 1797", got)
+	}
+}
+
 // TestCacheInvariantUnderCompaction is the race-enabled invariant test:
 // concurrent readers and writers run against the auto-compactor
 // swapping runs underneath them. Writers replace each key (Delete, then
@@ -652,9 +714,10 @@ func TestCacheInvariantUnderCompaction(t *testing.T) {
 }
 
 // TestBatchedResolveMatchesSingle cross-checks the batched resolver
-// against per-key segGet over a multi-run stack with overlapping key
-// updates: both must produce identical rows, and a posting entry for
-// every key must resolve exactly once.
+// against per-key liveGet over a multi-run stack with overlapping key
+// updates and a memtable version of some keys in the posting's side
+// list: both must produce identical rows, and every posting key must
+// resolve exactly once.
 func TestBatchedResolveMatchesSingle(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "batch.db")
 	db, err := Open(path)
@@ -689,28 +752,48 @@ func TestBatchedResolveMatchesSingle(t *testing.T) {
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	// Every fifth key gets a third version that stays in the memtable,
+	// shadowing both runs: the posting's side list must win for it.
+	for i := 0; i < 500; i += 5 {
+		if err := tbl.Delete(Int(int64(i))); err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.Insert(Row{Int(int64(i)), Int(3), Str("pulse"), Str("v"), Float(0)}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	ts := tbl.shards[0]
 	if len(ts.segs) < 2 {
 		t.Fatalf("expected a run stack, got %d segs", len(ts.segs))
 	}
-	var entries []postingEntry
+	pl := &postingList{}
 	for i := 0; i < 500; i++ {
-		entries = append(entries, postingEntry{pk: string(encodeKey(Int(int64(i))))})
+		pk := string(encodeKey(Int(int64(i))))
+		pl.keys = append(pl.keys, pk)
+		if v, ok := ts.primary.Get([]byte(pk)); ok {
+			pl.mem = append(pl.mem, postingEntry{pk: pk, row: v.(Row)})
+		}
 	}
-	got, err := ts.resolveAll(entries, nil)
+	if len(pl.mem) != 100 {
+		t.Fatalf("side list holds %d memtable rows, want 100", len(pl.mem))
+	}
+	got, err := ts.resolveAll(pl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, e := range entries {
-		want, ok, err := ts.segGet([]byte(e.pk), nil)
+	for i, pk := range pl.keys {
+		want, ok, err := ts.liveGet([]byte(pk))
 		if err != nil || !ok {
-			t.Fatalf("segGet(%d): ok=%v err=%v", i, ok, err)
+			t.Fatalf("liveGet(%d): ok=%v err=%v", i, ok, err)
 		}
 		if !rowsEqual(got[i], want) {
 			t.Fatalf("key %d: batched %v != single %v", i, got[i], want)
 		}
 		wantV := int64(1)
-		if i%2 == 0 {
+		switch {
+		case i%5 == 0:
+			wantV = 3
+		case i%2 == 0:
 			wantV = 2
 		}
 		if got[i][1].I != wantV {
@@ -719,7 +802,7 @@ func TestBatchedResolveMatchesSingle(t *testing.T) {
 	}
 	// A posting for a key no segment holds must fail loudly, not
 	// silently drop.
-	if _, err := ts.resolveAll([]postingEntry{{pk: string(encodeKey(Int(99999)))}}, nil); err == nil {
+	if _, err := ts.resolveAll(&postingList{keys: []string{string(encodeKey(Int(99999)))}}, nil); err == nil {
 		t.Fatal("missing segment row resolved without error")
 	}
 }

@@ -292,9 +292,12 @@ var segReadBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 8192); ret
 // readBlock returns one block's decoded rows and encoded primary keys,
 // consulting the shared cache first. A hit serves the immutable decoded
 // slices straight from memory; a miss pays disk + CRC + decode and
-// populates the cache for every future reader of this segment.
+// populates the cache for every future reader of this segment. A
+// compaction merge (rs.noFill) reads from disk and leaves the cache and
+// its hit/miss counters alone: the runs it reads are about to retire,
+// and their blocks would only evict what readers use.
 func (sg *segment) readBlock(bi int, rs *readStats) ([]Row, [][]byte, error) {
-	if sg.cache != nil {
+	if sg.cache != nil && (rs == nil || !rs.noFill) {
 		k := blockKey{seg: sg.id, bi: bi}
 		if rows, keys, ok := sg.cache.get(k); ok {
 			if rs != nil {
@@ -408,23 +411,23 @@ func (sg *segment) get(key []byte, rs *readStats) (Row, bool, error) {
 }
 
 // getBatch resolves many primary keys against this segment in one
-// index walk. entries holds the posting list (pk-ascending); missing
-// holds the positions still unresolved. Each position either fills
-// out[pos] or survives into the returned remainder for an older
-// segment. Because both the pks and the block index are sorted, the
-// walk advances a single block cursor and decodes each touched block
-// exactly once — the whole point of batching.
-func (sg *segment) getBatch(entries []postingEntry, missing []int, out []Row, rs *readStats) ([]int, error) {
+// index walk. keys holds a posting list's encoded primary keys
+// (ascending); missing holds the positions still unresolved. Each
+// position either fills out[pos] or survives into the returned
+// remainder for an older segment. Because both the keys and the block
+// index are sorted, the walk advances a single block cursor and decodes
+// each touched block exactly once — the whole point of batching.
+func (sg *segment) getBatch(keys []string, missing []int, out []Row, rs *readStats) ([]int, error) {
 	if len(sg.blocks) == 0 || len(missing) == 0 {
 		return missing, nil
 	}
 	rest := missing[:0]
 	bi := 0        // first candidate block (monotone: pks ascend)
 	var rows []Row // currently decoded block
-	var keys [][]byte
+	var rowKeys [][]byte
 	loaded := -1
 	for _, pos := range missing {
-		pk := entries[pos].pk
+		pk := keys[pos]
 		if cmpKeyStr(sg.minKey, pk) > 0 || cmpKeyStr(sg.maxKey, pk) < 0 {
 			rest = append(rest, pos)
 			continue
@@ -446,13 +449,13 @@ func (sg *segment) getBatch(entries []postingEntry, missing []int, out []Row, rs
 		}
 		if loaded != bi {
 			var err error
-			rows, keys, err = sg.readBlock(bi, rs)
+			rows, rowKeys, err = sg.readBlock(bi, rs)
 			if err != nil {
 				return nil, err
 			}
 			loaded = bi
 		}
-		if i, found := searchKeysStr(keys, pk); found {
+		if i, found := searchKeysStr(rowKeys, pk); found {
 			out[pos] = rows[i]
 		} else {
 			rest = append(rest, pos)

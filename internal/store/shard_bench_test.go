@@ -117,3 +117,46 @@ func BenchmarkQueryFanout(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkMaxPK measures the id-allocation read every ingest request
+// pays (core.PersistAll seeds row ids from it): 4 shards, each holding
+// 4 flushed runs of ascending keys (~400k rows) and an empty memtable,
+// the shape of a warehouse between compactions. MaxPK reads each
+// shard's newest run tail, not the table.
+func BenchmarkMaxPK(b *testing.B) {
+	const shards, runs, perRun = 4, 4, 100_000
+	db, err := OpenSharded(filepath.Join(b.TempDir(), "maxpk.db"), shards)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	tbl, err := db.CreateTable(attrSchema())
+	if err != nil {
+		b.Fatal(err)
+	}
+	id := int64(0)
+	batch := make([]Row, 0, 4096)
+	for r := 0; r < runs; r++ {
+		for i := 0; i < perRun; i++ {
+			id++
+			batch = append(batch, Row{Int(id), Int(id / 17), Str("pulse"), Str("x"), Float(float64(60 + id%80))})
+			if len(batch) == cap(batch) || i == perRun-1 {
+				if err := tbl.InsertBatch(batch); err != nil {
+					b.Fatal(err)
+				}
+				batch = batch[:0]
+			}
+		}
+		if err := db.Flush(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pk, ok, err := tbl.MaxPK()
+		if err != nil || !ok || pk.I != id {
+			b.Fatalf("MaxPK = %v,%v,%v, want %d", pk, ok, err, id)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -523,7 +524,10 @@ func TestOpenRefusesNonDatabaseDir(t *testing.T) {
 
 // TestMaxPK pins the id-allocation primitive: max over all shards,
 // correct under lazy deletion (the rightmost B-tree leaf may be empty
-// after deletes).
+// after deletes). On WAL-backed stores it must equal the last row of a
+// full merge across flushed run stacks, tombstoned run tails, a
+// reinserted key, Compact, reopen and a randomized history, while
+// reading at most one block per shard of a flushed table.
 func TestMaxPK(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		db := OpenMemorySharded(shards)
@@ -531,16 +535,16 @@ func TestMaxPK(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := tbl.MaxPK(); ok {
-			t.Errorf("shards=%d: empty table reported a max pk", shards)
+		if _, ok, err := tbl.MaxPK(); ok || err != nil {
+			t.Errorf("shards=%d: empty table reported a max pk (err %v)", shards, err)
 		}
 		for id := int64(1); id <= 100; id++ {
 			if err := tbl.Insert(Row{Int(id), Int(1), Str("pulse"), Str("x"), Float(60)}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if pk, ok := tbl.MaxPK(); !ok || pk.I != 100 {
-			t.Errorf("shards=%d: MaxPK = %v,%v, want 100", shards, pk, ok)
+		if pk, ok, err := tbl.MaxPK(); !ok || err != nil || pk.I != 100 {
+			t.Errorf("shards=%d: MaxPK = %v,%v,%v, want 100", shards, pk, ok, err)
 		}
 		// Delete the top half so the largest keys vanish from every
 		// shard's rightmost leaves.
@@ -549,9 +553,197 @@ func TestMaxPK(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if pk, ok := tbl.MaxPK(); !ok || pk.I != 50 {
-			t.Errorf("shards=%d: MaxPK after deletes = %v,%v, want 50", shards, pk, ok)
+		if pk, ok, err := tbl.MaxPK(); !ok || err != nil || pk.I != 50 {
+			t.Errorf("shards=%d: MaxPK after deletes = %v,%v,%v, want 50", shards, pk, ok, err)
 		}
+	}
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("segments/shards=%d", shards), func(t *testing.T) {
+			testMaxPKSegments(t, shards)
+		})
+	}
+	t.Run("reads only run tails", testMaxPKReadsOnlyRunTails)
+}
+
+// mergedMaxPK is MaxPK's reference answer: the last row of a full
+// snapshot merge.
+func mergedMaxPK(t *testing.T, tbl *Table) (int64, bool) {
+	t.Helper()
+	snap := tbl.Snapshot()
+	defer snap.Release()
+	var last Row
+	if err := snap.Scan(func(r Row) bool { last = r; return true }); err != nil {
+		t.Fatal(err)
+	}
+	if last == nil {
+		return 0, false
+	}
+	return last[0].I, true
+}
+
+func testMaxPKSegments(t *testing.T, shards int) {
+	path := filepath.Join(t.TempDir(), "maxpk.db")
+	db, err := OpenSharded(path, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { db.Close() }()
+	tbl, err := db.CreateTable(attrSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(stage string, want int64) {
+		t.Helper()
+		ref, refOK := mergedMaxPK(t, tbl)
+		got, ok, err := tbl.MaxPK()
+		if err != nil {
+			t.Fatalf("%s: MaxPK: %v", stage, err)
+		}
+		if ok != refOK || (ok && got.I != ref) {
+			t.Fatalf("%s: MaxPK = %v,%v, merge says %d,%v", stage, got, ok, ref, refOK)
+		}
+		if want >= 0 && got.I != want {
+			t.Fatalf("%s: MaxPK = %d, want %d", stage, got.I, want)
+		}
+	}
+	insert := func(lo, hi int64) {
+		t.Helper()
+		var rows []Row
+		for id := lo; id <= hi; id++ {
+			rows = append(rows, Row{Int(id), Int(id % 7), Str("pulse"), Str("x"), Float(60)})
+		}
+		if err := tbl.InsertBatch(rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	del := func(lo, hi int64) {
+		t.Helper()
+		for id := lo; id <= hi; id++ {
+			if err := tbl.Delete(Int(id)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	flush := func() {
+		t.Helper()
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if _, ok, err := tbl.MaxPK(); ok || err != nil {
+		t.Fatalf("empty table: MaxPK ok=%v err=%v", ok, err)
+	}
+	// A stack of three flushed runs, a few blocks each per shard.
+	for r := int64(0); r < 3; r++ {
+		insert(r*1200+1, (r+1)*1200)
+		flush()
+	}
+	check("run stack", 3600)
+	// The largest keys deleted after the flush: memtable tombstones
+	// mask the newest run's whole tail and the older run's top too.
+	del(2301, 3600)
+	check("tombstoned run tails", 2300)
+	// A deleted key inserted again is live in the memtable.
+	insert(3000, 3000)
+	check("reinserted", 3000)
+	flush()
+	check("reinserted, flushed", 3000)
+	del(3000, 3000)
+	check("reinserted key deleted again", 2300)
+	if err := db.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	check("after Compact", 2300)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = OpenSharded(path, shards); err != nil {
+		t.Fatal(err)
+	}
+	if tbl, err = db.Table("extracted"); err != nil {
+		t.Fatal(err)
+	}
+	check("after reopen", 2300)
+
+	// Randomized cross-check: inserts, deletes of live keys (often the
+	// largest), flushes and majors, against the merge after each step.
+	rng := rand.New(rand.NewSource(int64(shards)))
+	live := map[int64]bool{}
+	tbl.Scan(func(r Row) bool { live[r[0].I] = true; return true })
+	for step := 0; step < 300; step++ {
+		switch op := rng.Intn(10); {
+		case op < 5:
+			id := int64(rng.Intn(4000) + 1)
+			if !live[id] {
+				insert(id, id)
+				live[id] = true
+			}
+		case op < 8:
+			id, _ := mergedMaxPK(t, tbl)
+			if op == 7 {
+				id = int64(rng.Intn(4000) + 1)
+			}
+			if live[id] {
+				del(id, id)
+				delete(live, id)
+			}
+		case op == 8:
+			flush()
+		default:
+			if step%3 == 0 {
+				if err := db.Compact(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		check(fmt.Sprintf("random step %d", step), -1)
+	}
+}
+
+// testMaxPKReadsOnlyRunTails pins MaxPK's cost: on a flushed 4-run
+// table with an empty memtable it reads at most one block per shard,
+// counted by the block cache's hits plus misses, where a merge of the
+// whole table reads every block.
+func testMaxPKReadsOnlyRunTails(t *testing.T) {
+	const shards = 4
+	db, err := OpenSharded(filepath.Join(t.TempDir(), "tails.db"), shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tbl, err := db.CreateTable(attrSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := int64(0)
+	for r := 0; r < 4; r++ {
+		rows := make([]Row, 0, 4096)
+		for i := 0; i < 4096; i++ {
+			id++
+			rows = append(rows, Row{Int(id), Int(id % 7), Str("pulse"), Str("x"), Float(60)})
+		}
+		if err := tbl.InsertBatch(rows); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blocks := 0
+	for _, ts := range tbl.shards {
+		for _, sg := range ts.segs {
+			blocks += len(sg.blocks)
+		}
+	}
+	before := db.BlockCacheStats()
+	pk, ok, err := tbl.MaxPK()
+	if err != nil || !ok || pk.I != id {
+		t.Fatalf("MaxPK = %v,%v,%v, want %d", pk, ok, err, id)
+	}
+	after := db.BlockCacheStats()
+	if reads := (after.Hits + after.Misses) - (before.Hits + before.Misses); reads > shards {
+		t.Fatalf("MaxPK read %d blocks of %d; want at most one per shard (%d)", reads, blocks, shards)
 	}
 }
 

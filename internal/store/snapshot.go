@@ -114,13 +114,15 @@ func (s *Snapshot) Seq() uint64 {
 // accounting during iteration plus the acceleration counters (bloom
 // rejects and block-cache hits/misses) threaded through every segment
 // read. A nil *readStats is accepted everywhere and means "don't
-// count".
+// count". noFill marks a compaction merge's reads, which bypass the
+// block cache (LevelDB's fill_cache=false).
 type readStats struct {
 	segments     int // segment files consulted
 	blocksPruned int // blocks skipped via zone maps
 	bloomSkips   int // segment probes rejected by a bloom filter
 	cacheHits    int // blocks served from the decoded-block cache
 	cacheMisses  int // blocks that paid disk + CRC + decode
+	noFill       bool
 }
 
 // Scan streams every live row in ascending primary-key order without

@@ -4,7 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 )
 
@@ -141,45 +142,61 @@ func (ts *tableShard) segsMightHave(key []byte) bool {
 // the table is non-empty. Id-allocating writers (core.PersistAll) seed
 // from it rather than from Len(): after a crash truncates one shard's
 // WAL, surviving shards can hold keys far beyond the row count, and
-// Len()+1 would collide with them.
-func (t *Table) MaxPK() (Value, bool) {
+// Len()+1 would collide with them. A segment read error is returned,
+// never read as a smaller maximum.
+func (t *Table) MaxPK() (Value, bool, error) {
 	var best Value
 	found := false
 	for _, ts := range t.shards {
-		pk, ok := ts.maxPK()
-		if !ok {
-			continue
+		pk, ok, err := ts.maxPK()
+		if err != nil {
+			return Value{}, false, err
 		}
-		if !found || cmpValues(pk, best) > 0 {
+		if ok && (!found || cmpValues(pk, best) > 0) {
 			best, found = pk, true
 		}
 	}
-	return best, found
+	return best, found, nil
 }
 
-// maxPK finds one shard's largest live key. With no segments it is a
-// B-tree walk; with segments the shard's snapshot is merged (the
-// segment max may be shadowed by a tombstone, so the zone map alone
-// cannot answer).
-func (ts *tableShard) maxPK() (Value, bool) {
+// maxPK finds one shard's largest live key without a merge. It starts
+// from the memtable's largest live row, then walks each run newest
+// first, backward from its last block, until a zone map cannot beat the
+// best key. Segments hold only live rows and every delete of a
+// segment-resident key leaves a memtable tombstone, so the first run
+// key above the best that no tombstone masks is live, and ends that
+// run's walk.
+func (ts *tableShard) maxPK() (Value, bool, error) {
 	ts.mu.RLock()
-	if len(ts.segs) == 0 {
-		defer ts.mu.RUnlock()
-		_, v, ok := ts.primary.Max()
-		if !ok {
-			return Value{}, false
+	defer ts.mu.RUnlock()
+	var bestKey []byte
+	var best Value
+	ts.primary.Descend(func(key []byte, val interface{}) bool {
+		if row := liveRow(val); row != nil {
+			bestKey, best = key, row[ts.schema.Primary]
+			return false
 		}
-		return v.(Row)[ts.schema.Primary], true
+		return true
+	})
+	beats := func(key []byte) bool { return bestKey == nil || bytes.Compare(key, bestKey) > 0 }
+	for i := len(ts.segs) - 1; i >= 0; i-- {
+		sg := ts.segs[i]
+	run:
+		for bi := len(sg.blocks) - 1; bi >= 0 && beats(sg.blocks[bi].maxKey); bi-- {
+			rows, keys, err := sg.readBlock(bi, nil)
+			if err != nil {
+				return Value{}, false, err
+			}
+			for j := len(keys) - 1; j >= 0 && beats(keys[j]); j-- {
+				if v, ok := ts.primary.Get(keys[j]); ok && liveRow(v) == nil {
+					continue // deleted since the run was written
+				}
+				bestKey, best = keys[j], rows[j][ts.schema.Primary]
+				break run
+			}
+		}
 	}
-	ss := ts.captureLocked(nil, nil)
-	ts.mu.RUnlock()
-	defer ss.release()
-	var last Row
-	_ = ss.iterate(nil, nil, nil, func(r Row) bool { last = r; return true })
-	if last == nil {
-		return Value{}, false
-	}
-	return last[ts.schema.Primary], true
+	return best, bestKey != nil, nil
 }
 
 // Len returns the number of live rows across all shards. The count is
@@ -338,10 +355,10 @@ func (ts *tableShard) applyInsert(key []byte, row Row) {
 	ts.primary.Put(key, row)
 	ts.count++
 	ts.seq++
+	pk := string(key) // one copy shared by every index's posting
 	for col, idx := range ts.secondary {
 		ci := ts.schema.colIndex(col)
-		sk := encodeKey(row[ci])
-		indexAdd(idx, sk, key, row)
+		indexAdd(idx, encodeKey(row[ci]), pk, row)
 	}
 }
 
@@ -387,8 +404,7 @@ func (t *Table) Delete(pk Value) error {
 func (ts *tableShard) applyDelete(key []byte, row Row) {
 	for col, idx := range ts.secondary {
 		ci := ts.schema.colIndex(col)
-		sk := encodeKey(row[ci])
-		indexRemove(idx, sk, key)
+		indexRemove(idx, encodeKey(row[ci]), string(key))
 	}
 	if ts.segsMightHave(key) {
 		ts.primary.Put(key, tombstone{pk: row[ts.schema.Primary]})
@@ -434,9 +450,9 @@ func (t *Table) CreateIndex(col string) error {
 }
 
 // createIndexLocked builds the index from the shard's current live
-// view: memtable rows carry their values inline; segment-resident rows
-// are indexed by reference (primary key only), so the index holds no
-// second copy of rows that already live on disk. Callers hold the
+// view: segment-resident rows are indexed by primary key only, so the
+// index holds no second copy of rows that already live on disk;
+// memtable rows also enter their posting's side list. Callers hold the
 // shard's write lock (or are single-threaded WAL replay / open).
 func (ts *tableShard) createIndexLocked(col string) error {
 	if _, ok := ts.secondary[col]; ok {
@@ -452,7 +468,7 @@ func (ts *tableShard) createIndexLocked(col string) error {
 		err := ss.iterate(nil, nil, nil, func(row Row) bool {
 			key := encodeKey(row[ts.schema.Primary])
 			if _, shadowed := ts.primary.Get(key); !shadowed {
-				indexAdd(idx, encodeKey(row[ci]), key, nil)
+				indexAdd(idx, encodeKey(row[ci]), string(key), nil)
 			}
 			return true
 		})
@@ -460,10 +476,10 @@ func (ts *tableShard) createIndexLocked(col string) error {
 			return err
 		}
 	}
-	// … then live memtable rows with their values inline.
+	// … then live memtable rows, keyed and in the side lists.
 	ts.primary.Ascend(func(key []byte, val interface{}) bool {
 		if row := liveRow(val); row != nil {
-			indexAdd(idx, encodeKey(row[ci]), key, row)
+			indexAdd(idx, encodeKey(row[ci]), string(key), row)
 		}
 		return true
 	})
@@ -471,47 +487,54 @@ func (ts *tableShard) createIndexLocked(col string) error {
 	return nil
 }
 
-// postingList is the value type of secondary index entries: the rows
-// sharing one indexed value, kept sorted by primary-key bytes so reads
-// stream them in deterministic order without sorting. An entry's row
-// may be nil — the row then lives in a segment and is fetched by key
-// on read — so the index never duplicates disk-resident row data in
-// memory.
+// postingList is the value type of secondary index entries: the
+// encoded primary keys of the rows sharing one indexed value, ascending
+// so reads stream them in deterministic order without sorting. Keys
+// are all it holds for a segment-resident row, which is fetched by key
+// on read, so the index never duplicates disk-resident row data in
+// memory. The rows still in the memtable also sit in mem, a small side
+// list in the same order, merged on read: a memtable row may shadow an
+// older version in a segment, and reading it from the list spares a
+// memtable probe per key.
+type postingList struct {
+	keys []string       // every row's encoded primary key, ascending
+	mem  []postingEntry // the memtable-resident rows, ascending pk; a subset of keys
+}
+
+// postingEntry is one side-list row of a posting list.
 type postingEntry struct {
 	pk  string // encoded primary key
-	row Row    // inline row, or nil when segment-resident
+	row Row
 }
 
-type postingList struct {
-	entries []postingEntry // ascending pk
+// findMem returns the side-list position of pk and whether it is there.
+func (pl *postingList) findMem(pk string) (int, bool) {
+	return slices.BinarySearchFunc(pl.mem, pk, func(e postingEntry, pk string) int {
+		return strings.Compare(e.pk, pk)
+	})
 }
 
-// find returns the insertion position of pk and whether it is present.
-func (pl *postingList) find(pk string) (int, bool) {
-	i := sort.Search(len(pl.entries), func(i int) bool { return pl.entries[i].pk >= pk })
-	return i, i < len(pl.entries) && pl.entries[i].pk == pk
-}
-
-// resolveAll resolves a pk-sorted posting slice into rows, position for
-// position. Inline entries cost nothing; by-reference entries are
-// batch-resolved against the segment stack newest-first — each segment
-// gets one sorted walk over the still-missing pks (getBatch), so a
-// block shared by many entries is read and decoded once per query
-// instead of once per row. Callers hold at least the shard's read
-// lock. rs may be nil.
-func (ts *tableShard) resolveAll(entries []postingEntry, rs *readStats) ([]Row, error) {
-	out := make([]Row, len(entries))
+// resolveAll resolves a posting list into rows, position for position.
+// Side-list rows cost nothing; the other keys are batch-resolved
+// against the segment stack newest-first — each segment gets one
+// sorted walk over the still-missing keys (getBatch), so a block shared
+// by many keys is read and decoded once per query instead of once per
+// row. Callers hold at least the shard's read lock. rs may be nil.
+func (ts *tableShard) resolveAll(pl *postingList, rs *readStats) ([]Row, error) {
+	out := make([]Row, len(pl.keys))
 	var missing []int
-	for i, e := range entries {
-		if e.row != nil {
-			out[i] = e.row
+	mi := 0
+	for i, pk := range pl.keys {
+		if mi < len(pl.mem) && pl.mem[mi].pk == pk {
+			out[i] = pl.mem[mi].row
+			mi++
 		} else {
 			missing = append(missing, i)
 		}
 	}
 	for i := len(ts.segs) - 1; i >= 0 && len(missing) > 0; i-- {
 		var err error
-		missing, err = ts.segs[i].getBatch(entries, missing, out, rs)
+		missing, err = ts.segs[i].getBatch(pl.keys, missing, out, rs)
 		if err != nil {
 			return nil, err
 		}
@@ -522,31 +545,73 @@ func (ts *tableShard) resolveAll(entries []postingEntry, rs *readStats) ([]Row, 
 	return out, nil
 }
 
-func indexAdd(idx *btree, sk, pk []byte, row Row) {
+// indexAdd files pk under the indexed value sk; a non-nil row is a
+// memtable row and also enters the side list.
+func indexAdd(idx *btree, sk []byte, pk string, row Row) {
+	var pl *postingList
+	if v, ok := idx.Get(sk); ok {
+		pl = v.(*postingList)
+	} else {
+		pl = &postingList{}
+		idx.Put(sk, pl)
+	}
+	if i, found := slices.BinarySearch(pl.keys, pk); !found {
+		pl.keys = slices.Insert(pl.keys, i, pk)
+	}
+	if row == nil {
+		return
+	}
+	if i, found := pl.findMem(pk); found {
+		pl.mem[i].row = row
+	} else {
+		pl.mem = slices.Insert(pl.mem, i, postingEntry{pk: pk, row: row})
+	}
+}
+
+// indexRemove drops pk from the posting of sk, side list included.
+func indexRemove(idx *btree, sk []byte, pk string) {
 	v, ok := idx.Get(sk)
 	if !ok {
-		idx.Put(sk, &postingList{entries: []postingEntry{{pk: string(pk), row: row}}})
 		return
 	}
 	pl := v.(*postingList)
-	i, found := pl.find(string(pk))
-	if found {
-		pl.entries[i].row = row
-		return
+	if i, found := slices.BinarySearch(pl.keys, pk); found {
+		pl.keys = slices.Delete(pl.keys, i, i+1)
 	}
-	pl.entries = append(pl.entries, postingEntry{})
-	copy(pl.entries[i+1:], pl.entries[i:])
-	pl.entries[i] = postingEntry{pk: string(pk), row: row}
+	if i, found := pl.findMem(pk); found {
+		pl.mem = slices.Delete(pl.mem, i, i+1)
+	}
+	if len(pl.keys) == 0 {
+		idx.Delete(sk)
+	}
 }
 
-func indexRemove(idx *btree, sk, pk []byte) {
-	if v, ok := idx.Get(sk); ok {
-		pl := v.(*postingList)
-		if i, found := pl.find(string(pk)); found {
-			pl.entries = append(pl.entries[:i], pl.entries[i+1:]...)
-		}
-		if len(pl.entries) == 0 {
-			idx.Delete(sk)
+// deinline drops rows a compaction folded into a segment run from the
+// side lists of every index: their keys stay, and reads fetch them from
+// the run. Each touched list is filtered once, down to the rows the
+// memtable still holds. Callers hold the write lock and have installed
+// the post-compaction memtable.
+func (ts *tableShard) deinline(folded []Row) {
+	for col, idx := range ts.secondary {
+		ci := ts.schema.colIndex(col)
+		done := make(map[*postingList]bool)
+		for _, row := range folded {
+			v, ok := idx.Get(encodeKey(row[ci]))
+			if !ok {
+				continue
+			}
+			pl := v.(*postingList)
+			if done[pl] {
+				continue
+			}
+			done[pl] = true
+			pl.mem = slices.DeleteFunc(pl.mem, func(e postingEntry) bool {
+				v, ok := ts.primary.Get([]byte(e.pk))
+				return !ok || liveRow(v) == nil
+			})
+			if len(pl.mem) == 0 {
+				pl.mem = nil
+			}
 		}
 	}
 }
