@@ -136,7 +136,7 @@ func TestPersistAllBatchMatchesSingles(t *testing.T) {
 	i := 0
 	tb.Scan(func(r store.Row) bool {
 		for c := range r {
-			if !r[c].Equal(rowsSingle[i][c]) {
+			if r[c] != rowsSingle[i][c] {
 				t.Errorf("row %d column %d: %v != %v", i, c, r[c], rowsSingle[i][c])
 			}
 		}

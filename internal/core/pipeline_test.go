@@ -108,7 +108,7 @@ func TestPersistAllAfterShardCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if !db.RecoveredWithLoss() {
+	if !db.Health().RecoveredWithLoss {
 		t.Fatal("fixture did not lose rows; test proves nothing")
 	}
 	// The recovered store must accept a fresh persistence pass without

@@ -206,8 +206,16 @@ func TestWarehouseConcurrentWithIngest(t *testing.T) {
 	if err != nil || stats.FullScans != 0 {
 		t.Fatalf("indexed read failed: %+v err %v", stats, err)
 	}
-	scan := w.Table().Select(func(r store.Row) bool { return r[2].S == "pulse" })
-	if len(rows) != len(scan) {
-		t.Errorf("index answered %d rows, scan %d", len(rows), len(scan))
+	scan := 0
+	if err := w.Table().Scan(func(r store.Row) bool {
+		if r[2].S == "pulse" {
+			scan++
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != scan {
+		t.Errorf("index answered %d rows, scan %d", len(rows), scan)
 	}
 }

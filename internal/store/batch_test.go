@@ -48,7 +48,7 @@ func TestInsertBatchDurableAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if db2.RecoveredWithLoss() {
+	if db2.Health().RecoveredWithLoss {
 		t.Error("clean close reported loss")
 	}
 	tbl2, err := db2.Table("t")
@@ -109,7 +109,7 @@ func TestInsertBatchTruncatedTailDropsWholeBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if !db2.RecoveredWithLoss() {
+	if !db2.Health().RecoveredWithLoss {
 		t.Error("torn batch tail not reported as loss")
 	}
 	tbl2, err := db2.Table("t")
@@ -157,7 +157,7 @@ func TestInsertBatchEquivalentToSingles(t *testing.T) {
 	i := 0
 	ta.Scan(func(r Row) bool {
 		for c := range r {
-			if !r[c].Equal(got[i][c]) {
+			if r[c] != got[i][c] {
 				t.Errorf("row %d col %d: %v != %v", i, c, r[c], got[i][c])
 			}
 		}

@@ -60,29 +60,6 @@ func (t *btree) Put(key []byte, val interface{}) bool {
 	return inserted
 }
 
-// Delete removes key and reports whether it existed. Underflowed nodes
-// are not rebalanced; for this workload (ontology load then read-mostly)
-// lazy deletion is sufficient and keeps the structure simple.
-func (t *btree) Delete(key []byte) bool {
-	n := t.root
-	for {
-		i, eq := n.search(key)
-		if n.leaf {
-			if !eq {
-				return false
-			}
-			n.keys = append(n.keys[:i], n.keys[i+1:]...)
-			n.vals = append(n.vals[:i], n.vals[i+1:]...)
-			t.size--
-			return true
-		}
-		if eq {
-			i++
-		}
-		n = n.children[i]
-	}
-}
-
 // Ascend calls fn for every key/value in ascending key order until fn
 // returns false.
 func (t *btree) Ascend(fn func(key []byte, val interface{}) bool) {
@@ -90,7 +67,7 @@ func (t *btree) Ascend(fn func(key []byte, val interface{}) bool) {
 }
 
 // Descend calls fn for every key/value in descending key order until
-// fn returns false. Leaves that lazy deletion has emptied are skipped.
+// fn returns false.
 func (t *btree) Descend(fn func(key []byte, val interface{}) bool) {
 	t.root.descend(fn)
 }

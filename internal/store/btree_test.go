@@ -29,12 +29,6 @@ func TestBtreeBasic(t *testing.T) {
 	if bt.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", bt.Len())
 	}
-	if !bt.Delete([]byte("a")) || bt.Delete([]byte("a")) {
-		t.Fatal("delete semantics")
-	}
-	if bt.Len() != 2 {
-		t.Fatalf("Len after delete = %d", bt.Len())
-	}
 }
 
 func TestBtreeManyKeysOrdered(t *testing.T) {
@@ -91,37 +85,6 @@ func TestBtreeAscendRange(t *testing.T) {
 	})
 	if n != 5 {
 		t.Fatalf("early stop visited %d", n)
-	}
-}
-
-func TestBtreeRandomDeletes(t *testing.T) {
-	bt := newBtree()
-	rng := rand.New(rand.NewSource(7))
-	live := map[string]int{}
-	for i := 0; i < 3000; i++ {
-		k := fmt.Sprintf("%05d", rng.Intn(800))
-		switch rng.Intn(3) {
-		case 0, 1:
-			bt.Put([]byte(k), i)
-			live[k] = i
-		case 2:
-			want := false
-			if _, ok := live[k]; ok {
-				want = true
-			}
-			if got := bt.Delete([]byte(k)); got != want {
-				t.Fatalf("Delete(%s) = %v, want %v", k, got, want)
-			}
-			delete(live, k)
-		}
-	}
-	if bt.Len() != len(live) {
-		t.Fatalf("Len = %d, want %d", bt.Len(), len(live))
-	}
-	for k, v := range live {
-		if got, ok := bt.Get([]byte(k)); !ok || got.(int) != v {
-			t.Fatalf("Get(%s) = %v, %v; want %d", k, got, ok, v)
-		}
 	}
 }
 

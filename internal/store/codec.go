@@ -71,24 +71,6 @@ func (v Value) String() string {
 	return "<nil>"
 }
 
-// Equal reports deep equality of two values.
-func (v Value) Equal(o Value) bool {
-	if v.Type != o.Type {
-		return false
-	}
-	switch v.Type {
-	case TInt:
-		return v.I == o.I
-	case TFloat:
-		return v.F == o.F
-	case TString:
-		return v.S == o.S
-	case TBool:
-		return v.B == o.B
-	}
-	return true
-}
-
 // Row is one record: a value per schema column, in schema order.
 type Row []Value
 
@@ -123,19 +105,6 @@ func encodeRow(buf []byte, row Row) []byte {
 		}
 	}
 	return buf
-}
-
-// decodeRow decodes exactly n values from buf, requiring the buffer to be
-// fully consumed.
-func decodeRow(buf []byte, n int) (Row, error) {
-	row, rest, err := decodeValues(buf, n)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, ErrCorrupt
-	}
-	return row, nil
 }
 
 // decodeValues decodes n values from the front of buf and returns the

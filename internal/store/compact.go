@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -13,31 +14,30 @@ import (
 //
 //   - A minor compaction writes only the captured memtable rows into
 //     one new small segment appended to each table's run stack. Old
-//     segments are untouched, tombstones stay in the memtable (masking
-//     segment keys until a major merge), and the WAL is truncated to
-//     schema/index records plus the residue — whatever changed after
-//     the capture. Cost is proportional to the write set since the
-//     last compaction, not the corpus.
+//     segments are untouched, and the WAL is truncated to schema/index
+//     records plus the residue — the rows inserted after the capture.
+//     Cost is proportional to the write set since the last compaction,
+//     not the corpus.
 //
-//   - A major compaction merges each table's whole live view (all
-//     segment runs + memtable, newest wins, tombstones dropping dead
-//     keys) into a single new segment, collapsing the run stack and
-//     discarding tombstones whose keys die with the old runs.
+//   - A major compaction merges each table's whole view (all segment
+//     runs + memtable) into a single new segment, collapsing the run
+//     stack.
 //
 // Both run in three phases designed to stay off the write path:
 // capture (a brief per-table read lock pins segments and copies the
 // memtable view), build (segment files are written with NO table lock
 // held — writers and readers proceed), and commit (all table locks +
-// the log lock, held only to diff the memtable against the capture,
-// write the truncated WAL, atomically replace the CRC'd MANIFEST —
-// the rename is the commit point — and swap in-memory state).
+// the log lock, held only to split the memtable by key into captured
+// and residue rows, write the truncated WAL, atomically replace the
+// CRC'd MANIFEST — the rename is the commit point — and swap in-memory
+// state).
 //
 // Every crash window recovers consistently: before the manifest commit
 // the old manifest and full WAL are untouched (new segment files are
 // swept as strays on reopen); between commit and WAL swap the new
-// segments replay under the old WAL, whose records re-apply
-// idempotently on top of them; after the swap the truncated WAL's
-// residue records replay over the segments alone.
+// segments load under the old WAL, whose replay skips every key the
+// runs already hold; after the swap the truncated WAL's residue
+// records replay over the segments alone.
 type compactMode int
 
 const (
@@ -55,43 +55,27 @@ var testHookCompactBuild func()
 // holds only the database read lock, so table reads, writes and
 // introspection (Stats, Health) proceed during the rewrite; per shard
 // it serializes with the background compactor.
-func (db *DB) Compact() error {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if len(db.shards) == 1 {
-		return db.compactShard(db.shards[0], majorCompact)
-	}
-	errs := make([]error, len(db.shards))
-	var wg sync.WaitGroup
-	for i, sh := range db.shards {
-		wg.Add(1)
-		go func(i int, sh *Shard) {
-			defer wg.Done()
-			errs[i] = db.compactShard(sh, majorCompact)
-		}(i, sh)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
+func (db *DB) Compact() error { return db.compactAll(majorCompact) }
 
 // Flush runs a minor compaction of every shard, in parallel: each
 // shard's memtable is folded into one new segment run per table. It is
 // the explicit way to push recent writes into the segment layer —
 // tests and benchmarks use it to build multi-run stacks
 // deterministically without waiting for the background compactor.
-func (db *DB) Flush() error {
+func (db *DB) Flush() error { return db.compactAll(minorCompact) }
+
+// compactAll runs one compaction of every shard, in parallel, under the
+// database read lock.
+func (db *DB) compactAll(mode compactMode) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	if len(db.shards) == 1 {
-		return db.compactShard(db.shards[0], minorCompact)
-	}
 	errs := make([]error, len(db.shards))
 	var wg sync.WaitGroup
 	for i, sh := range db.shards {
 		wg.Add(1)
 		go func(i int, sh *Shard) {
 			defer wg.Done()
-			errs[i] = db.compactShard(sh, minorCompact)
+			errs[i] = db.compactShard(sh, mode)
 		}(i, sh)
 	}
 	wg.Wait()
@@ -117,13 +101,9 @@ func (db *DB) compactShard(sh *Shard, mode compactMode) error {
 type tableCompact struct {
 	name   string
 	ts     *tableShard
-	snap   shardSnap      // pinned segments + captured memtable view
-	capMem map[string]Row // captured live memtable rows by encoded pk
-	seg    *segment       // the new run (nil: minor with nothing to fold)
-
-	// Commit plan, computed under the table's write lock in phase C.
-	newMem *btree
-	folded []Row // rows moved from the memtable to the new run
+	snap   shardSnap // pinned segments + captured memtable view
+	seg    *segment  // the new run (nil: minor with nothing to fold)
+	newMem *btree    // the post-swap memtable, planned in phase C
 }
 
 // compactShardLocked is the compaction body; compactMu is held. It
@@ -162,13 +142,7 @@ func (db *DB) compactShardLocked(sh *Shard, mode compactMode) (rowsOut, bytesOut
 		ts.mu.RLock()
 		snap := ts.captureLocked(nil, nil)
 		ts.mu.RUnlock()
-		capMem := make(map[string]Row, len(snap.mem))
-		for _, mr := range snap.mem {
-			if mr.row != nil {
-				capMem[string(mr.key)] = mr.row
-			}
-		}
-		tcs = append(tcs, &tableCompact{name: name, ts: ts, snap: snap, capMem: capMem})
+		tcs = append(tcs, &tableCompact{name: name, ts: ts, snap: snap})
 	}
 
 	// Phase B: build the new runs with no table lock held — everything
@@ -191,14 +165,11 @@ func (db *DB) compactShardLocked(sh *Shard, mode compactMode) (rowsOut, bytesOut
 		var serr error
 		switch mode {
 		case minorCompact:
-			if len(c.capMem) == 0 {
+			if len(c.snap.mem) == 0 {
 				continue // nothing to fold for this table
 			}
 			seg, serr = writeTableRun(path, c.ts.schema, func(add func(Row) error) error {
 				for _, mr := range c.snap.mem {
-					if mr.row == nil {
-						continue
-					}
 					if err := add(mr.row); err != nil {
 						return err
 					}
@@ -234,7 +205,7 @@ func (db *DB) compactShardLocked(sh *Shard, mode compactMode) (rowsOut, bytesOut
 
 	// Phase C: commit. All table locks (sorted — the same (name, shard)
 	// order every multi-lock path uses) plus the log lock freeze the
-	// shard only for the diff-and-swap.
+	// shard only for the split-and-swap.
 	for _, name := range lockNames {
 		sh.tables[name].mu.Lock()
 		defer sh.tables[name].mu.Unlock()
@@ -272,22 +243,8 @@ func (db *DB) compactShardLocked(sh *Shard, mode compactMode) (rowsOut, bytesOut
 				return 0, 0, err
 			}
 		}
-		residueRows, residueDels, err := c.planCommit(mode)
-		if err != nil {
-			cleanup()
-			return 0, 0, err
-		}
-		if len(residueRows) > 0 {
-			if err := tmp.append(encodeBatchPayload(c.name, residueRows)); err != nil {
-				cleanup()
-				return 0, 0, err
-			}
-		}
-		for _, pk := range residueDels {
-			payload := []byte{opDelete}
-			payload = appendString(payload, c.name)
-			payload = encodeRow(payload, Row{pk})
-			if err := tmp.append(payload); err != nil {
+		if residue := c.planCommit(); len(residue) > 0 {
+			if err := tmp.append(encodeBatchPayload(c.name, residue)); err != nil {
 				cleanup()
 				return 0, 0, err
 			}
@@ -346,10 +303,11 @@ func (db *DB) compactShardLocked(sh *Shard, mode compactMode) (rowsOut, bytesOut
 				ts.segs = []*segment{c.seg}
 			}
 			ts.primary = c.newMem
-			// A compaction never changes the live set, so the index keys
-			// stand; folded rows now live in the new run and leave the
-			// side lists, which stop holding row memory the run persists.
-			ts.deinline(c.folded)
+			// A compaction never changes the set of rows, so the index
+			// keys stand; the captured rows now live in the new run and
+			// leave the side lists, which stop holding row memory the
+			// run persists.
+			ts.deinline(c.snap.mem)
 			ts.seq++
 		}
 		sh.gen = gen
@@ -381,84 +339,27 @@ func (db *DB) compactShardLocked(sh *Shard, mode compactMode) (rowsOut, bytesOut
 	return rowsOut, bytesOut, nil
 }
 
-// planCommit diffs the table's current memtable against the capture
-// its new run was built from and computes the post-swap memtable plus
-// the residue the truncated WAL must carry. Callers hold the table's
-// write lock.
-//
-// Per current memtable entry:
-//
-//   - A row content-equal to its captured version is folded: it lives
-//     in the new run, leaves the memtable, and leaves the side lists of
-//     its index postings (deinline). Equality is by value — the capture
-//     copied slice headers, and a post-capture delete+reinsert of
-//     identical content is indistinguishable from no write, which is
-//     exactly the equivalence the swap needs.
-//   - A changed or new row is residue: it stays in the memtable
-//     (shadowing the run) and is re-logged as a batch insert.
-//   - A tombstone is kept in a minor compaction (old runs survive, so
-//     the mask must too) and re-logged as a delete; in a major
-//     compaction it is kept only if the new run actually holds its key
-//     (deleted after capture), and dropped otherwise — the old runs it
-//     masked are gone.
-//
-// The indexes need no plan: every write since the capture maintained
-// them, and the swap changes where rows live, never which rows are live.
-func (c *tableCompact) planCommit(mode compactMode) (residueRows []Row, residueDels []Value, err error) {
-	ts := c.ts
+// planCommit splits the table's current memtable by key and returns
+// the residue the truncated WAL must carry. Keys are written once, so
+// a captured key still maps to its captured row, which the new run now
+// holds: it is folded out of the memtable. Every other key was inserted
+// after the capture; it is residue, and stays in the post-swap memtable
+// (c.newMem). The indexes need no plan: every insert since the capture
+// maintained them. Callers hold the table's write lock.
+func (c *tableCompact) planCommit() (residue []Row) {
 	c.newMem = newBtree()
-	var segErr error
-	matched := 0 // captured keys still present in the memtable
-	ts.primary.Ascend(func(key []byte, val interface{}) bool {
-		// The captured view of this key — what the new run holds. The
-		// capture map answers for captured memtable rows; in a major
-		// merge a key may instead have entered the run from an old
-		// segment, so fall through to the run itself.
-		capRow, inCap := c.capMem[string(key)]
-		if inCap {
-			matched++
-		}
-		if !inCap && mode == majorCompact && c.seg != nil {
-			capRow, inCap, segErr = c.seg.get(key, &readStats{noFill: true})
-			if segErr != nil {
-				return false
-			}
-		}
-		if row, isRow := val.(Row); isRow {
-			if inCap && rowsEqual(capRow, row) {
-				c.folded = append(c.folded, row)
-				return true
-			}
-			c.newMem.Put(key, row)
-			residueRows = append(residueRows, row)
+	captured := c.snap.mem // a subset of the memtable, in the same key order
+	ci := 0
+	c.ts.primary.Ascend(func(key []byte, val interface{}) bool {
+		if ci < len(captured) && bytes.Equal(captured[ci].key, key) {
+			ci++
 			return true
 		}
-		tomb := val.(tombstone)
-		if mode == minorCompact || inCap {
-			c.newMem.Put(key, tomb)
-			residueDels = append(residueDels, tomb.pk)
-		}
+		c.newMem.Put(key, val)
+		residue = append(residue, val.(Row))
 		return true
 	})
-	if segErr != nil {
-		return nil, nil, segErr
-	}
-	// Captured rows with no memtable entry at all: inserted since the
-	// last compaction, then deleted after the capture — the delete saw
-	// no segment holding the key and dropped the entry outright, but
-	// the key IS in the new run now. Without a mask it would resurrect
-	// at the swap, so plant the tombstone the delete would have left.
-	if matched < len(c.capMem) {
-		for k, capRow := range c.capMem {
-			if _, ok := ts.primary.Get([]byte(k)); ok {
-				continue
-			}
-			tomb := tombstone{pk: capRow[ts.schema.Primary]}
-			c.newMem.Put([]byte(k), tomb)
-			residueDels = append(residueDels, tomb.pk)
-		}
-	}
-	return residueRows, residueDels, nil
+	return residue
 }
 
 // writeTableRun streams pk-ascending rows from emit into a new segment
@@ -490,16 +391,3 @@ func writeTableRun(path string, schema Schema, emit func(add func(Row) error) er
 // compactTempPath is where a compaction stages the truncated WAL
 // before renaming it over the live log; openShard sweeps leftovers.
 func compactTempPath(walPath string) string { return walPath + ".compact" }
-
-// rowsEqual reports value equality of two rows.
-func rowsEqual(a, b Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !a[i].Equal(b[i]) {
-			return false
-		}
-	}
-	return true
-}

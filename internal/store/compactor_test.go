@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -117,7 +118,7 @@ func TestMinorCompactionRewritesOnlyMemtable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if db2.RecoveredWithLoss() {
+	if db2.Health().RecoveredWithLoss {
 		t.Fatal("multi-run reopen reported loss")
 	}
 	tbl2, err := db2.Table("concepts")
@@ -137,78 +138,11 @@ func TestMinorCompactionRewritesOnlyMemtable(t *testing.T) {
 	}
 }
 
-// TestMinorCompactionKeepsTombstones: a delete of a segment-resident
-// row must keep masking it across minor compactions (the old run still
-// holds the key) and through reopen; only the major merge drops it.
-func TestMinorCompactionKeepsTombstones(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "tomb.db")
-	db, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl, _ := db.CreateTable(testSchema())
-	for i := 0; i < 100; i++ {
-		if err := tbl.Insert(Row{Int(int64(i)), Str("n"), Str("p"), Float(0), Bool(true)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.Compact(); err != nil { // rows now segment-resident
-		t.Fatal(err)
-	}
-	for i := 0; i < 40; i++ {
-		if err := tbl.Delete(Int(int64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// New rows alongside the tombstones, so the minor pass has both
-	// kinds of memtable entry to sort out.
-	for i := 1000; i < 1020; i++ {
-		if err := tbl.Insert(Row{Int(int64(i)), Str("n"), Str("p"), Float(0), Bool(true)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	minorCompactAll(t, db)
-	check := func(tb *Table, stage string) {
-		if got := tb.Len(); got != 80 {
-			t.Fatalf("%s: Len = %d, want 80", stage, got)
-		}
-		if _, err := tb.Get(Int(5)); err != ErrNotFound {
-			t.Fatalf("%s: deleted row resurrected (err=%v)", stage, err)
-		}
-		if _, err := tb.Get(Int(50)); err != nil {
-			t.Fatalf("%s: surviving row lost: %v", stage, err)
-		}
-		if _, err := tb.Get(Int(1010)); err != nil {
-			t.Fatalf("%s: fresh row lost: %v", stage, err)
-		}
-	}
-	check(tbl, "after minor")
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	db2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl2, _ := db2.Table("concepts")
-	check(tbl2, "after reopen")
-	if err := db2.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	check(tbl2, "after major")
-	if st := tbl2.Stats(); st.Segments != 1 {
-		t.Fatalf("major merge did not collapse the run stack: %d segments", st.Segments)
-	}
-	if err := db2.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestMinorCompactionResurrectionMask: a row inserted after the last
-// compaction and deleted mid-build leaves no memtable entry, yet the
-// new run holds it — the commit must plant a tombstone or the row
-// resurrects at the swap.
+// TestMinorCompactionResurrectionMask: a row inserted while the build
+// phase is in flight is not in the capture, so the new run does not
+// hold it. The commit must keep it as residue: it stays in the
+// memtable — the only row there after the swap — is re-logged in the
+// truncated WAL, and survives a reopen.
 func TestMinorCompactionResurrectionMask(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "res.db")
 	db, err := Open(path)
@@ -216,31 +150,46 @@ func TestMinorCompactionResurrectionMask(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl, _ := db.CreateTable(testSchema())
-	for i := 0; i < 10; i++ {
-		if err := tbl.Insert(Row{Int(int64(i)), Str("n"), Str("p"), Float(0), Bool(true)}); err != nil {
+	if err := tbl.CreateIndex("norm"); err != nil {
+		t.Fatal(err)
+	}
+	row := func(id int64) Row { return Row{Int(id), Str("n"), Str("p"), Float(0), Bool(true)} }
+	for i := int64(0); i < 10; i++ {
+		if err := tbl.Insert(row(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Delete row 3 while the build phase is in flight: the memtable has
-	// never seen a segment with this key, so the delete removes the
-	// entry outright.
 	hookDone := make(chan error, 1)
 	testHookCompactBuild = func() {
 		testHookCompactBuild = nil
-		hookDone <- tbl.Delete(Int(3))
+		hookDone <- tbl.Insert(row(10))
 	}
 	defer func() { testHookCompactBuild = nil }()
 	minorCompactAll(t, db)
 	if err := <-hookDone; err != nil {
-		t.Fatalf("mid-build delete: %v", err)
+		t.Fatalf("mid-build insert: %v", err)
+	}
+	ts := tbl.shards[0]
+	if n := ts.primary.Len(); n != 1 {
+		t.Fatalf("memtable holds %d rows after the swap, want only the mid-build insert", n)
+	}
+	if _, ok := ts.primary.Get(encodeKey(Int(10))); !ok {
+		t.Fatal("mid-build insert is not in the memtable after the swap")
+	}
+	if n := ts.segs[len(ts.segs)-1].nRows; n != 10 {
+		t.Fatalf("new run holds %d rows, want the 10 captured", n)
 	}
 	verify := func(tb *Table, stage string) {
-		if _, err := tb.Get(Int(3)); err != ErrNotFound {
-			t.Fatalf("%s: mid-build-deleted row visible (err=%v)", stage, err)
+		t.Helper()
+		if got := tb.Len(); got != 11 {
+			t.Fatalf("%s: Len = %d, want 11", stage, got)
 		}
-		if got := tb.Len(); got != 9 {
-			t.Fatalf("%s: Len = %d, want 9", stage, got)
+		for i := int64(0); i <= 10; i++ {
+			if _, err := tb.Get(Int(i)); err != nil {
+				t.Fatalf("%s: row %d: %v", stage, i, err)
+			}
 		}
+		checkIndexConsistent(t, tb)
 	}
 	verify(tbl, "after swap")
 	if err := db.Close(); err != nil {
@@ -328,8 +277,8 @@ func TestStatsResponsiveDuringCompaction(t *testing.T) {
 // saw that index, and the commit keeps the live indexes rather than
 // rebuilding any, so the index built mid-flight must come out of the
 // commit exactly consistent with the table (rows folded into the new
-// run, residue written during the build, deletes on both sides of the
-// capture), answer an equality query, and survive a reopen.
+// run, residue written during the build), answer an equality query,
+// and survive a reopen.
 func TestIndexCreatedDuringMajorCompaction(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "idxmid.db")
 	db, err := Open(path)
@@ -360,11 +309,6 @@ func TestIndexCreatedDuringMajorCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	insert(600, 900) // memtable rows the merge folds
-	for _, id := range []int64{5, 6, 650, 651} {
-		if err := tbl.Delete(Int(id)); err != nil { // run and memtable keys
-			t.Fatal(err)
-		}
-	}
 
 	entered := make(chan struct{})
 	release := make(chan struct{})
@@ -380,19 +324,8 @@ func TestIndexCreatedDuringMajorCompaction(t *testing.T) {
 		close(release)
 		t.Fatal(err)
 	}
-	// Post-capture writes: residue rows, a replaced run row, and deletes
-	// of a run key and of a captured memtable key.
+	// Post-capture writes: residue rows.
 	insert(900, 950)
-	for _, id := range []int64{10, 700} {
-		if err := tbl.Delete(Int(id)); err != nil {
-			close(release)
-			t.Fatal(err)
-		}
-	}
-	if err := tbl.Insert(Row{Int(10), Int(1), Str("pulse"), Str("v3"), Float(10)}); err != nil {
-		close(release)
-		t.Fatal(err)
-	}
 	close(release)
 	if err := <-compactErr; err != nil {
 		t.Fatal(err)
@@ -404,7 +337,7 @@ func TestIndexCreatedDuringMajorCompaction(t *testing.T) {
 	verify := func(stage string) {
 		t.Helper()
 		checkIndexConsistent(t, tbl)
-		want := tbl.Select(func(r Row) bool { return r[3].S == "v3" })
+		want := scanWhere(t, tbl, func(r Row) bool { return r[3].S == "v3" })
 		got, stats, err := tbl.Query(Query{Preds: []Pred{Eq("value", Str("v3"))}})
 		if err != nil {
 			t.Fatalf("%s: query: %v", stage, err)
@@ -416,7 +349,7 @@ func TestIndexCreatedDuringMajorCompaction(t *testing.T) {
 			t.Fatalf("%s: index answered %d rows, scan %d", stage, len(got), len(want))
 		}
 		for i := range got {
-			if !rowsEqual(got[i], want[i]) {
+			if !slices.Equal(got[i], want[i]) {
 				t.Fatalf("%s: row %d: index %v, scan %v", stage, i, got[i], want[i])
 			}
 		}
@@ -531,7 +464,7 @@ func TestBackgroundCompactionUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if db2.RecoveredWithLoss() {
+	if db2.Health().RecoveredWithLoss {
 		t.Fatal("reopen after background compaction reported loss")
 	}
 	tbl2, _ := db2.Table("concepts")
@@ -649,7 +582,7 @@ func TestOpenSweepsCompactionLeftovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if db2.RecoveredWithLoss() {
+	if db2.Health().RecoveredWithLoss {
 		t.Fatal("orphan sweep misread as data loss")
 	}
 	for _, p := range []string{orphanSeg, orphanWAL} {
@@ -666,5 +599,87 @@ func TestOpenSweepsCompactionLeftovers(t *testing.T) {
 	// compact must succeed.
 	if err := db2.Compact(); err != nil {
 		t.Fatalf("compact after sweep: %v", err)
+	}
+}
+
+// TestReopenAfterCommitBeforeWALSwap rebuilds the state a crash between
+// a compaction's manifest rename and its WAL swap leaves on disk: the
+// committed manifest and runs beside the old, untruncated WAL, whose
+// rows the new run already holds. Replay must skip those keys, so every
+// reopen — the first, and the one after it — serves the same rows,
+// reports no loss, and stores no key twice.
+func TestReopenAfterCommitBeforeWALSwap(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "swap.db")
+			db, err := OpenSharded(path, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tbl, err := db.CreateTable(attrSchema())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tbl.CreateIndex("attribute"); err != nil {
+				t.Fatal(err)
+			}
+			fillAttrs(t, tbl, 40) // ids 1..120
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			var more []Row
+			for id := int64(121); id <= 240; id++ {
+				more = append(more, Row{Int(id), Int(id % 40), Str("pulse"), Str("x"), Float(float64(id))})
+			}
+			if err := tbl.InsertBatch(more); err != nil {
+				t.Fatal(err)
+			}
+			want := collectRows(tbl)
+			walPaths := make([]string, shards)
+			oldWALs := make([][]byte, shards)
+			for i, sh := range db.shards {
+				walPaths[i] = sh.path
+				if oldWALs[i], err = os.ReadFile(sh.path); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range walPaths {
+				if err := os.WriteFile(p, oldWALs[i], 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for open := 1; open <= 2; open++ {
+				db, err := OpenSharded(path, shards)
+				if err != nil {
+					t.Fatalf("open %d: %v", open, err)
+				}
+				if h := db.Health(); h.RecoveredWithLoss {
+					t.Fatalf("open %d: reported loss: %+v", open, h)
+				}
+				tbl, err := db.Table("extracted")
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := collectRows(tbl)
+				if len(got) != len(want) || tbl.Len() != len(want) {
+					t.Fatalf("open %d: scan %d rows, Len %d, want %d", open, len(got), tbl.Len(), len(want))
+				}
+				for i := range got {
+					if !slices.Equal(got[i], want[i]) {
+						t.Fatalf("open %d: row %d = %v, want %v", open, i, got[i], want[i])
+					}
+				}
+				checkIndexConsistent(t, tbl)
+				if err := db.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }

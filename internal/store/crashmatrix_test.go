@@ -3,6 +3,7 @@ package store
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -72,15 +73,14 @@ func TestCrashMatrixBatchTruncation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut=%d: reopen failed: %v", cut, err)
 		}
-		if cut < len(raw) && !boundary[cut] && !db.RecoveredWithLoss() {
+		if cut < len(raw) && !boundary[cut] && !db.Health().RecoveredWithLoss {
 			t.Errorf("cut=%d: torn log not reported as loss", cut)
 		}
-		if boundary[cut] && db.RecoveredWithLoss() {
+		if boundary[cut] && db.Health().RecoveredWithLoss {
 			t.Errorf("cut=%d: clean prefix reported as loss", cut)
 		}
 
-		names := db.TableNames()
-		if len(names) > 0 {
+		if len(db.tables) > 0 {
 			tbl, err := db.Table("extracted")
 			if err != nil {
 				t.Fatalf("cut=%d: %v", cut, err)
@@ -100,7 +100,7 @@ func TestCrashMatrixBatchTruncation(t *testing.T) {
 			if n == 5 {
 				for _, r := range batch {
 					got, err := tbl.Get(r[0])
-					if err != nil || !rowsEqual(got, r) {
+					if err != nil || !slices.Equal(got, r) {
 						t.Fatalf("cut=%d: batch row %v corrupted: %v %v", cut, r[0], got, err)
 					}
 				}
@@ -119,7 +119,7 @@ func TestCrashMatrixBatchTruncation(t *testing.T) {
 			if err != nil {
 				t.Fatalf("cut=%d: reopen after repair: %v", cut, err)
 			}
-			if db.RecoveredWithLoss() {
+			if db.Health().RecoveredWithLoss {
 				t.Errorf("cut=%d: repaired log still reports loss", cut)
 			}
 			tbl, err = db.Table("extracted")

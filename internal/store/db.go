@@ -35,11 +35,9 @@ import (
 // acquires them in the opposite direction, so concurrent readers and
 // writers on different shards never deadlock and never contend.
 type DB struct {
-	mu      sync.RWMutex
-	shards  []*Shard
-	tables  map[string]*Table
-	path    string
-	sharded bool // directory layout (true) vs single-file (false)
+	mu     sync.RWMutex
+	shards []*Shard
+	tables map[string]*Table
 
 	// Background compaction (see compactor.go). stopCh is nil when the
 	// compactor was never started.
@@ -72,7 +70,7 @@ func Open(path string) (*DB, error) { return OpenSharded(path, 0) }
 // pre-shard-compatible single file. Opening an existing database with a
 // conflicting n fails — resharding is not supported.
 func OpenSharded(path string, n int) (*DB, error) {
-	paths, sharded, err := resolveLayout(path, n)
+	paths, err := resolveLayout(path, n)
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +97,7 @@ func OpenSharded(path string, n int) (*DB, error) {
 		}
 		return nil, err
 	}
-	db := &DB{shards: shards, tables: make(map[string]*Table), path: path, sharded: sharded, cache: cache}
+	db := &DB{shards: shards, tables: make(map[string]*Table), cache: cache}
 	if err := db.buildRouters(); err != nil {
 		db.Close()
 		return nil, err
@@ -129,18 +127,18 @@ func OpenShardedWithPolicy(path string, n int, pol CompactionPolicy) (*DB, error
 
 // resolveLayout maps (path, requested shard count) to the per-shard WAL
 // paths, creating shard subdirectories for a fresh multi-shard engine.
-func resolveLayout(path string, n int) (paths []string, sharded bool, err error) {
+func resolveLayout(path string, n int) ([]string, error) {
 	st, err := os.Stat(path)
 	switch {
 	case err == nil && !st.IsDir():
 		if n > 1 {
-			return nil, false, fmt.Errorf("store: %s is a single-file store; cannot open with %d shards (resharding unsupported)", path, n)
+			return nil, fmt.Errorf("store: %s is a single-file store; cannot open with %d shards (resharding unsupported)", path, n)
 		}
-		return []string{path}, false, nil
+		return []string{path}, nil
 	case err == nil: // existing directory
 		m, other, err := countShardDirs(path)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		if m == 0 {
 			// Never fabricate a database inside a directory that is
@@ -149,24 +147,24 @@ func resolveLayout(path string, n int) (paths []string, sharded bool, err error)
 			// (a corpus dir, a typo'd path) or an auto-detect open is
 			// refused.
 			if other > 0 {
-				return nil, false, fmt.Errorf("store: %s exists and is not a database directory", path)
+				return nil, fmt.Errorf("store: %s exists and is not a database directory", path)
 			}
 			if n < 1 {
-				return nil, false, fmt.Errorf("store: %s is an empty directory, not a database (pass a shard count to initialize it)", path)
+				return nil, fmt.Errorf("store: %s is an empty directory, not a database (pass a shard count to initialize it)", path)
 			}
 			return makeShardDirs(path, n)
 		}
 		if n > 0 && n != m {
-			return nil, false, fmt.Errorf("store: %s has %d shards, opened with %d (resharding unsupported)", path, m, n)
+			return nil, fmt.Errorf("store: %s has %d shards, opened with %d (resharding unsupported)", path, m, n)
 		}
-		return shardWALPaths(path, m), true, nil
+		return shardWALPaths(path, m), nil
 	case os.IsNotExist(err):
 		if n <= 1 {
-			return []string{path}, false, nil // compatible single-file default
+			return []string{path}, nil // compatible single-file default
 		}
 		return makeShardDirs(path, n)
 	default:
-		return nil, false, err
+		return nil, err
 	}
 }
 
@@ -225,13 +223,13 @@ func shardWALPaths(dir string, n int) []string {
 }
 
 // makeShardDirs creates dir and its n shard subdirectories.
-func makeShardDirs(dir string, n int) ([]string, bool, error) {
+func makeShardDirs(dir string, n int) ([]string, error) {
 	for i := 0; i < n; i++ {
 		if err := os.MkdirAll(filepath.Join(dir, shardDirName(i)), 0o755); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 	}
-	return shardWALPaths(dir, n), true, nil
+	return shardWALPaths(dir, n), nil
 }
 
 // buildRouters unifies the per-shard table states replayed from each
@@ -337,7 +335,7 @@ func OpenMemorySharded(n int) *DB {
 		shards[i] = memShard(i)
 		shards[i].cache = cache
 	}
-	return &DB{shards: shards, tables: make(map[string]*Table), sharded: n > 1, cache: cache}
+	return &DB{shards: shards, tables: make(map[string]*Table), cache: cache}
 }
 
 // SetBlockCacheCapacity resizes the engine-wide decoded-block cache.
@@ -353,18 +351,6 @@ func (db *DB) BlockCacheStats() CacheStats { return db.cache.stats() }
 
 // Shards returns the engine's shard count.
 func (db *DB) Shards() int { return len(db.shards) }
-
-// RecoveredWithLoss reports whether Open had to truncate a corrupt WAL
-// tail on any shard, or fall back to WAL-only recovery because a
-// shard's segment manifest (or a segment it listed) was unreadable.
-func (db *DB) RecoveredWithLoss() bool {
-	for _, sh := range db.shards {
-		if sh.dropped > 0 || sh.segLost {
-			return true
-		}
-	}
-	return false
-}
 
 // Health reports the engine's degradation state: which shards latched
 // the failed-compaction write refusal, and whether recovery dropped
@@ -489,18 +475,6 @@ func (db *DB) Table(name string) (*Table, error) {
 		return nil, fmt.Errorf("store: no table %q", name)
 	}
 	return t, nil
-}
-
-// TableNames lists tables in creation-independent sorted order.
-func (db *DB) TableNames() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	names := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		names = append(names, n)
-	}
-	sortKeys(names)
-	return names
 }
 
 // sortKeys sorts byte-encoded keys; Go string order is byte order, so

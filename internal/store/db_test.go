@@ -23,6 +23,19 @@ func testSchema() Schema {
 	}
 }
 
+// decodeRow decodes exactly n values from buf, requiring the buffer to
+// be fully consumed.
+func decodeRow(buf []byte, n int) (Row, error) {
+	row, rest, err := decodeValues(buf, n)
+	if err != nil {
+		return nil, err
+	}
+	if len(rest) != 0 {
+		return nil, ErrCorrupt
+	}
+	return row, nil
+}
+
 func TestRowCodecRoundTrip(t *testing.T) {
 	row := Row{Int(-42), Str("blood high pressure"), Str("hypertension"), Float(98.3), Bool(true)}
 	buf := encodeRow(nil, row)
@@ -31,7 +44,7 @@ func TestRowCodecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range row {
-		if !row[i].Equal(got[i]) {
+		if row[i] != got[i] {
 			t.Errorf("col %d: %v != %v", i, row[i], got[i])
 		}
 	}
@@ -48,7 +61,7 @@ func TestRowCodecQuick(t *testing.T) {
 			return false
 		}
 		for j := range row {
-			if !row[j].Equal(got[j]) {
+			if row[j] != got[j] {
 				return false
 			}
 		}
@@ -102,14 +115,8 @@ func TestTableCRUD(t *testing.T) {
 	if _, err := tbl.Get(Int(99)); err != ErrNotFound {
 		t.Errorf("Get(99) err = %v", err)
 	}
-	if err := tbl.Delete(Int(3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.Delete(Int(3)); err != ErrNotFound {
-		t.Errorf("double delete err = %v", err)
-	}
-	if tbl.Len() != 2 {
-		t.Fatalf("Len after delete = %d", tbl.Len())
+	if tbl.Len() != 3 {
+		t.Fatalf("Len after rejected duplicate = %d", tbl.Len())
 	}
 	// Type mismatch.
 	bad := Row{Str("not-an-int"), Str("a"), Str("b"), Float(0), Bool(false)}
@@ -181,14 +188,6 @@ func TestSecondaryIndex(t *testing.T) {
 	if err := tbl.CreateIndex("nope"); err == nil {
 		t.Error("index on missing column accepted")
 	}
-	// Index maintenance on delete.
-	if err := tbl.Delete(Int(1)); err != nil {
-		t.Fatal(err)
-	}
-	odd, _ = tbl.Lookup("norm", Str("odd"))
-	if len(odd) != 24 {
-		t.Fatalf("after delete odd rows = %d, want 24", len(odd))
-	}
 }
 
 func TestPersistenceRoundTrip(t *testing.T) {
@@ -208,9 +207,6 @@ func TestPersistenceRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := tbl.Delete(Int(50)); err != nil {
-		t.Fatal(err)
-	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -220,18 +216,15 @@ func TestPersistenceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if db2.RecoveredWithLoss() {
+	if db2.Health().RecoveredWithLoss {
 		t.Error("clean close reported loss")
 	}
 	tbl2, err := db2.Table("concepts")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tbl2.Len() != 99 {
-		t.Fatalf("recovered Len = %d, want 99", tbl2.Len())
-	}
-	if _, err := tbl2.Get(Int(50)); err != ErrNotFound {
-		t.Error("deleted row resurrected")
+	if tbl2.Len() != 100 {
+		t.Fatalf("recovered Len = %d, want 100", tbl2.Len())
 	}
 	if r, err := tbl2.Get(Int(42)); err != nil || r[3].F != 42 {
 		t.Errorf("Get(42) = %v, %v", r, err)
@@ -268,7 +261,7 @@ func TestCrashRecoveryTruncatedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if !db2.RecoveredWithLoss() {
+	if !db2.Health().RecoveredWithLoss {
 		t.Error("torn tail not reported")
 	}
 	tbl2, err := db2.Table("concepts")
@@ -304,7 +297,7 @@ func TestCrashRecoveryCorruptedRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if !db2.RecoveredWithLoss() {
+	if !db2.Health().RecoveredWithLoss {
 		t.Error("CRC corruption not detected")
 	}
 	tbl2, _ := db2.Table("concepts")
@@ -324,9 +317,9 @@ func TestScanAndSelect(t *testing.T) {
 	if seen != 30 {
 		t.Fatalf("Scan visited %d", seen)
 	}
-	active := tbl.Select(func(r Row) bool { return r[4].B })
+	active := scanWhere(t, tbl, func(r Row) bool { return r[4].B })
 	if len(active) != 10 {
-		t.Fatalf("Select = %d rows", len(active))
+		t.Fatalf("filtered scan = %d rows", len(active))
 	}
 	ranged, st, err := tbl.Query(Query{Preds: []Pred{Ge("id", Int(5)), Lt("id", Int(15))}})
 	if err != nil || len(ranged) != 10 || !st.FullScan {
@@ -343,9 +336,8 @@ func TestDBMisc(t *testing.T) {
 		t.Error("invalid schema accepted")
 	}
 	db.CreateTable(testSchema())
-	names := db.TableNames()
-	if len(names) != 1 || names[0] != "concepts" {
-		t.Errorf("TableNames = %v", names)
+	if _, ok := db.tables["concepts"]; !ok || len(db.tables) != 1 {
+		t.Errorf("tables = %v", db.tables)
 	}
 	// Idempotent create.
 	if _, err := db.CreateTable(testSchema()); err != nil {
@@ -369,8 +361,8 @@ func TestColTypeString(t *testing.T) {
 	if v.String() != "<nil>" {
 		t.Errorf("zero value String = %q", v.String())
 	}
-	if Int(1).Equal(Float(1)) {
-		t.Error("cross-type Equal")
+	if Int(1) == Float(1) {
+		t.Error("values of different types compare equal")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -16,7 +17,7 @@ import (
 // Seed corpora are checked in under testdata/fuzz.
 
 // validWALBytes builds a well-formed log (create table, create index,
-// single insert, batch insert, delete) to seed the fuzzer near the real
+// single-row insert, batch insert) to seed the fuzzer near the real
 // format.
 func validWALBytes(tb testing.TB) []byte {
 	tb.Helper()
@@ -39,9 +40,6 @@ func validWALBytes(tb testing.TB) []byte {
 		{Int(2), Int(1), Str("smoking"), Str("never"), Float(0)},
 		{Int(3), Int(2), Str("pulse"), Str("x"), Float(98)},
 	}); err != nil {
-		tb.Fatal(err)
-	}
-	if err := tbl.Delete(Int(1)); err != nil {
 		tb.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
@@ -77,13 +75,8 @@ func FuzzWALReplay(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Open on arbitrary bytes must not fail: %v", err)
 		}
-		names := db.TableNames()
-		rowCounts := make(map[string]int, len(names))
-		for _, name := range names {
-			tbl, err := db.Table(name)
-			if err != nil {
-				t.Fatal(err)
-			}
+		rowCounts := make(map[string]int, len(db.tables))
+		for name, tbl := range db.tables {
 			rowCounts[name] = tbl.Len()
 			checkIndexConsistent(t, tbl)
 		}
@@ -96,19 +89,62 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatalf("second Open must replay the truncated log cleanly: %v", err)
 		}
 		defer db.Close()
-		if db.RecoveredWithLoss() {
+		if db.Health().RecoveredWithLoss {
 			t.Fatal("recovery not idempotent: second open dropped records again")
 		}
-		for _, name := range names {
+		for name, n := range rowCounts {
 			tbl, err := db.Table(name)
 			if err != nil {
 				t.Fatalf("table %q lost on second open: %v", name, err)
 			}
-			if tbl.Len() != rowCounts[name] {
-				t.Fatalf("table %q rows %d != %d after reopen", name, tbl.Len(), rowCounts[name])
+			if tbl.Len() != n {
+				t.Fatalf("table %q rows %d != %d after reopen", name, tbl.Len(), n)
 			}
 		}
 	})
+}
+
+// TestFuzzWALSeedIsCurrent pins the checked-in valid-log seed to the
+// log format the store writes today: it must equal validWALBytes and
+// open with no loss, so the fuzzer starts from records replay accepts
+// rather than from a log it cuts at the first record.
+func TestFuzzWALSeedIsCurrent(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzWALReplay", "valid-log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	if len(lines) != 2 || !strings.HasPrefix(lines[1], "[]byte(") {
+		t.Fatalf("unexpected seed file layout: %q", raw)
+	}
+	quoted := strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")")
+	seed, err := strconv.Unquote(quoted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seed != string(validWALBytes(t)) {
+		t.Fatal("valid-log seed is stale; regenerate with GEN_FUZZ_SEEDS=1 go test -run TestGenSeedCorpora")
+	}
+	path := filepath.Join(t.TempDir(), "seed.db")
+	if err := os.WriteFile(path, []byte(seed), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if h := db.Health(); h.RecoveredWithLoss {
+		t.Fatalf("valid-log seed opened with loss: %+v", h)
+	}
+	tbl, err := db.Table("extracted")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tbl.Len() != 3 {
+		t.Fatalf("valid-log seed holds %d rows, want 3", tbl.Len())
+	}
+	checkIndexConsistent(t, tbl)
 }
 
 // validShardWALBytes builds one shard's well-formed WAL by writing a
@@ -219,7 +255,7 @@ func FuzzShardWALReplay(f *testing.F) {
 			t.Fatalf("second Open must replay the truncated logs cleanly: %v", err)
 		}
 		defer db.Close()
-		if db.RecoveredWithLoss() {
+		if db.Health().RecoveredWithLoss {
 			t.Fatal("recovery not idempotent: second open dropped records again")
 		}
 		tbl, err = db.Table("extracted")
@@ -265,7 +301,7 @@ func FuzzRowCodec(f *testing.F) {
 			t.Fatalf("re-decode of re-encoded row failed: %v (original %x)", err, consumed)
 		}
 		for i := range row {
-			if !row[i].Equal(row2[i]) {
+			if row[i] != row2[i] {
 				// NaN floats are unequal to themselves; treat matching
 				// bit patterns as equal.
 				if row[i].Type == TFloat && row2[i].Type == TFloat &&

@@ -127,7 +127,4 @@ func TestHealthRecoveredWithLoss(t *testing.T) {
 	if !strings.Contains(h.String(), "recovered with loss") {
 		t.Fatalf("String() = %q, want recovered-with-loss report", h.String())
 	}
-	if h.RecoveredWithLoss != db.RecoveredWithLoss() {
-		t.Fatal("Health.RecoveredWithLoss disagrees with RecoveredWithLoss()")
-	}
 }

@@ -318,33 +318,11 @@ func (ts *tableShard) query(q Query, cis []int) (out []Row, stats QueryStats, er
 }
 
 // pkBounds folds the predicates on the primary-key column into [lo, hi)
-// encoded-key bounds for the scan path (nil = unbounded). Exclusive
-// bounds use the key-successor trick: appending a zero byte to an
-// encoded key yields the smallest strictly greater key.
+// encoded-key bounds for the scan path (nil = unbounded).
 func pkBounds(preds []Pred, cis []int, primary int) (lo, hi []byte) {
 	for i, p := range preds {
-		if cis[i] != primary {
-			continue
-		}
-		var plo, phi []byte
-		switch p.Op {
-		case OpEq:
-			plo = encodeKey(p.V)
-			phi = append(encodeKey(p.V), 0)
-		case OpGe:
-			plo = encodeKey(p.V)
-		case OpGt:
-			plo = append(encodeKey(p.V), 0)
-		case OpLt:
-			phi = encodeKey(p.V)
-		case OpLe:
-			phi = append(encodeKey(p.V), 0)
-		}
-		if plo != nil && (lo == nil || bytes.Compare(plo, lo) > 0) {
-			lo = plo
-		}
-		if phi != nil && (hi == nil || bytes.Compare(phi, hi) < 0) {
-			hi = phi
+		if cis[i] == primary {
+			lo, hi = narrowBounds(lo, hi, p)
 		}
 	}
 	return lo, hi
@@ -352,8 +330,7 @@ func pkBounds(preds []Pred, cis []int, primary int) (lo, hi []byte) {
 
 // rangeBounds picks the first indexed column that carries a range
 // predicate and folds every range predicate on it into [lo, hi) key
-// bounds. Exclusive bounds use the key-successor trick: appending a zero
-// byte to an encoded key yields the smallest strictly greater key.
+// bounds.
 func (ts *tableShard) rangeBounds(preds []Pred) (col string, lo, hi []byte, ok bool) {
 	for _, p := range preds {
 		if p.Op == OpEq {
@@ -363,25 +340,36 @@ func (ts *tableShard) rangeBounds(preds []Pred) (col string, lo, hi []byte, ok b
 			continue
 		}
 		col, ok = p.Col, true
-		var plo, phi []byte
-		switch p.Op {
-		case OpGe:
-			plo = encodeKey(p.V)
-		case OpGt:
-			plo = append(encodeKey(p.V), 0)
-		case OpLt:
-			phi = encodeKey(p.V)
-		case OpLe:
-			phi = append(encodeKey(p.V), 0)
-		}
-		if plo != nil && (lo == nil || bytes.Compare(plo, lo) > 0) {
-			lo = plo
-		}
-		if phi != nil && (hi == nil || bytes.Compare(phi, hi) < 0) {
-			hi = phi
-		}
+		lo, hi = narrowBounds(lo, hi, p)
 	}
 	return col, lo, hi, ok
+}
+
+// narrowBounds tightens [lo, hi) encoded-key bounds (nil = unbounded) by
+// one predicate. Exclusive bounds use the key-successor trick:
+// appending a zero byte to an encoded key yields the smallest strictly
+// greater key.
+func narrowBounds(lo, hi []byte, p Pred) ([]byte, []byte) {
+	var plo, phi []byte
+	switch p.Op {
+	case OpEq:
+		plo, phi = encodeKey(p.V), append(encodeKey(p.V), 0)
+	case OpGe:
+		plo = encodeKey(p.V)
+	case OpGt:
+		plo = append(encodeKey(p.V), 0)
+	case OpLt:
+		phi = encodeKey(p.V)
+	case OpLe:
+		phi = append(encodeKey(p.V), 0)
+	}
+	if plo != nil && (lo == nil || bytes.Compare(plo, lo) > 0) {
+		lo = plo
+	}
+	if phi != nil && (hi == nil || bytes.Compare(phi, hi) < 0) {
+		hi = phi
+	}
+	return lo, hi
 }
 
 // filterExceptCol tests every predicate not on the given column (those

@@ -2,9 +2,10 @@ package store
 
 import (
 	"encoding/binary"
-	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -530,8 +531,8 @@ func TestCacheDropsObsoleteSegments(t *testing.T) {
 }
 
 // TestCompactionDoesNotFillCache pins the merge's cache discipline: a
-// major compaction reads every block of the runs it retires (and probes
-// the new run for memtable tombstones) yet adds no block-cache entry.
+// major compaction reads every block of the runs it retires yet adds no
+// block-cache entry.
 // A snapshot pins the old runs across the merge, so blocks the merge
 // cached would outlive the commit and show in the counts.
 func TestCompactionDoesNotFillCache(t *testing.T) {
@@ -558,11 +559,6 @@ func TestCompactionDoesNotFillCache(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, pk := range []int64{3, 900, 1700} { // tombstones over each run
-		if err := tbl.Delete(Int(pk)); err != nil {
-			t.Fatal(err)
-		}
-	}
 	for pk := int64(1); pk < 1800; pk += 300 { // what readers cached
 		if _, err := tbl.Get(Int(pk)); err != nil {
 			t.Fatal(err)
@@ -586,21 +582,22 @@ func TestCompactionDoesNotFillCache(t *testing.T) {
 			before.Hits, after.Hits, before.Misses, after.Misses)
 	}
 	snap.Release()
-	if got := tbl.Len(); got != 1797 {
-		t.Fatalf("Len = %d, want 1797", got)
+	if got := tbl.Len(); got != 1800 {
+		t.Fatalf("Len = %d, want 1800", got)
 	}
 }
 
 // TestCacheInvariantUnderCompaction is the race-enabled invariant test:
 // concurrent readers and writers run against the auto-compactor
-// swapping runs underneath them. Writers replace each key (Delete, then
-// Insert) with a higher version. A read that finds a key must observe a
-// version no older than the last one published for it (the cache must
-// never serve a row from an obsolete segment as current); a key may be
-// briefly absent while it is being replaced. The test runs until the
-// compactor has swapped at least three runs, then checks that every key
-// holds its last published version and that closing the engine leaves
-// the cache empty — every segment's entries released with its last pin.
+// swapping runs underneath them. Writers insert fresh keys and publish
+// each one once its insert has returned. Readers must find every
+// published key, with its exact content, while runs move under them:
+// the cache must never lose a row a swap relocated, nor serve a
+// different row in its place, and an indexed query must return at
+// least every row published before it began. The test runs until the
+// compactor has swapped at least three runs, then checks every
+// published key and that closing the engine leaves the cache empty —
+// every segment's entries released with its last pin.
 func TestCacheInvariantUnderCompaction(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "race.db")
 	db, err := OpenShardedWithPolicy(path, 1, CompactionPolicy{MemRows: 50, WALBytes: 1 << 20, Fanout: 3})
@@ -614,69 +611,79 @@ func TestCacheInvariantUnderCompaction(t *testing.T) {
 	if err := tbl.CreateIndex("attribute"); err != nil {
 		t.Fatal(err)
 	}
-	const nKeys = 64
-	versions := make([]atomic.Int64, nKeys)
-	for i := 0; i < nKeys; i++ {
-		if err := tbl.Insert(Row{Int(int64(i)), Int(0), Str("pulse"), Str("v"), Float(0)}); err != nil {
-			t.Fatal(err)
+	const writers = 2
+	rowFor := func(pk int64) Row {
+		return Row{Int(pk), Int(pk % 97), Str("pulse"), Str(fmt.Sprintf("v%d", pk)), Float(float64(pk))}
+	}
+	// Writer w inserts keys w, w+writers, w+2*writers, …; published[w]
+	// counts the ones whose insert has returned.
+	var published [writers]atomic.Int64
+	pkOf := func(w int, k int64) int64 { return int64(w) + k*writers }
+	check := func(pk int64) error {
+		row, err := tbl.Get(Int(pk))
+		if err != nil {
+			return fmt.Errorf("published key %d: %w", pk, err)
 		}
+		if !slices.Equal(row, rowFor(pk)) {
+			return fmt.Errorf("published key %d reads %v", pk, row)
+		}
+		return nil
 	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ {
+	for w := 0; w < writers; w++ {
 		wg.Add(1)
-		go func(w int) { // writers bump key versions (stored in patient)
+		go func(w int) {
 			defer wg.Done()
-			for v := int64(1); ; v++ {
+			for k := int64(0); ; k++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				for i := w; i < nKeys; i += 2 {
-					pk := int64(i)
-					if err := tbl.Delete(Int(pk)); err != nil {
-						t.Errorf("delete: %v", err)
-						return
-					}
-					if err := tbl.Insert(Row{Int(pk), Int(v), Str("pulse"), Str("v"), Float(0)}); err != nil {
-						t.Errorf("insert: %v", err)
-						return
-					}
-					// Published only after the insert is durable+applied:
-					// any later read must see at least this version.
-					versions[i].Store(v)
+				if err := tbl.Insert(rowFor(pkOf(w, k))); err != nil {
+					t.Errorf("insert: %v", err)
+					return
 				}
+				published[w].Store(k + 1)
 			}
 		}(w)
 	}
 	for r := 0; r < 3; r++ {
 		wg.Add(1)
-		go func() { // readers assert version monotonicity through Get and Query
+		go func() { // readers: the newest keys every pass, older ones in rotation
 			defer wg.Done()
-			for {
+			for pass := int64(0); ; pass++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				for i := 0; i < nKeys; i++ {
-					floor := versions[i].Load()
-					row, err := tbl.Get(Int(int64(i)))
-					if errors.Is(err, ErrNotFound) {
-						continue // between a writer's Delete and Insert
+				floor := 0
+				for w := 0; w < writers; w++ {
+					n := published[w].Load()
+					floor += int(n)
+					if n == 0 {
+						continue
 					}
-					if err != nil {
-						t.Errorf("get(%d): %v", i, err)
-						return
+					for k := max(0, n-16); k < n; k++ {
+						if err := check(pkOf(w, k)); err != nil {
+							t.Error(err)
+							return
+						}
 					}
-					if row[1].I < floor {
-						t.Errorf("stale read: key %d version %d < published %d", i, row[1].I, floor)
+					if err := check(pkOf(w, pass%n)); err != nil {
+						t.Error(err)
 						return
 					}
 				}
-				if _, _, err := tbl.Query(Query{Preds: []Pred{Eq("attribute", Str("pulse"))}}); err != nil {
+				rows, _, err := tbl.Query(Query{Preds: []Pred{Eq("attribute", Str("pulse"))}})
+				if err != nil {
 					t.Errorf("query: %v", err)
+					return
+				}
+				if len(rows) < floor {
+					t.Errorf("indexed query returned %d rows, %d were published before it", len(rows), floor)
 					return
 				}
 			}
@@ -696,15 +703,20 @@ func TestCacheInvariantUnderCompaction(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	for i := 0; i < nKeys; i++ {
-		row, err := tbl.Get(Int(int64(i)))
-		if err != nil {
-			t.Fatalf("key %d missing after the writers stopped: %v", i, err)
-		}
-		if want := versions[i].Load(); row[1].I != want {
-			t.Errorf("key %d holds version %d, last published %d", i, row[1].I, want)
+	total := 0
+	for w := 0; w < writers; w++ {
+		n := published[w].Load()
+		total += int(n)
+		for k := int64(0); k < n; k++ {
+			if err := check(pkOf(w, k)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
+	if got := tbl.Len(); got != total {
+		t.Fatalf("Len = %d, want the %d published rows", got, total)
+	}
+	checkIndexConsistent(t, tbl)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -714,10 +726,10 @@ func TestCacheInvariantUnderCompaction(t *testing.T) {
 }
 
 // TestBatchedResolveMatchesSingle cross-checks the batched resolver
-// against per-key liveGet over a multi-run stack with overlapping key
-// updates and a memtable version of some keys in the posting's side
-// list: both must produce identical rows, and every posting key must
-// resolve exactly once.
+// against per-key liveGet over keys spread across two runs and the
+// memtable, whose rows sit in the posting's side list: both must
+// produce identical rows, and every posting key must resolve exactly
+// once, from the layer that holds it.
 func TestBatchedResolveMatchesSingle(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "batch.db")
 	db, err := Open(path)
@@ -729,42 +741,25 @@ func TestBatchedResolveMatchesSingle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Three runs; run 2 overwrites half of run 1's keys, so newest-first
-	// precedence matters.
-	var rows []Row
-	for i := 0; i < 500; i++ {
-		rows = append(rows, Row{Int(int64(i)), Int(1), Str("pulse"), Str("v"), Float(0)})
-	}
-	if err := tbl.InsertBatch(rows); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 500; i += 2 {
-		if err := tbl.Delete(Int(int64(i))); err != nil {
+	// Key i lives in layer i%3: the first run, the second run, or the
+	// memtable. The patient column records the layer.
+	for layer := 0; layer < 3; layer++ {
+		var rows []Row
+		for i := layer; i < 500; i += 3 {
+			rows = append(rows, Row{Int(int64(i)), Int(int64(layer)), Str("pulse"), Str("v"), Float(0)})
+		}
+		if err := tbl.InsertBatch(rows); err != nil {
 			t.Fatal(err)
 		}
-		if err := tbl.Insert(Row{Int(int64(i)), Int(2), Str("pulse"), Str("v"), Float(0)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// Every fifth key gets a third version that stays in the memtable,
-	// shadowing both runs: the posting's side list must win for it.
-	for i := 0; i < 500; i += 5 {
-		if err := tbl.Delete(Int(int64(i))); err != nil {
-			t.Fatal(err)
-		}
-		if err := tbl.Insert(Row{Int(int64(i)), Int(3), Str("pulse"), Str("v"), Float(0)}); err != nil {
-			t.Fatal(err)
+		if layer < 2 {
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	ts := tbl.shards[0]
-	if len(ts.segs) < 2 {
-		t.Fatalf("expected a run stack, got %d segs", len(ts.segs))
+	if len(ts.segs) != 2 {
+		t.Fatalf("expected a two-run stack, got %d segs", len(ts.segs))
 	}
 	pl := &postingList{}
 	for i := 0; i < 500; i++ {
@@ -774,8 +769,8 @@ func TestBatchedResolveMatchesSingle(t *testing.T) {
 			pl.mem = append(pl.mem, postingEntry{pk: pk, row: v.(Row)})
 		}
 	}
-	if len(pl.mem) != 100 {
-		t.Fatalf("side list holds %d memtable rows, want 100", len(pl.mem))
+	if len(pl.mem) != 166 {
+		t.Fatalf("side list holds %d memtable rows, want 166", len(pl.mem))
 	}
 	got, err := ts.resolveAll(pl, nil)
 	if err != nil {
@@ -786,18 +781,11 @@ func TestBatchedResolveMatchesSingle(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("liveGet(%d): ok=%v err=%v", i, ok, err)
 		}
-		if !rowsEqual(got[i], want) {
+		if !slices.Equal(got[i], want) {
 			t.Fatalf("key %d: batched %v != single %v", i, got[i], want)
 		}
-		wantV := int64(1)
-		switch {
-		case i%5 == 0:
-			wantV = 3
-		case i%2 == 0:
-			wantV = 2
-		}
-		if got[i][1].I != wantV {
-			t.Fatalf("key %d resolved stale version %d, want %d", i, got[i][1].I, wantV)
+		if got[i][1].I != int64(i%3) {
+			t.Fatalf("key %d resolved from layer %d, want %d", i, got[i][1].I, i%3)
 		}
 	}
 	// A posting for a key no segment holds must fail loudly, not

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -191,6 +192,21 @@ func collectRows(tbl *Table) []Row {
 	return out
 }
 
+// scanWhere returns the rows of a full scan that satisfy pred.
+func scanWhere(t testing.TB, tbl *Table, pred func(Row) bool) []Row {
+	t.Helper()
+	var out []Row
+	if err := tbl.Scan(func(r Row) bool {
+		if pred(r) {
+			out = append(out, r)
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestCompactEmitsSegments is the tentpole's happy path on a
 // single-file store: compaction produces a manifest plus one segment
 // per table, shrinks the WAL to schema/index records, and every read
@@ -238,7 +254,7 @@ func TestCompactEmitsSegments(t *testing.T) {
 			t.Fatalf("%s: scan returned %d rows, want %d", label, len(got), len(want))
 		}
 		for i := range got {
-			if !rowsEqual(got[i], want[i]) {
+			if !slices.Equal(got[i], want[i]) {
 				t.Fatalf("%s: scan row %d = %v, want %v", label, i, got[i], want[i])
 			}
 		}
@@ -258,28 +274,16 @@ func TestCompactEmitsSegments(t *testing.T) {
 	checkParity("after compact", tbl)
 	checkIndexConsistent(t, tbl)
 
-	// Post-compaction writes land in the memtable; deletes of
-	// compacted rows must tombstone them.
+	// Post-compaction writes land in the memtable; a key a run holds
+	// stays written once.
 	if err := tbl.Insert(Row{Int(9001), Int(41), Str("pulse"), Str("x"), Float(70)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.Delete(Int(7)); err != nil {
-		t.Fatal(err)
+	if err := tbl.Insert(Row{Int(7), Int(2), Str("weight"), Str("re"), Float(1)}); !errors.Is(err, ErrDuplicate) {
+		t.Fatalf("re-insert of a run key: %v, want ErrDuplicate", err)
 	}
-	if _, err := tbl.Get(Int(7)); err != ErrNotFound {
-		t.Fatalf("Get(7) after delete: %v, want ErrNotFound", err)
-	}
-	if got := tbl.Len(); got != wantLen {
-		t.Fatalf("Len after insert+delete = %d, want %d", got, wantLen)
-	}
-	// A re-insert of a tombstoned key must succeed and win over the
-	// segment row.
-	if err := tbl.Insert(Row{Int(7), Int(2), Str("weight"), Str("re"), Float(1)}); err != nil {
-		t.Fatal(err)
-	}
-	row, err := tbl.Get(Int(7))
-	if err != nil || row[3].S != "re" {
-		t.Fatalf("Get(7) after re-insert = %v, %v", row, err)
+	if got := tbl.Len(); got != wantLen+1 {
+		t.Fatalf("Len after insert = %d, want %d", got, wantLen+1)
 	}
 	checkIndexConsistent(t, tbl)
 
@@ -292,7 +296,7 @@ func TestCompactEmitsSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if db.RecoveredWithLoss() {
+	if db.Health().RecoveredWithLoss {
 		t.Fatal("clean reopen reported loss")
 	}
 	tbl, err = db.Table("extracted")
@@ -302,8 +306,7 @@ func TestCompactEmitsSegments(t *testing.T) {
 	if got := tbl.Len(); got != wantLen+1 {
 		t.Fatalf("Len after reopen = %d, want %d", got, wantLen+1)
 	}
-	row, err = tbl.Get(Int(7))
-	if err != nil || row[3].S != "re" {
+	if row, err := tbl.Get(Int(7)); err != nil || row[3].S != "x" {
 		t.Fatalf("Get(7) after reopen = %v, %v", row, err)
 	}
 	if _, err := tbl.Get(Int(9001)); err != nil {
@@ -320,6 +323,55 @@ func TestCompactEmitsSegments(t *testing.T) {
 		t.Fatalf("Len after second compact = %d, want %d", got, wantLen+1)
 	}
 	checkIndexConsistent(t, tbl)
+}
+
+// TestScanReturnsReadErrors: a corrupt block in a flushed run must
+// surface from Table.Scan as an error wrapping ErrCorrupt, never as a
+// silently short result.
+func TestScanReturnsReadErrors(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "scan.db")
+	db, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTable(attrSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillAttrs(t, tbl, 200) // 600 rows: three blocks
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var segPath string
+	for _, name := range segFilesOf(t, path) {
+		if strings.HasSuffix(name, ".seg") {
+			segPath = filepath.Join(segsDirFor(path), name)
+		}
+	}
+	raw, err := os.ReadFile(segPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(segMagic)+10] ^= 0xff // inside the first block
+	if err := os.WriteFile(segPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if tbl, err = db.Table("extracted"); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	err = tbl.Scan(func(Row) bool { n++; return true })
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Scan over a corrupt block returned %v after %d rows, want ErrCorrupt", err, n)
+	}
 }
 
 // TestZoneMapPruning proves the acceptance criterion: a primary-key
@@ -367,10 +419,10 @@ func TestZoneMapPruning(t *testing.T) {
 // --- snapshot isolation ---
 
 // TestSnapshotIsolation pins the MVCC contract under the race detector:
-// a snapshot taken before concurrent InsertBatch + Delete + Compact
-// keeps serving exactly the rows that were live at capture, its
-// watermark never moves, and pinned segment files survive until
-// Release even after a newer compaction obsoletes them.
+// a snapshot taken before concurrent InsertBatch + Compact keeps
+// serving exactly the rows that were live at capture, its watermark
+// never moves, and pinned segment files survive until Release even
+// after a newer compaction obsoletes them.
 func TestSnapshotIsolation(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db")
 	db, err := OpenSharded(path, 4)
@@ -394,13 +446,12 @@ func TestSnapshotIsolation(t *testing.T) {
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	deleted := make(chan struct{}) // closed once victims 1..20 are gone
+	applied := make(chan struct{}) // closed once 20 batches are in
 	wg.Add(2)
-	go func() { // writer: batches of new rows + deletes of old ones
+	go func() { // writer: batches of new rows
 		defer wg.Done()
 		id := int64(100000)
-		victim := int64(1)
-		for i := 0; ; i++ {
+		for i := 1; ; i++ {
 			select {
 			case <-stop:
 				return
@@ -415,15 +466,8 @@ func TestSnapshotIsolation(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if victim <= 20 {
-				if err := tbl.Delete(Int(victim)); err != nil {
-					t.Error(err)
-					return
-				}
-				victim++
-				if victim > 20 {
-					close(deleted)
-				}
+			if i == 20 {
+				close(applied)
 			}
 		}
 	}()
@@ -447,7 +491,7 @@ func TestSnapshotIsolation(t *testing.T) {
 			t.Fatalf("snapshot scan %d saw %d rows, want %d", i, len(got), len(want))
 		}
 		for j := range got {
-			if !rowsEqual(got[j], want[j]) {
+			if !slices.Equal(got[j], want[j]) {
 				t.Fatalf("snapshot scan %d row %d drifted", i, j)
 			}
 		}
@@ -456,24 +500,29 @@ func TestSnapshotIsolation(t *testing.T) {
 		}
 	}
 	// The reader can finish before the writer has run at all; stop the
-	// writer only once it has deleted every victim.
+	// writer only once 20 of its batches are applied.
 	select {
-	case <-deleted:
+	case <-applied:
 	case <-time.After(30 * time.Second):
-		t.Fatal("writer did not delete its 20 victims within 30s")
+		t.Fatal("writer did not apply 20 batches within 30s")
 	}
-	// The snapshot still predates every delete.
+	// The snapshot still predates every batch.
 	var got []Row
 	if err := snap.Scan(func(r Row) bool { got = append(got, r); return true }); err != nil || len(got) != len(want) {
-		t.Fatalf("snapshot after the deletes: %d rows (%v), want %d", len(got), err, len(want))
+		t.Fatalf("snapshot after 20 batches: %d rows (%v), want %d", len(got), err, len(want))
+	}
+	for j := range got {
+		if !slices.Equal(got[j], want[j]) {
+			t.Fatalf("snapshot after 20 batches: row %d drifted", j)
+		}
 	}
 	close(stop)
 	wg.Wait()
 	snap.Release()
 
-	// The live view did move: deletes took effect and new rows exist.
-	if _, err := tbl.Get(Int(1)); err != ErrNotFound {
-		t.Fatalf("deleted row still live: %v", err)
+	// The live view did move: the new rows exist.
+	if n := tbl.Len(); n < len(want)+20*16 {
+		t.Fatalf("Len = %d, want at least %d after 20 batches", n, len(want)+20*16)
 	}
 	if _, err := tbl.Get(Int(100000)); err != nil {
 		t.Fatalf("ingested row missing: %v", err)
@@ -599,8 +648,8 @@ func TestCrashMatrixManifestTruncation(t *testing.T) {
 			t.Fatalf("cut %d: open failed: %v", cut, err)
 		}
 		torn := cut < len(manifest)
-		if db.RecoveredWithLoss() != torn {
-			t.Fatalf("cut %d: RecoveredWithLoss = %v, want %v", cut, db.RecoveredWithLoss(), torn)
+		if db.Health().RecoveredWithLoss != torn {
+			t.Fatalf("cut %d: RecoveredWithLoss = %v, want %v", cut, db.Health().RecoveredWithLoss, torn)
 		}
 		tbl, err := db.Table("extracted")
 		if err != nil {
@@ -670,7 +719,7 @@ func TestTornSegmentFallsBackToWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if !db.RecoveredWithLoss() {
+	if !db.Health().RecoveredWithLoss {
 		t.Fatal("corrupt segment did not report loss")
 	}
 	tbl, err = db.Table("extracted")
@@ -752,7 +801,7 @@ func TestSegmentErrorsLeakNoFDs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fallback open failed: %v", err)
 		}
-		if !db.RecoveredWithLoss() {
+		if !db.Health().RecoveredWithLoss {
 			t.Fatal("corrupt segment not reported")
 		}
 		db.Close()

@@ -52,9 +52,9 @@ type Shard struct {
 // openShard opens (creating if necessary) one shard's WAL and segment
 // directory, then replays the WAL over the segment state. A torn
 // manifest or unreadable segment falls back to WAL-only recovery
-// (reported via RecoveredWithLoss); on replay failure the log handle
-// and every opened segment are closed before returning, so an engine
-// that fails mid-open leaks no descriptors.
+// (reported via Health().RecoveredWithLoss); on replay failure the log
+// handle and every opened segment are closed before returning, so an
+// engine that fails mid-open leaks no descriptors.
 func openShard(id int, path string, cache *blockCache) (*Shard, error) {
 	// A crashed compaction can leave its truncated-WAL temp beside the
 	// log. It holds nothing the committed state doesn't (schema/index
@@ -243,36 +243,12 @@ func (sh *Shard) newTableShard(s Schema) *tableShard {
 	return ts
 }
 
-// logInsert appends an insert record for the table.
-func (sh *Shard) logInsert(table string, row Row) error {
-	payload := []byte{opInsert}
-	payload = appendString(payload, table)
-	payload = encodeRow(payload, row)
-	if err := sh.appendLog(payload); err != nil {
-		return err
-	}
-	sh.noteWrite(1)
-	return nil
-}
-
 // logInsertBatch appends one WAL record covering the whole row batch.
 func (sh *Shard) logInsertBatch(table string, rows []Row) error {
 	if err := sh.appendLog(encodeBatchPayload(table, rows)); err != nil {
 		return err
 	}
 	sh.noteWrite(len(rows))
-	return nil
-}
-
-// logDelete appends a delete record for the table.
-func (sh *Shard) logDelete(table string, pk Value) error {
-	payload := []byte{opDelete}
-	payload = appendString(payload, table)
-	payload = encodeRow(payload, Row{pk})
-	if err := sh.appendLog(payload); err != nil {
-		return err
-	}
-	sh.noteWrite(1)
 	return nil
 }
 
@@ -307,19 +283,6 @@ func (sh *Shard) applyLogRecord(payload []byte) error {
 		return err
 	}
 	switch op {
-	case opInsert:
-		ts, ok := sh.tables[name]
-		if !ok {
-			return fmt.Errorf("store: replay insert into unknown table %q", name)
-		}
-		row, err := decodeRow(rest, len(ts.schema.Columns))
-		if err != nil {
-			return err
-		}
-		if err := ts.schema.validate(row); err != nil {
-			return err
-		}
-		ts.replayInsert(row)
 	case opInsertBatch:
 		ts, ok := sh.tables[name]
 		if !ok {
@@ -352,22 +315,6 @@ func (sh *Shard) applyLogRecord(payload []byte) error {
 		}
 		for _, row := range rows {
 			ts.replayInsert(row)
-		}
-	case opDelete:
-		ts, ok := sh.tables[name]
-		if !ok {
-			return fmt.Errorf("store: replay delete from unknown table %q", name)
-		}
-		keyRow, err := decodeRow(rest, 1)
-		if err != nil {
-			return err
-		}
-		key := encodeKey(keyRow[0])
-		// The key may live in a segment rather than the memtable; a
-		// segment read error here is treated as key-absent (the delete
-		// then has nothing visible to remove).
-		if row, live, _ := ts.liveGet(key); live {
-			ts.applyDelete(key, row)
 		}
 	case opCreateIndex:
 		ts, ok := sh.tables[name]

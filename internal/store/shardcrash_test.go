@@ -139,7 +139,7 @@ func TestCrashMatrixShardTruncation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut=%d: reopen after repair: %v", cut, err)
 		}
-		if db.RecoveredWithLoss() {
+		if db.Health().RecoveredWithLoss {
 			t.Errorf("cut=%d: repaired logs still report loss", cut)
 		}
 		tbl, err = db.Table("extracted")

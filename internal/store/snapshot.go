@@ -7,16 +7,15 @@ import "bytes"
 // concurrent compaction cannot delete the files under it) and captures
 // the shard's memtable entries at the current sequence watermark. From
 // then on iteration touches no table lock at all — a long analytic
-// scan proceeds while InsertBatch, Delete and Compact run freely, and
-// the scan still sees exactly the rows that were live when it planned.
+// scan proceeds while InsertBatch and Compact run freely, and the scan
+// still sees exactly the rows that were live when it planned.
 //
 // The capture copies only the memtable's entry slice headers (keys and
-// Row values are immutable once stored — every mutation replaces whole
-// values), so its cost is proportional to the post-compaction write
-// set, not the corpus.
+// Row values are immutable once stored — a key is written once), so its
+// cost is proportional to the post-compaction write set, not the
+// corpus.
 
-// memRow is one captured memtable entry; a nil row is a tombstone
-// masking a segment-resident key.
+// memRow is one captured memtable entry.
 type memRow struct {
 	key []byte
 	row Row
@@ -63,7 +62,7 @@ func (ts *tableShard) captureLocked(lo, hi []byte) shardSnap {
 		}
 	}
 	visit := func(key []byte, val interface{}) bool {
-		ss.mem = append(ss.mem, memRow{key: key, row: liveRow(val)})
+		ss.mem = append(ss.mem, memRow{key: key, row: val.(Row)})
 		return true
 	}
 	if lo == nil && hi == nil {
@@ -72,15 +71,6 @@ func (ts *tableShard) captureLocked(lo, hi []byte) shardSnap {
 		ts.primary.AscendRange(lo, hi, visit)
 	}
 	return ss
-}
-
-// liveRow unwraps a memtable value: the Row itself, or nil for a
-// tombstone.
-func liveRow(val interface{}) Row {
-	if row, ok := val.(Row); ok {
-		return row
-	}
-	return nil
 }
 
 // Release unpins every segment the snapshot holds. Safe to call once.
@@ -171,8 +161,9 @@ func (s *Snapshot) Scan(fn func(Row) bool) error {
 }
 
 // iterate merges one shard's memtable capture with its segment
-// iterators, newest wins on duplicate keys, tombstones suppressing
-// older versions. stats may be nil.
+// iterators. A key lives in one source, but a run stack written by an
+// earlier version of the store can hold one key in two runs; the newer
+// run wins. stats may be nil.
 func (ss *shardSnap) iterate(lo, hi []byte, stats *readStats, fn func(Row) bool) error {
 	// Source 0 is the memtable capture (highest precedence); sources
 	// 1..n are segments newest → oldest.
@@ -226,7 +217,7 @@ func (ss *shardSnap) iterate(lo, hi []byte, stats *readStats, fn func(Row) bool)
 		}
 		var row Row
 		if bestSrc < 0 {
-			row = mem[mi].row // nil = tombstone
+			row = mem[mi].row
 			mi++
 		} else {
 			row = iters[bestSrc].row()
@@ -241,9 +232,6 @@ func (ss *shardSnap) iterate(lo, hi []byte, stats *readStats, fn func(Row) bool)
 			if it.err != nil {
 				return it.err
 			}
-		}
-		if row == nil {
-			continue // tombstone: the key is deleted in this view
 		}
 		if !fn(row) {
 			return nil

@@ -48,24 +48,18 @@ func (s *Schema) validate(row Row) error {
 // Table is a hash-partitioned table: rows live on the shard selected by
 // their encoded primary key. Each shard serves its slice from two
 // layers: immutable sorted segment files written by compaction, and an
-// in-memory memtable (B-tree) holding everything written since — rows,
-// plus tombstones masking segment keys deleted after compaction. Point
-// operations route to one shard; batch inserts split into per-shard
-// sub-batches logged and applied in parallel; scans and range reads
-// take a snapshot (pinned segments + captured memtable) and k-way-merge
-// it without holding any lock, so a long analytic read never blocks a
-// live ingest.
+// in-memory memtable (B-tree) holding the rows written since. The
+// table is append-only: a primary key is written once and its row never
+// changes, so every key lives in exactly one place — the memtable or
+// one run. Point operations route to one shard; batch inserts split
+// into per-shard sub-batches logged and applied in parallel; scans and
+// range reads take a snapshot (pinned segments + captured memtable) and
+// k-way-merge it without holding any lock, so a long analytic read
+// never blocks a live ingest.
 type Table struct {
 	schema Schema
 	shards []*tableShard
 }
-
-// tombstone marks a memtable key deleted after the last compaction: it
-// masks any segment-resident row with the same key until a major
-// compaction drops both. It carries the primary-key value because the
-// key encoding is one-way: a minor compaction re-logs surviving
-// tombstones as delete records, which need the Value back.
-type tombstone struct{ pk Value }
 
 // tableShard is one shard's slice of a table: its immutable segments,
 // the memtable of post-compaction writes, the live-row count, the
@@ -76,8 +70,8 @@ type tableShard struct {
 	shard     *Shard
 	mu        sync.RWMutex
 	segs      []*segment        // immutable sorted runs, oldest → newest
-	primary   *btree            // memtable: pk key bytes → Row | tombstone
-	count     int               // live rows (segments + memtable − tombstones)
+	primary   *btree            // memtable: pk key bytes → Row
+	count     int               // rows (segments + memtable)
 	seq       uint64            // bumped per mutation; snapshot watermark
 	secondary map[string]*btree // column name → key bytes → postingList
 }
@@ -112,30 +106,13 @@ func (ts *tableShard) segGet(key []byte, rs *readStats) (Row, bool, error) {
 	return nil, false, nil
 }
 
-// liveGet resolves key through the layers: a memtable row is live, a
-// memtable tombstone is dead (whatever the segments hold), otherwise
-// the segments decide. Callers hold at least the read lock.
+// liveGet resolves key through the layers: the memtable, then the
+// segments. Callers hold at least the read lock.
 func (ts *tableShard) liveGet(key []byte) (Row, bool, error) {
 	if v, ok := ts.primary.Get(key); ok {
-		if row, isRow := v.(Row); isRow {
-			return row, true, nil
-		}
-		return nil, false, nil // tombstone
+		return v.(Row), true, nil
 	}
 	return ts.segGet(key, nil)
-}
-
-// segsMightHave reports whether key falls inside any segment's zone
-// map — the cheap test that lets deletes of never-compacted keys skip
-// the tombstone (and the disk).
-func (ts *tableShard) segsMightHave(key []byte) bool {
-	for _, sg := range ts.segs {
-		if len(sg.blocks) > 0 &&
-			bytes.Compare(key, sg.minKey) >= 0 && bytes.Compare(key, sg.maxKey) <= 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // MaxPK returns the largest primary-key value in the table and whether
@@ -159,48 +136,38 @@ func (t *Table) MaxPK() (Value, bool, error) {
 	return best, found, nil
 }
 
-// maxPK finds one shard's largest live key without a merge. It starts
-// from the memtable's largest live row, then walks each run newest
-// first, backward from its last block, until a zone map cannot beat the
-// best key. Segments hold only live rows and every delete of a
-// segment-resident key leaves a memtable tombstone, so the first run
-// key above the best that no tombstone masks is live, and ends that
-// run's walk.
+// maxPK finds one shard's largest key without a merge. No key is ever
+// removed, so a run's zone-map maximum is a live key: the answer is the
+// memtable's largest key or the largest run maximum, whichever is
+// greater. Only that run's last block is read, for the key's Value, and
+// no block at all when the memtable holds the maximum.
 func (ts *tableShard) maxPK() (Value, bool, error) {
 	ts.mu.RLock()
 	defer ts.mu.RUnlock()
-	var bestKey []byte
+	var memKey []byte
 	var best Value
 	ts.primary.Descend(func(key []byte, val interface{}) bool {
-		if row := liveRow(val); row != nil {
-			bestKey, best = key, row[ts.schema.Primary]
-			return false
-		}
-		return true
+		memKey, best = key, val.(Row)[ts.schema.Primary]
+		return false
 	})
-	beats := func(key []byte) bool { return bestKey == nil || bytes.Compare(key, bestKey) > 0 }
-	for i := len(ts.segs) - 1; i >= 0; i-- {
-		sg := ts.segs[i]
-	run:
-		for bi := len(sg.blocks) - 1; bi >= 0 && beats(sg.blocks[bi].maxKey); bi-- {
-			rows, keys, err := sg.readBlock(bi, nil)
-			if err != nil {
-				return Value{}, false, err
-			}
-			for j := len(keys) - 1; j >= 0 && beats(keys[j]); j-- {
-				if v, ok := ts.primary.Get(keys[j]); ok && liveRow(v) == nil {
-					continue // deleted since the run was written
-				}
-				bestKey, best = keys[j], rows[j][ts.schema.Primary]
-				break run
-			}
+	var top *segment // the run with the largest maximum
+	for _, sg := range ts.segs {
+		if len(sg.blocks) > 0 && (top == nil || bytes.Compare(sg.maxKey, top.maxKey) > 0) {
+			top = sg
 		}
 	}
-	return best, bestKey != nil, nil
+	if top == nil || (memKey != nil && bytes.Compare(memKey, top.maxKey) > 0) {
+		return best, memKey != nil, nil
+	}
+	rows, _, err := top.readBlock(len(top.blocks)-1, nil)
+	if err != nil {
+		return Value{}, false, err
+	}
+	return rows[len(rows)-1][ts.schema.Primary], true, nil // open rejects empty blocks
 }
 
-// Len returns the number of live rows across all shards. The count is
-// maintained incrementally by every mutation, so no segment is read.
+// Len returns the number of rows across all shards. The count is
+// maintained incrementally by every insert, so no segment is read.
 func (t *Table) Len() int {
 	n := 0
 	for _, ts := range t.shards {
@@ -211,35 +178,8 @@ func (t *Table) Len() int {
 	return n
 }
 
-// Insert adds a row. The primary key must be unique (routing by key
-// hash makes the per-shard check global; the check consults the
-// segments' zone maps, so monotonically increasing keys never touch
-// disk).
-func (t *Table) Insert(row Row) error {
-	if err := t.schema.validate(row); err != nil {
-		return err
-	}
-	key := encodeKey(row[t.schema.Primary])
-	ts := t.shardFor(key)
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	return ts.insertLocked(key, row)
-}
-
-func (ts *tableShard) insertLocked(key []byte, row Row) error {
-	_, live, err := ts.liveGet(key)
-	if err != nil {
-		return err
-	}
-	if live {
-		return fmt.Errorf("%w: %s", ErrDuplicate, row[ts.schema.Primary])
-	}
-	if err := ts.shard.logInsert(ts.schema.Name, row); err != nil {
-		return err
-	}
-	ts.applyInsert(key, row)
-	return nil
-}
+// Insert adds one row: a batch of one.
+func (t *Table) Insert(row Row) error { return t.InsertBatch([]Row{row}) }
 
 // InsertBatch adds many rows with one write-ahead-log record per
 // involved shard. The whole batch is validated (schema and primary-key
@@ -250,7 +190,8 @@ func (ts *tableShard) insertLocked(key []byte, row Row) error {
 // is atomic on its shard — framed as one CRC-covered record, so a
 // crash-torn sub-batch drops whole on that shard's recovery while
 // other shards keep theirs (an I/O error mid-flush can likewise leave
-// a sub-batch applied on one shard and not another).
+// a sub-batch applied on one shard and not another). Routing by key
+// hash makes each shard's uniqueness check global.
 func (t *Table) InsertBatch(rows []Row) error {
 	if len(rows) == 0 {
 		return nil
@@ -333,24 +274,22 @@ func (ts *tableShard) logApplyBatch(rows []Row, keys [][]byte) error {
 	return nil
 }
 
-// replayInsert applies one row during WAL replay. A duplicate primary
-// key replaces the existing row (and its index postings) so that replay
-// of any log prefix leaves indexes exactly consistent with the table.
-// After a compaction interrupted between its manifest commit and its
-// WAL swap, the old WAL replays rows that also live in segments; the
-// replace path makes that idempotent.
+// replayInsert applies one row during WAL replay; a key that is already
+// live is skipped. Keys are written once, so that happens only after a
+// compaction interrupted between its manifest commit and its WAL swap:
+// the old WAL then replays rows the committed runs already hold, and
+// skipping them keeps every key in exactly one place. A segment read
+// error here is treated as key-absent: the memtable row then shadows
+// the segment on every read path.
 func (ts *tableShard) replayInsert(row Row) {
 	key := encodeKey(row[ts.schema.Primary])
-	// A segment read error during replay is treated as key-absent: the
-	// memtable version shadows the segment on every read path anyway.
-	if old, live, _ := ts.liveGet(key); live {
-		ts.applyDelete(key, old)
+	if _, live, _ := ts.liveGet(key); !live {
+		ts.applyInsert(key, row)
 	}
-	ts.applyInsert(key, row)
 }
 
 // applyInsert performs the in-memory insert. The key must not be live
-// (callers checked); it may be a tombstone, which the row replaces.
+// (callers checked).
 func (ts *tableShard) applyInsert(key []byte, row Row) {
 	ts.primary.Put(key, row)
 	ts.count++
@@ -378,49 +317,12 @@ func (t *Table) Get(pk Value) (Row, error) {
 	return row, nil
 }
 
-// Delete removes the row with the given primary key.
-func (t *Table) Delete(pk Value) error {
-	key := encodeKey(pk)
-	ts := t.shardFor(key)
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	old, live, err := ts.liveGet(key)
-	if err != nil {
-		return err
-	}
-	if !live {
-		return ErrNotFound
-	}
-	if err := ts.shard.logDelete(ts.schema.Name, pk); err != nil {
-		return err
-	}
-	ts.applyDelete(key, old)
-	return nil
-}
-
-// applyDelete removes a live row: index postings go, and the memtable
-// either drops the key or — when a segment may still hold it — takes a
-// tombstone so the segment row stays masked until the next compaction.
-func (ts *tableShard) applyDelete(key []byte, row Row) {
-	for col, idx := range ts.secondary {
-		ci := ts.schema.colIndex(col)
-		indexRemove(idx, encodeKey(row[ci]), string(key))
-	}
-	if ts.segsMightHave(key) {
-		ts.primary.Put(key, tombstone{pk: row[ts.schema.Primary]})
-	} else {
-		ts.primary.Delete(key)
-	}
-	ts.count--
-	ts.seq++
-}
-
 // CreateIndex builds a non-unique secondary index on the named column,
 // on every shard. The index is durable: each shard's WAL carries a
 // create-index record re-created on replay and through Compact, so once
 // built it exists after every reopen and is maintained transactionally
-// by Insert/InsertBatch/Delete alongside the rows. Creating an
-// existing index is a no-op.
+// by every insert alongside the rows. Creating an existing index is a
+// no-op.
 func (t *Table) CreateIndex(col string) error {
 	if t.schema.colIndex(col) < 0 {
 		return fmt.Errorf("store: table %s has no column %s", t.schema.Name, col)
@@ -460,27 +362,20 @@ func (ts *tableShard) createIndexLocked(col string) error {
 	}
 	idx := newBtree()
 	ci := ts.schema.colIndex(col)
-	// Segment rows first, merged newest-wins across the stack (an older
-	// run's version of a key must not leak a stale posting) and skipping
-	// keys the memtable shadows …
+	// Segment rows first, keyed only …
 	if len(ts.segs) > 0 {
 		ss := shardSnap{segs: ts.segs} // borrowed refs; not released
 		err := ss.iterate(nil, nil, nil, func(row Row) bool {
-			key := encodeKey(row[ts.schema.Primary])
-			if _, shadowed := ts.primary.Get(key); !shadowed {
-				indexAdd(idx, encodeKey(row[ci]), string(key), nil)
-			}
+			indexAdd(idx, encodeKey(row[ci]), string(encodeKey(row[ts.schema.Primary])), nil)
 			return true
 		})
 		if err != nil {
 			return err
 		}
 	}
-	// … then live memtable rows, keyed and in the side lists.
+	// … then memtable rows, keyed and in the side lists.
 	ts.primary.Ascend(func(key []byte, val interface{}) bool {
-		if row := liveRow(val); row != nil {
-			indexAdd(idx, encodeKey(row[ci]), string(key), row)
-		}
+		indexAdd(idx, encodeKey(val.(Row)[ci]), string(key), val.(Row))
 		return true
 	})
 	ts.secondary[col] = idx
@@ -493,9 +388,8 @@ func (ts *tableShard) createIndexLocked(col string) error {
 // are all it holds for a segment-resident row, which is fetched by key
 // on read, so the index never duplicates disk-resident row data in
 // memory. The rows still in the memtable also sit in mem, a small side
-// list in the same order, merged on read: a memtable row may shadow an
-// older version in a segment, and reading it from the list spares a
-// memtable probe per key.
+// list in the same order, merged on read: reading them from the list
+// spares a memtable probe per key.
 type postingList struct {
 	keys []string       // every row's encoded primary key, ascending
 	mem  []postingEntry // the memtable-resident rows, ascending pk; a subset of keys
@@ -568,35 +462,17 @@ func indexAdd(idx *btree, sk []byte, pk string, row Row) {
 	}
 }
 
-// indexRemove drops pk from the posting of sk, side list included.
-func indexRemove(idx *btree, sk []byte, pk string) {
-	v, ok := idx.Get(sk)
-	if !ok {
-		return
-	}
-	pl := v.(*postingList)
-	if i, found := slices.BinarySearch(pl.keys, pk); found {
-		pl.keys = slices.Delete(pl.keys, i, i+1)
-	}
-	if i, found := pl.findMem(pk); found {
-		pl.mem = slices.Delete(pl.mem, i, i+1)
-	}
-	if len(pl.keys) == 0 {
-		idx.Delete(sk)
-	}
-}
-
 // deinline drops rows a compaction folded into a segment run from the
 // side lists of every index: their keys stay, and reads fetch them from
 // the run. Each touched list is filtered once, down to the rows the
 // memtable still holds. Callers hold the write lock and have installed
 // the post-compaction memtable.
-func (ts *tableShard) deinline(folded []Row) {
+func (ts *tableShard) deinline(folded []memRow) {
 	for col, idx := range ts.secondary {
 		ci := ts.schema.colIndex(col)
 		done := make(map[*postingList]bool)
-		for _, row := range folded {
-			v, ok := idx.Get(encodeKey(row[ci]))
+		for _, mr := range folded {
+			v, ok := idx.Get(encodeKey(mr.row[ci]))
 			if !ok {
 				continue
 			}
@@ -606,8 +482,8 @@ func (ts *tableShard) deinline(folded []Row) {
 			}
 			done[pl] = true
 			pl.mem = slices.DeleteFunc(pl.mem, func(e postingEntry) bool {
-				v, ok := ts.primary.Get([]byte(e.pk))
-				return !ok || liveRow(v) == nil
+				_, ok := ts.primary.Get([]byte(e.pk))
+				return !ok
 			})
 			if len(pl.mem) == 0 {
 				pl.mem = nil
@@ -684,24 +560,13 @@ func (t *Table) lessByColPK(ci int) func(a, b Row) bool {
 }
 
 // Scan calls fn for every row in ascending primary-key order until fn
-// returns false. It runs over a snapshot: each shard's lock is held
-// only for the memtable capture, after which fn streams from pinned
-// segments and the captured entries with no lock held — a scan of any
-// length never blocks a concurrent ingest.
-func (t *Table) Scan(fn func(Row) bool) {
+// returns false, and returns any segment read error (which ends the
+// scan). It runs over a snapshot: each shard's lock is held only for
+// the memtable capture, after which fn streams from pinned segments and
+// the captured entries with no lock held — a scan of any length never
+// blocks a concurrent ingest.
+func (t *Table) Scan(fn func(Row) bool) error {
 	snap := t.Snapshot()
 	defer snap.Release()
-	_ = snap.Scan(fn) // a segment read error ends the scan early
-}
-
-// Select returns all rows matching a predicate, by full scan.
-func (t *Table) Select(pred func(Row) bool) []Row {
-	var out []Row
-	t.Scan(func(r Row) bool {
-		if pred(r) {
-			out = append(out, r)
-		}
-		return true
-	})
-	return out
+	return snap.Scan(fn)
 }

@@ -20,11 +20,12 @@ import (
 //	payload bytes
 //
 // Payload: 1 op byte, then op-specific fields, each string
-// length-prefixed with uvarint.
+// length-prefixed with uvarint. Op bytes 2 (single-row insert) and 3
+// (delete) are reserved: the store is append-only and writes every row
+// through opInsertBatch, and replay treats a record of either type like
+// any unknown op — the log is cut at it.
 const (
 	opCreateTable byte = 1
-	opInsert      byte = 2
-	opDelete      byte = 3
 	// opInsertBatch frames many rows of one table in a single record:
 	// table name, uvarint row count, then the encoded rows. Because the
 	// CRC covers the whole record, a crash mid-batch drops the batch
