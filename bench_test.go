@@ -216,6 +216,32 @@ func BenchmarkLinkParse(b *testing.B) {
 	}
 }
 
+// BenchmarkLinkParseCorpus measures raw parser throughput over the
+// sentence mix ingest parses: every sentence of every section of 100
+// style-0.3 notes, sentences without a linkage included (their share is
+// reported as no_linkage_ratio). BenchmarkLinkParse covers only Vitals
+// sentences, which all link.
+func BenchmarkLinkParseCorpus(b *testing.B) {
+	opts := records.DefaultGenOptions()
+	opts.N = 100
+	opts.StyleDiversity = 0.3
+	var sents []textproc.Sentence
+	for _, r := range records.Generate(opts) {
+		for _, sec := range textproc.Analyze(r.Text).Sections {
+			sents = append(sents, sec.Sentences()...)
+		}
+	}
+	failed := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := linkgram.ParseSentence(sents[i%len(sents)]); err != nil {
+			failed++
+		}
+	}
+	b.ReportMetric(float64(failed)/float64(b.N), "no_linkage_ratio")
+}
+
 // BenchmarkParseCached measures the Document-cached parse path the
 // pipeline actually runs: after the first hit, ParseSection is a memo
 // probe.

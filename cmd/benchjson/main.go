@@ -10,7 +10,10 @@
 // Input lines pass through to stdout unchanged (the human-readable log
 // stays intact); every benchmark result line is additionally parsed
 // into {name, runs, metrics{unit: value}} with the goos/goarch/pkg/cpu
-// context lines attached.
+// context lines attached. Output of `go test -count N` repeats each
+// name; the samples of one name within a package fold into one result
+// whose metrics are the per-unit medians, with the minima, maxima and
+// sample count beside them.
 package main
 
 import (
@@ -21,6 +24,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -33,13 +37,19 @@ type Report struct {
 	Benchmarks []Result `json:"benchmarks"`
 }
 
-// Result is one parsed benchmark line. Metrics maps unit → value, e.g.
-// "ns/op" → 123456, "rows/s" → 307088.
+// Result is one benchmark. Metrics maps unit → value, e.g. "ns/op" →
+// 123456, "rows/s" → 307088. A benchmark that ran once is its result
+// line as printed. One that ran Samples > 1 times has the per-unit
+// median in Metrics, the extremes in Min and Max, and the iterations of
+// all samples in Runs.
 type Result struct {
 	Name    string             `json:"name"`
 	Pkg     string             `json:"pkg,omitempty"`
 	Runs    int64              `json:"runs"`
+	Samples int                `json:"samples,omitempty"`
 	Metrics map[string]float64 `json:"metrics"`
+	Min     map[string]float64 `json:"min,omitempty"`
+	Max     map[string]float64 `json:"max,omitempty"`
 }
 
 func main() {
@@ -105,7 +115,51 @@ func parse(in io.Reader, echo io.Writer) (*Report, error) {
 			}
 		}
 	}
+	report.Benchmarks = foldSamples(report.Benchmarks)
 	return report, sc.Err()
+}
+
+// foldSamples folds the repeated results of each (package, name) into
+// one, in order of first appearance; a name seen once is left as is.
+func foldSamples(results []Result) []Result {
+	type key struct{ pkg, name string }
+	var order []key
+	samples := make(map[key][]Result)
+	for _, r := range results {
+		k := key{r.Pkg, r.Name}
+		if _, seen := samples[k]; !seen {
+			order = append(order, k)
+		}
+		samples[k] = append(samples[k], r)
+	}
+	out := make([]Result, 0, len(order))
+	for _, k := range order {
+		rs := samples[k]
+		if len(rs) == 1 {
+			out = append(out, rs[0])
+			continue
+		}
+		f := Result{Name: k.name, Pkg: k.pkg, Samples: len(rs),
+			Metrics: make(map[string]float64), Min: make(map[string]float64), Max: make(map[string]float64)}
+		vals := make(map[string][]float64)
+		for _, r := range rs {
+			f.Runs += r.Runs
+			for unit, v := range r.Metrics {
+				vals[unit] = append(vals[unit], v)
+			}
+		}
+		for unit, vs := range vals {
+			slices.Sort(vs)
+			f.Min[unit], f.Max[unit] = vs[0], vs[len(vs)-1]
+			if mid := len(vs) / 2; len(vs)%2 == 1 {
+				f.Metrics[unit] = vs[mid]
+			} else {
+				f.Metrics[unit] = (vs[mid-1] + vs[mid]) / 2
+			}
+		}
+		out = append(out, f)
+	}
+	return out
 }
 
 // parseResultLine parses one benchmark result line:

@@ -88,3 +88,73 @@ func TestParseResultLineRejectsMalformed(t *testing.T) {
 		}
 	}
 }
+
+// repeatedBenchOutput is `go test -count 3` output: each name three
+// times in a row, plus one benchmark of another package run once.
+const repeatedBenchOutput = `goos: linux
+goarch: amd64
+pkg: repro
+cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
+BenchmarkLinkParse-2         	   45758	     25792 ns/op	    2540 B/op	      11 allocs/op
+BenchmarkLinkParse-2         	   49150	     27200 ns/op	    2536 B/op	      11 allocs/op
+BenchmarkLinkParse-2         	   43687	     26126 ns/op	    2540 B/op	      11 allocs/op
+BenchmarkPipelineProcess-2   	    6032	    215113 ns/op
+BenchmarkPipelineProcess-2   	    6180	    195227 ns/op
+BenchmarkPipelineProcess-2   	    6242	    234031 ns/op
+PASS
+ok  	repro	9.1s
+pkg: repro/internal/store
+BenchmarkLinkParse-2         	     100	       500 ns/op
+PASS
+ok  	repro/internal/store	1.0s
+`
+
+// TestFoldRepeatedSamples pins both output shapes: repeated names fold
+// into one result per package with median, min, max, sample count and
+// total runs; a name seen once keeps the single-sample form, with no
+// samples, min or max keys in its JSON.
+func TestFoldRepeatedSamples(t *testing.T) {
+	report, err := parse(strings.NewReader(repeatedBenchOutput), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(report.Benchmarks) != 3 {
+		t.Fatalf("parsed %d benchmarks, want 3 (two folded, one single): %+v", len(report.Benchmarks), report.Benchmarks)
+	}
+	lp := report.Benchmarks[0]
+	if lp.Name != "BenchmarkLinkParse-2" || lp.Pkg != "repro" || lp.Samples != 3 || lp.Runs != 45758+49150+43687 {
+		t.Errorf("folded result header wrong: %+v", lp)
+	}
+	if lp.Metrics["ns/op"] != 26126 || lp.Min["ns/op"] != 25792 || lp.Max["ns/op"] != 27200 {
+		t.Errorf("ns/op median/min/max wrong: %v %v %v", lp.Metrics, lp.Min, lp.Max)
+	}
+	if lp.Metrics["B/op"] != 2540 || lp.Min["B/op"] != 2536 || lp.Metrics["allocs/op"] != 11 {
+		t.Errorf("-benchmem medians wrong: %v %v", lp.Metrics, lp.Min)
+	}
+	if pp := report.Benchmarks[1]; pp.Samples != 3 || pp.Metrics["ns/op"] != 215113 {
+		t.Errorf("second folded result wrong: %+v", pp)
+	}
+	single := report.Benchmarks[2]
+	if single.Pkg != "repro/internal/store" || single.Samples != 0 || single.Min != nil || single.Max != nil ||
+		single.Runs != 100 || single.Metrics["ns/op"] != 500 {
+		t.Errorf("same name in another package must stay a single sample: %+v", single)
+	}
+	raw, err := json.Marshal(single)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{`"samples"`, `"min"`, `"max"`} {
+		if strings.Contains(string(raw), k) {
+			t.Errorf("single-sample JSON has %s: %s", k, raw)
+		}
+	}
+
+	// An even sample count takes the mean of the middle two.
+	even, err := parse(strings.NewReader("BenchmarkX 1 10 ns/op\nBenchmarkX 1 40 ns/op\nBenchmarkX 1 20 ns/op\nBenchmarkX 1 30 ns/op\n"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := even.Benchmarks[0].Metrics["ns/op"]; got != 25 {
+		t.Errorf("median of 10,20,30,40 = %v, want 25", got)
+	}
+}

@@ -67,6 +67,10 @@ const (
 	nConn // number of connector IDs; sizes availability arrays
 )
 
+// Connector-name masks are uint32 bit sets with bit c for connID c;
+// this line stops compiling if the names outgrow them.
+var _ [32 - nConn]struct{}
+
 // connNames maps a connID to its standard link grammar notation.
 var connNames = [nConn]string{
 	cW: "W", cS: "S", cO: "O", cPa: "Pa", cPP: "PP", cI: "I",
@@ -81,9 +85,11 @@ func (c connID) String() string { return connNames[c] }
 // are ordered FARTHEST-FIRST: the head connector links to the farthest
 // word in its direction, which is the order the span DP consumes them in.
 // Interning gives every distinct (name, next) pair a unique id, so suffix
-// sharing keeps the memo table small.
+// sharing keeps the memo table small. mask holds the names of this node
+// and every node after it, set once when the node is interned.
 type node struct {
 	name connID
+	mask uint32
 	next *node
 	id   int32
 }
@@ -116,7 +122,7 @@ func (in *interner) push(name connID, list *node) *node {
 		return n
 	}
 	in.n++
-	n := &node{name: name, next: list, id: in.n}
+	n := &node{name: name, mask: 1<<name | listMask(list), next: list, id: in.n}
 	in.byKey[k] = n
 	return n
 }
@@ -147,14 +153,37 @@ func listID(n *node) int32 {
 	return n.id
 }
 
+// listMask returns the set of names on a list; empty for nil.
+func listMask(n *node) uint32 {
+	if n == nil {
+		return 0
+	}
+	return n.mask
+}
+
+// headName returns the name of a list's farthest connector, or cNone for
+// an empty list.
+func headName(n *node) connID {
+	if n == nil {
+		return cNone
+	}
+	return n.name
+}
+
 // match reports whether two connector names can link. Names match
 // exactly; this grammar does not use subscript wildcards.
 func match(a, b connID) bool { return a == b }
 
 // disjunct is one way a word can connect: left and right connector lists,
-// both farthest-first.
+// both farthest-first. lmask and rmask copy the lists' name masks, so
+// pruning tests a disjunct without dereferencing its lists.
 type disjunct struct {
-	left, right *node
+	left, right  *node
+	lmask, rmask uint32
+}
+
+func newDisjunct(left, right *node) disjunct {
+	return disjunct{left: left, right: right, lmask: listMask(left), rmask: listMask(right)}
 }
 
 // listNames returns the connector names nearest-first, for debugging and

@@ -1,6 +1,7 @@
 package linkgram
 
 import (
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -40,17 +41,65 @@ func buildIdiomSeqs() []idiomSeq {
 	return out
 }
 
-// idiomCands caches the disjuncts of each idiom family against the global
-// interner; read-only after init.
+// idiomCands caches the candidate list of each idiom family against the
+// global interner; read-only after init.
 var idiomCands = buildIdiomCands()
 
-func buildIdiomCands() map[string][]disjunct {
+func buildIdiomCands() map[string]*candList {
 	b := &dictBuilder{in: globalIntern}
-	out := map[string][]disjunct{}
+	out := map[string]*candList{}
 	for _, family := range []string{"conj", "prep"} {
-		out[family] = b.idiomDisjuncts(family)
+		out[family] = newCandList(b.idiomDisjuncts(family))
 	}
 	return out
+}
+
+// candList is one cached candidate list: a word's disjuncts in
+// dictionary order, plus what the parser's first pruning pass reads.
+// lunion and runion hold every name on any left and any right list;
+// lbits[c] (rbits[c]) is a bit set over ds of the disjuncts whose left
+// (right) list uses name c, nil when none does. Shared across parses
+// and goroutines, so never mutated after newCandList.
+type candList struct {
+	ds             []disjunct
+	lunion, runion uint32
+	lbits, rbits   [nConn][]uint64
+}
+
+// newCandList indexes ds; nil for a word with no disjuncts.
+func newCandList(ds []disjunct) *candList {
+	if len(ds) == 0 {
+		return nil
+	}
+	cl := &candList{ds: ds}
+	for i, d := range ds {
+		cl.lunion |= d.lmask
+		cl.runion |= d.rmask
+		markNames(&cl.lbits, d.lmask, i, len(ds))
+		markNames(&cl.rbits, d.rmask, i, len(ds))
+	}
+	return cl
+}
+
+// markNames sets bit i in sets[c] for every name c in mask, allocating
+// a set of n bits on a name's first use.
+func markNames(sets *[nConn][]uint64, mask uint32, i, n int) {
+	for ; mask != 0; mask &= mask - 1 {
+		c := bits.TrailingZeros32(mask)
+		if sets[c] == nil {
+			sets[c] = make([]uint64, (n+63)/64)
+		}
+		sets[c][i/64] |= 1 << (i % 64)
+	}
+}
+
+// orNames ORs into dst the sets of every name in mask.
+func orNames(dst []uint64, sets *[nConn][]uint64, mask uint32) {
+	for ; mask != 0; mask &= mask - 1 {
+		for k, w := range sets[bits.TrailingZeros32(mask)] {
+			dst[k] |= w
+		}
+	}
 }
 
 // candKey keys the process-wide disjunct candidate cache. Words whose
@@ -75,27 +124,24 @@ var wordEntries = map[string]func(b *dictBuilder) []disjunct{
 	"that": (*dictBuilder).relPronounDisjuncts,
 }
 
-// candCache maps candKey → []disjunct built once per (word, tag) against
-// the global interner. Cached slices are shared across parses and
-// goroutines and must never be mutated.
+// candCache maps candKey → *candList built once per (word, tag) against
+// the global interner.
 var candCache sync.Map
 
-// cachedDisjuncts returns the candidate disjuncts for a lower-cased word
-// and tag, building and caching them on first use.
-func cachedDisjuncts(lower string, tag pos.Tag) []disjunct {
+// cachedDisjuncts returns the candidate list for a lower-cased word and
+// tag, building and caching it on first use; nil when the word has no
+// disjuncts.
+func cachedDisjuncts(lower string, tag pos.Tag) *candList {
 	k := candKey{word: lower, tag: tag}
 	if _, ok := wordEntries[lower]; !ok {
 		k.word = ""
 	}
 	if v, ok := candCache.Load(k); ok {
-		ds, _ := v.([]disjunct)
-		return ds
+		return v.(*candList)
 	}
 	b := &dictBuilder{in: globalIntern}
-	built := b.disjunctsFor(lower, tag)
-	v, _ := candCache.LoadOrStore(k, built)
-	ds, _ := v.([]disjunct)
-	return ds
+	v, _ := candCache.LoadOrStore(k, newCandList(b.disjunctsFor(lower, tag)))
+	return v.(*candList)
 }
 
 // dictBuilder accumulates the disjunct sets for one dictionary build.
@@ -105,10 +151,7 @@ type dictBuilder struct {
 
 // dis builds one disjunct from nearest-first connector name lists.
 func (b *dictBuilder) dis(left, right []connID) disjunct {
-	return disjunct{
-		left:  b.in.fromNearFirst(left),
-		right: b.in.fromNearFirst(right),
-	}
+	return newDisjunct(b.in.fromNearFirst(left), b.in.fromNearFirst(right))
 }
 
 // cat concatenates name lists.
@@ -122,8 +165,8 @@ func cat(lists ...[]connID) []connID {
 
 // disjunctsFor returns the candidate disjuncts for a word given its tag.
 // The generation enumerates role × modifier × extra combinations; the
-// power-pruning pass in the parser discards combinations whose connectors
-// cannot match anything in the sentence.
+// parser's directional pruning discards, per sentence, every combination
+// with a connector that no word on the required side offers.
 func (b *dictBuilder) disjunctsFor(word string, tag pos.Tag) []disjunct {
 	w := strings.ToLower(word)
 	if entry, ok := wordEntries[w]; ok {

@@ -3,6 +3,8 @@ package linkgram
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"strings"
 	"sync"
 
@@ -88,16 +90,71 @@ func ParseSection(sec *textproc.DocSection, i int) (*Linkage, error) {
 	return lk, nil
 }
 
-// parser holds the per-parse scratch: parse words, pruned candidate
-// disjuncts, the arena the pruned candidates live in, and the DP memo.
-// Instances are recycled through parserPool; newParser resets them.
+// parser holds the per-parse scratch: parse words, their cached
+// candidate lists, the pruned candidates and the arena they live in,
+// the survivors grouped by head connector, and the DP memo. Instances
+// are recycled through parserPool; newParser resets them.
 type parser struct {
-	words  []ParseWord // index 0 is the wall; parse positions == indices
-	cands  [][]disjunct
-	arena  []disjunct // backing for pruned candidate lists
-	memo   [][]memoEnt
-	stride int // memo row width: len(words)+1 (R ranges to the sentinel)
+	words   []ParseWord  // index 0 is the wall; parse positions == indices
+	src     []*candList  // each word's cached candidates; nil for the wall
+	cands   [][]disjunct // each word's pruning survivors, in candidate order
+	arena   []disjunct   // backing for cands
+	reject  []uint64     // first pruning pass: bit set of rejected candidates
+	byLeft  headIndex    // survivors grouped by farthest left connector
+	byRight headIndex    // survivors grouped by farthest right connector
+	memo    [][]memoEnt
+	stride  int // memo row width: len(words)+1 (R ranges to the sentinel)
 }
+
+// headIndex groups each word's pruning survivors by the name of their
+// farthest connector on one side (cNone for an empty list), keeping
+// candidate order inside each group: group c of word w is
+// ds[off[w][c]:off[w][c+1]]. The DP links a region boundary's farthest
+// connector to a word's farthest connector on the facing side, so it
+// only ever visits one group per word.
+type headIndex struct {
+	ds  []disjunct
+	off [][nConn + 1]int32
+}
+
+// build fills the index from cands with a stable counting sort; head
+// selects the side.
+func (h *headIndex) build(cands [][]disjunct, head func(disjunct) *node) {
+	total := 0
+	for _, ds := range cands {
+		total += len(ds)
+	}
+	h.ds = slices.Grow(h.ds[:0], total)[:total]
+	h.off = slices.Grow(h.off[:0], len(cands))[:len(cands)]
+	pos := int32(0)
+	for w, ds := range cands {
+		var count [nConn]int32
+		for _, d := range ds {
+			count[headName(head(d))]++
+		}
+		off := &h.off[w]
+		for c, n := range count {
+			off[c] = pos
+			pos += n
+		}
+		off[nConn] = pos
+		next := *off
+		for _, d := range ds {
+			c := headName(head(d))
+			h.ds[next[c]] = d
+			next[c]++
+		}
+	}
+}
+
+// group returns word w's survivors whose farthest connector is named c.
+func (h *headIndex) group(w int, c connID) []disjunct {
+	off := &h.off[w]
+	return h.ds[off[c]:off[c+1]]
+}
+
+func leftHead(d disjunct) *node  { return d.left }
+func rightHead(d disjunct) *node { return d.right }
 
 // memoEnt is one memoized feasibility answer for a region (L, R): the
 // remaining connector-list IDs of the boundary words and the result. The
@@ -122,14 +179,14 @@ func (p *parser) release() {
 	parserPool.Put(p)
 }
 
-// newParser prepares parse words, candidate disjuncts, and pruning.
-// It returns nil when the sentence is unparseable a priori.
+// newParser prepares parse words, candidate disjuncts, pruning and the
+// head indexes. It returns nil when the sentence is unparseable a
+// priori: an unconnectable word, no words or too many, or a word that
+// pruning leaves without a disjunct.
 func newParser(tagged []pos.TaggedToken) *parser {
 	p := parserPool.Get().(*parser)
 	p.words = append(p.words[:0], ParseWord{Text: "LEFT-WALL", TokenIndex: -1})
-	p.cands = p.cands[:0]
-	p.arena = p.arena[:0]
-	p.cands = append(p.cands, nil) // wall's disjuncts handled via wallList
+	p.src = append(p.src[:0], nil) // the wall's connector is wallList
 	for i := 0; i < len(tagged); i++ {
 		t := tagged[i]
 		// Multi-word idioms parse as one word ("as well as" behaves as a
@@ -140,7 +197,7 @@ func newParser(tagged []pos.TaggedToken) *parser {
 				joined += " " + xt.Text
 			}
 			p.words = append(p.words, ParseWord{Text: joined, Tag: t.Tag, TokenIndex: i})
-			p.cands = append(p.cands, idiomCands[family])
+			p.src = append(p.src, idiomCands[family])
 			i += span - 1
 			continue
 		}
@@ -152,8 +209,8 @@ func newParser(tagged []pos.TaggedToken) *parser {
 				continue
 			}
 		}
-		ds := cachedDisjuncts(strings.ToLower(t.Text), t.Tag)
-		if ds == nil {
+		cl := cachedDisjuncts(strings.ToLower(t.Text), t.Tag)
+		if cl == nil {
 			// A word with no connector candidates (interjections) makes a
 			// full linkage impossible.
 			if t.Kind == textproc.Word || t.Kind == textproc.Number {
@@ -163,14 +220,15 @@ func newParser(tagged []pos.TaggedToken) *parser {
 			continue
 		}
 		p.words = append(p.words, ParseWord{Text: t.Text, Tag: t.Tag, TokenIndex: i})
-		p.cands = append(p.cands, ds)
+		p.src = append(p.src, cl)
 	}
-	if len(p.words) <= 1 || len(p.words) > MaxWords {
+	if len(p.words) <= 1 || len(p.words) > MaxWords || !p.prune() {
 		p.release()
 		return nil
 	}
+	p.byLeft.build(p.cands, leftHead)
+	p.byRight.build(p.cands, rightHead)
 	p.resetMemo()
-	p.prune()
 	return p
 }
 
@@ -210,76 +268,100 @@ func matchIdiom(tagged []pos.TaggedToken, i int) (string, int) {
 	return "", 0
 }
 
-// prune repeatedly drops disjuncts with a connector that cannot match any
-// connector of any other word on the required side ("power pruning").
-// The first pass filters the shared cached candidate lists into the
-// per-parse arena — cached lists are immutable — and later passes filter
-// the arena slices in place.
-func (p *parser) prune() {
-	inArena := false
-	for pass := 0; pass < 6; pass++ {
-		// rightAvail[c] = true if some word offers connector c
-		// right-pointing (including the wall). leftAvail likewise.
-		var rightAvail, leftAvail [nConn]bool
-		rightAvail[cW] = true
-		for i := 1; i < len(p.words); i++ {
-			for _, d := range p.cands[i] {
-				for n := d.right; n != nil; n = n.next {
-					rightAvail[n.name] = true
-				}
-				for n := d.left; n != nil; n = n.next {
-					leftAvail[n.name] = true
-				}
-			}
+// prune removes every disjunct that no complete linkage can use, by
+// Sleator and Temperley's directional rule: a left connector of word i
+// must be matched by a right connector on some word left of i (the wall
+// offers W), and a right connector of word i by a left connector on
+// some word right of i. Passes repeat until no word's name unions
+// change. The first pass rejects, per word, the OR of the cached
+// per-name bit sets of every name the required side lacks, and copies
+// the survivors into the arena in candidate order (cached lists are
+// immutable); later passes filter the arena in place. prune reports
+// false as soon as a word has no disjunct left: the sentence then has
+// no linkage.
+func (p *parser) prune() bool {
+	n := len(p.words)
+	// lu[i] and ru[i] are the names on word i's surviving left and right
+	// lists; before[i] is what words left of i offer rightward, after[i]
+	// what words right of i offer leftward.
+	var lu, ru, before, after [MaxWords]uint32
+	ru[0] = 1 << cW
+	for i := 1; i < n; i++ {
+		lu[i], ru[i] = p.src[i].lunion, p.src[i].runion
+	}
+	p.cands = append(p.cands[:0], nil) // the wall
+	p.arena = p.arena[:0]
+	for pass := 0; ; pass++ {
+		var acc uint32
+		for i := 0; i < n; i++ {
+			before[i] = acc
+			acc |= ru[i]
+		}
+		acc = 0
+		for i := n - 1; i >= 0; i-- {
+			after[i] = acc
+			acc |= lu[i]
 		}
 		changed := false
-		for i := 1; i < len(p.words); i++ {
-			src := p.cands[i]
+		for i := 1; i < n; i++ {
 			var kept []disjunct
-			if inArena {
-				kept = src[:0]
-				for _, d := range src {
-					if disjunctViable(d, &rightAvail, &leftAvail) {
+			if pass == 0 {
+				kept = p.firstPass(p.src[i], before[i], after[i])
+				p.cands = append(p.cands, kept)
+			} else {
+				kept = p.cands[i][:0]
+				for _, d := range p.cands[i] {
+					if d.lmask&^before[i] == 0 && d.rmask&^after[i] == 0 {
 						kept = append(kept, d)
 					}
 				}
-			} else {
-				start := len(p.arena)
-				for _, d := range src {
-					if disjunctViable(d, &rightAvail, &leftAvail) {
-						p.arena = append(p.arena, d)
-					}
-				}
-				// Cap the slice at its end so later words' appends to the
-				// arena can never alias this word's survivors.
-				kept = p.arena[start:len(p.arena):len(p.arena)]
+				p.cands[i] = kept
 			}
-			if len(kept) != len(src) {
+			if len(kept) == 0 {
+				return false
+			}
+			var l, r uint32
+			for _, d := range kept {
+				l |= d.lmask
+				r |= d.rmask
+			}
+			if l != lu[i] || r != ru[i] {
+				lu[i], ru[i] = l, r
 				changed = true
 			}
-			p.cands[i] = kept
 		}
-		inArena = true
 		if !changed {
-			return
+			return true
 		}
 	}
 }
 
-// disjunctViable reports whether every connector of d can match some
-// connector offered by another word on the required side.
-func disjunctViable(d disjunct, rightAvail, leftAvail *[nConn]bool) bool {
-	for n := d.left; n != nil; n = n.next {
-		if !rightAvail[n.name] {
-			return false
+// firstPass appends to the arena the disjuncts of cl whose left names
+// all appear in before and right names all appear in after, in
+// candidate order, and returns them.
+func (p *parser) firstPass(cl *candList, before, after uint32) []disjunct {
+	start := len(p.arena)
+	badL, badR := cl.lunion&^before, cl.runion&^after
+	if badL|badR == 0 {
+		p.arena = append(p.arena, cl.ds...)
+	} else {
+		rej := append(p.reject[:0], make([]uint64, (len(cl.ds)+63)/64)...)
+		orNames(rej, &cl.lbits, badL)
+		orNames(rej, &cl.rbits, badR)
+		for k, w := range rej {
+			for keep := ^w; keep != 0; keep &= keep - 1 {
+				j := k*64 + bits.TrailingZeros64(keep)
+				if j >= len(cl.ds) {
+					break
+				}
+				p.arena = append(p.arena, cl.ds[j])
+			}
 		}
+		p.reject = rej
 	}
-	for n := d.right; n != nil; n = n.next {
-		if !leftAvail[n.name] {
-			return false
-		}
-	}
-	return true
+	// Cap the slice at its end so later words' appends to the arena can
+	// never alias this word's survivors.
+	return p.arena[start:len(p.arena):len(p.arena)]
 }
 
 // feasible implements the Sleator–Temperley region count as a boolean:
@@ -319,51 +401,50 @@ func (p *parser) feasible(L, R int, le, re *node) bool {
 //
 // Choosing W as the target of le's farthest connector (case A) or, when
 // le is empty, of re's farthest connector (case B) makes every linkage
-// counted exactly once.
+// counted exactly once. Each case visits only the disjuncts whose head
+// connector on the facing side matches (the head index), in candidate
+// order, so the first solution is the one a scan of every disjunct
+// would find.
 func (p *parser) anyWord(L, R int, le, re *node, out *[]Link) bool {
-	for W := L + 1; W < R; W++ {
-		for _, d := range p.cands[W] {
-			// Case A: W ↔ L.
-			if le != nil && d.left != nil && match(le.name, d.left.name) {
-				if p.feasible(L, W, le.next, d.left.next) {
-					// A1: W also links to R.
-					if re != nil && d.right != nil && match(d.right.name, re.name) &&
-						p.feasible(W, R, d.right.next, re.next) {
-						if out == nil {
-							return true
-						}
-						*out = append(*out,
-							Link{Left: L, Right: W, Label: connNames[le.name]},
-							Link{Left: W, Right: R, Label: connNames[re.name]})
-						if p.build(L, W, le.next, d.left.next, out) && p.build(W, R, d.right.next, re.next, out) {
-							return true
-						}
-						return false
+	switch {
+	case le != nil:
+		// Case A: W ↔ L.
+		for W := L + 1; W < R; W++ {
+			for _, d := range p.byLeft.group(W, le.name) {
+				if !p.feasible(L, W, le.next, d.left.next) {
+					continue
+				}
+				// A1: W also links to R.
+				if re != nil && d.right != nil && match(d.right.name, re.name) &&
+					p.feasible(W, R, d.right.next, re.next) {
+					if out == nil {
+						return true
 					}
-					// A2: W does not link directly to R.
-					if p.feasible(W, R, d.right, re) {
-						if out == nil {
-							return true
-						}
-						*out = append(*out, Link{Left: L, Right: W, Label: connNames[le.name]})
-						if p.build(L, W, le.next, d.left.next, out) && p.build(W, R, d.right, re, out) {
-							return true
-						}
-						return false
+					*out = append(*out,
+						Link{Left: L, Right: W, Label: connNames[le.name]},
+						Link{Left: W, Right: R, Label: connNames[re.name]})
+					return p.build(L, W, le.next, d.left.next, out) && p.build(W, R, d.right.next, re.next, out)
+				}
+				// A2: W does not link directly to R.
+				if p.feasible(W, R, d.right, re) {
+					if out == nil {
+						return true
 					}
+					*out = append(*out, Link{Left: L, Right: W, Label: connNames[le.name]})
+					return p.build(L, W, le.next, d.left.next, out) && p.build(W, R, d.right, re, out)
 				}
 			}
-			// Case B: le empty; W links to R.
-			if le == nil && re != nil && d.right != nil && match(d.right.name, re.name) {
+		}
+	case re != nil:
+		// Case B: le empty; W links to R.
+		for W := L + 1; W < R; W++ {
+			for _, d := range p.byRight.group(W, re.name) {
 				if p.feasible(L, W, nil, d.left) && p.feasible(W, R, d.right.next, re.next) {
 					if out == nil {
 						return true
 					}
 					*out = append(*out, Link{Left: W, Right: R, Label: connNames[re.name]})
-					if p.build(L, W, nil, d.left, out) && p.build(W, R, d.right.next, re.next, out) {
-						return true
-					}
-					return false
+					return p.build(L, W, nil, d.left, out) && p.build(W, R, d.right.next, re.next, out)
 				}
 			}
 		}

@@ -31,7 +31,8 @@ const (
 )
 
 // bloomFilter answers "might this segment hold the key?" from k probe
-// positions derived by double hashing. Immutable once built/decoded.
+// positions derived by double hashing. Immutable once its segment is
+// written or decoded.
 type bloomFilter struct {
 	k     uint32
 	nbits uint64
@@ -84,22 +85,11 @@ func (bf *bloomFilter) mayContain(h1, h2 uint64) bool {
 	return true
 }
 
-// bloomBuilder accumulates key hashes during a segment write; the bit
-// array is sized from the final key count, so the writer never guesses.
-type bloomBuilder struct {
-	hashes []uint64 // (h1, h2) pairs
-}
-
-func (b *bloomBuilder) add(key []byte) {
-	h1, h2 := bloomHash(key)
-	b.hashes = append(b.hashes, h1, h2)
-}
-
-// build sizes and fills the filter; nil when no keys were added (an
-// empty segment needs no filter).
-func (b *bloomBuilder) build() *bloomFilter {
-	n := len(b.hashes) / 2
-	if n == 0 {
+// newBloomFilter allocates an empty filter sized for n keys, so the
+// segment writer sets bits as rows arrive and holds no per-key state;
+// nil when n is 0 (an empty segment needs no filter).
+func newBloomFilter(n int) *bloomFilter {
+	if n <= 0 {
 		return nil
 	}
 	nbits := uint64(n) * bloomBitsPerKey
@@ -107,15 +97,17 @@ func (b *bloomBuilder) build() *bloomFilter {
 		nbits = 64
 	}
 	nbits = (nbits + 7) &^ 7 // whole bytes
-	bf := &bloomFilter{k: bloomHashes, nbits: nbits, bits: make([]byte, nbits/8)}
-	for i := 0; i < len(b.hashes); i += 2 {
-		h1, h2 := b.hashes[i], b.hashes[i+1]
-		for j := uint64(0); j < uint64(bf.k); j++ {
-			pos := (h1 + j*h2) % nbits
-			bf.bits[pos>>3] |= 1 << (pos & 7)
-		}
+	return &bloomFilter{k: bloomHashes, nbits: nbits, bits: make([]byte, nbits/8)}
+}
+
+// add sets key's probe bits. Only the segment writer calls it, before
+// the filter is encoded.
+func (bf *bloomFilter) add(key []byte) {
+	h1, h2 := bloomHash(key)
+	for i := uint64(0); i < uint64(bf.k); i++ {
+		pos := (h1 + i*h2) % bf.nbits
+		bf.bits[pos>>3] |= 1 << (pos & 7)
 	}
-	return bf
 }
 
 // encode renders the self-validating filter region.

@@ -168,7 +168,7 @@ func (db *DB) compactShardLocked(sh *Shard, mode compactMode) (rowsOut, bytesOut
 			if len(c.snap.mem) == 0 {
 				continue // nothing to fold for this table
 			}
-			seg, serr = writeTableRun(path, c.ts.schema, func(add func(Row) error) error {
+			seg, serr = writeTableRun(path, c.ts.schema, len(c.snap.mem), func(add func(Row) error) error {
 				for _, mr := range c.snap.mem {
 					if err := add(mr.row); err != nil {
 						return err
@@ -177,7 +177,12 @@ func (db *DB) compactShardLocked(sh *Shard, mode compactMode) (rowsOut, bytesOut
 				return nil
 			})
 		case majorCompact:
-			seg, serr = writeTableRun(path, c.ts.schema, func(add func(Row) error) error {
+			// Exact: a key lives in exactly one of the memtable and one run.
+			n := len(c.snap.mem)
+			for _, sg := range c.snap.segs {
+				n += sg.nRows
+			}
+			seg, serr = writeTableRun(path, c.ts.schema, n, func(add func(Row) error) error {
 				var addErr error
 				iterErr := c.snap.iterate(nil, nil, &readStats{noFill: true}, func(row Row) bool {
 					addErr = add(row)
@@ -362,13 +367,13 @@ func (c *tableCompact) planCommit() (residue []Row) {
 	return residue
 }
 
-// writeTableRun streams pk-ascending rows from emit into a new segment
-// file at path and opens it. On any error the partial file is removed
-// and no descriptor leaks — emit failures close and delete here,
-// finish failures clean up inside the writer, open failures delete the
-// finished file.
-func writeTableRun(path string, schema Schema, emit func(add func(Row) error) error) (*segment, error) {
-	w, err := newSegmentWriter(path, schema)
+// writeTableRun streams nRows pk-ascending rows from emit into a new
+// segment file at path and opens it. On any error the partial file is
+// removed and no descriptor leaks — emit failures close and delete here,
+// finish failures (a row count other than nRows among them) clean up
+// inside the writer, open failures delete the finished file.
+func writeTableRun(path string, schema Schema, nRows int, emit func(add func(Row) error) error) (*segment, error) {
+	w, err := newSegmentWriter(path, schema, nRows)
 	if err != nil {
 		return nil, err
 	}

@@ -324,11 +324,12 @@ func FuzzRowCodec(f *testing.F) {
 func validSegmentBytes(tb testing.TB) []byte {
 	tb.Helper()
 	path := filepath.Join(tb.TempDir(), "seed.seg")
-	w, err := newSegmentWriter(path, attrSchema())
+	const n = 2*segmentBlockRows + 17
+	w, err := newSegmentWriter(path, attrSchema(), n)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	for i := 1; i <= 2*segmentBlockRows+17; i++ {
+	for i := 1; i <= n; i++ {
 		row := Row{Int(int64(i)), Int(int64(i % 9)), Str("pulse"), Str("v"), Float(float64(i))}
 		if err := w.add(row); err != nil {
 			tb.Fatal(err)

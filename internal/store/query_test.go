@@ -275,6 +275,78 @@ func TestIndexSurvivesCompact(t *testing.T) {
 	checkIndexConsistent(t, tbl)
 }
 
+// TestPostingKeySlack: a new patient's rows arrive in one batch, so the
+// patient posting list grows one key at a time from empty. Append's
+// doubling would leave its key slice about half empty (cap 32 for 17
+// keys); growth by a quarter keeps the index's total capacity within
+// 1.3× its key count, live and after a reopen rebuilds the index from a
+// run and the WAL.
+func TestPostingKeySlack(t *testing.T) {
+	const patients, rowsPer = 200, 17
+	path := filepath.Join(t.TempDir(), "w.db")
+	db, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTable(attrSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.CreateIndex("patient"); err != nil {
+		t.Fatal(err)
+	}
+	id := int64(0)
+	for p := 0; p < patients; p++ {
+		batch := make([]Row, rowsPer)
+		for i := range batch {
+			id++
+			batch[i] = Row{Int(id), Int(int64(p)), Str("pulse"), Str("v"), Float(0)}
+		}
+		if err := tbl.InsertBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		if p == patients/2 {
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(when string, tbl *Table) {
+		t.Helper()
+		keys, slots := 0, 0
+		for _, ts := range tbl.shards {
+			ts.mu.RLock()
+			ts.secondary["patient"].Ascend(func(_ []byte, v interface{}) bool {
+				pl := v.(*postingList)
+				keys += len(pl.keys)
+				slots += cap(pl.keys)
+				return true
+			})
+			ts.mu.RUnlock()
+		}
+		if keys != patients*rowsPer {
+			t.Fatalf("%s: patient index holds %d keys, want %d", when, keys, patients*rowsPer)
+		}
+		if ratio := float64(slots) / float64(keys); ratio > 1.3 {
+			t.Errorf("%s: patient index key slices hold %d slots for %d keys (%.2f×), want ≤ 1.3×", when, slots, keys, ratio)
+		}
+	}
+	check("live", tbl)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if tbl, err = db.Table("extracted"); err != nil {
+		t.Fatal(err)
+	}
+	check("after reopen", tbl)
+	checkIndexConsistent(t, tbl)
+}
+
 // checkIndexConsistent asserts every secondary index holds exactly the
 // table's rows on every shard — the crash invariant "index == table
 // contents", which sharding makes per-shard — and that no key is

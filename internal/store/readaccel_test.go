@@ -19,14 +19,13 @@ import (
 // decode that survives round-trips but degrades to nil on any
 // corruption.
 func TestBloomFilterBasics(t *testing.T) {
-	var b bloomBuilder
 	const n = 5000
-	for i := 0; i < n; i++ {
-		b.add(encodeKey(Int(int64(i))))
-	}
-	bf := b.build()
+	bf := newBloomFilter(n)
 	if bf == nil {
-		t.Fatal("build returned nil for a non-empty set")
+		t.Fatal("newBloomFilter returned nil for a non-empty set")
+	}
+	for i := 0; i < n; i++ {
+		bf.add(encodeKey(Int(int64(i))))
 	}
 	for i := 0; i < n; i++ {
 		if !bf.mayContain(bloomHash(encodeKey(Int(int64(i))))) {
@@ -75,8 +74,8 @@ func TestBloomFilterBasics(t *testing.T) {
 			t.Fatalf("decode accepted a truncated region (cut at %d)", cut)
 		}
 	}
-	if (&bloomBuilder{}).build() != nil {
-		t.Fatal("empty builder should build nil")
+	if newBloomFilter(0) != nil {
+		t.Fatal("a filter sized for no keys should be nil")
 	}
 }
 
@@ -87,7 +86,7 @@ func TestBloomFilterBasics(t *testing.T) {
 func writeAttrSegment(t *testing.T, dir string, n int) string {
 	t.Helper()
 	path := filepath.Join(dir, "t.seg")
-	w, err := newSegmentWriter(path, attrSchema())
+	w, err := newSegmentWriter(path, attrSchema(), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +129,7 @@ func TestSegmentFilterPersisted(t *testing.T) {
 	// makes every odd pk an in-zone miss the zone map cannot reject.
 	// Nearly all must be filter-rejected; the rest are false positives.
 	sparse := filepath.Join(t.TempDir(), "sparse.seg")
-	w, err := newSegmentWriter(sparse, attrSchema())
+	w, err := newSegmentWriter(sparse, attrSchema(), 600)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,6 +158,75 @@ func TestSegmentFilterPersisted(t *testing.T) {
 	}
 	if rs.bloomSkips < 500 {
 		t.Fatalf("in-zone misses produced only %d bloom skips", rs.bloomSkips)
+	}
+}
+
+// referenceBloomRegion builds the filter region the way the writer did
+// when it buffered every key's hashes and sized the bit array once the
+// last key had arrived.
+func referenceBloomRegion(keys [][]byte) []byte {
+	var hashes []uint64
+	for _, k := range keys {
+		h1, h2 := bloomHash(k)
+		hashes = append(hashes, h1, h2)
+	}
+	nbits := uint64(len(keys)) * bloomBitsPerKey
+	if nbits < 64 {
+		nbits = 64
+	}
+	nbits = (nbits + 7) &^ 7
+	bf := &bloomFilter{k: bloomHashes, nbits: nbits, bits: make([]byte, nbits/8)}
+	for i := 0; i < len(hashes); i += 2 {
+		for j := uint64(0); j < bloomHashes; j++ {
+			pos := (hashes[i] + j*hashes[i+1]) % nbits
+			bf.bits[pos>>3] |= 1 << (pos & 7)
+		}
+	}
+	return bf.encode()
+}
+
+// TestSegmentBloomMatchesReference pins the segment format across the
+// up-front sizing: a writer told its row count writes the same filter
+// region, byte for byte, as one that buffered the keys' hashes and sized
+// the filter at the end.
+func TestSegmentBloomMatchesReference(t *testing.T) {
+	for _, n := range []int{1, 6, 7, 255, 256, 600, 5000} {
+		path := writeAttrSegment(t, t.TempDir(), n)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var keys [][]byte
+		for i := 1; i <= n; i++ {
+			keys = append(keys, encodeKey(Int(int64(i))))
+		}
+		got := raw[segFilterOff(t, raw) : len(raw)-segTail2Len]
+		if want := referenceBloomRegion(keys); string(got) != string(want) {
+			t.Errorf("n=%d: filter region differs from the reference (%d vs %d bytes)", n, len(got), len(want))
+		}
+	}
+}
+
+// TestSegmentWriterCountMismatch: a run sized for one row count that
+// receives another fails at finish and leaves no file behind, so the
+// compaction writing it aborts with the shard untouched.
+func TestSegmentWriterCountMismatch(t *testing.T) {
+	for _, tc := range []struct{ sized, added int }{{10, 9}, {10, 11}, {0, 1}} {
+		path := filepath.Join(t.TempDir(), "t.seg")
+		_, err := writeTableRun(path, attrSchema(), tc.sized, func(add func(Row) error) error {
+			for i := 1; i <= tc.added; i++ {
+				if err := add(Row{Int(int64(i)), Int(0), Str("pulse"), Str("v"), Float(0)}); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err == nil {
+			t.Errorf("sized %d, added %d: writeTableRun succeeded", tc.sized, tc.added)
+		}
+		if _, serr := os.Stat(path); !os.IsNotExist(serr) {
+			t.Errorf("sized %d, added %d: segment file left behind (stat: %v)", tc.sized, tc.added, serr)
+		}
 	}
 }
 

@@ -630,12 +630,15 @@ type segmentWriter struct {
 	nRows  int
 	prev   []byte
 	blocks int
-	bloom  bloomBuilder // filter over every added key
+	want   int          // rows the run was sized for
+	bloom  *bloomFilter // filter over every added key; nil when want is 0
 }
 
 // newSegmentWriter creates path (truncating any stale leftover) and
-// writes the header.
-func newSegmentWriter(path string, schema Schema) (*segmentWriter, error) {
+// writes the header. nRows is the exact number of rows the caller will
+// add: the bloom filter is sized from it up front, and finish fails if
+// a different number arrived.
+func newSegmentWriter(path string, schema Schema, nRows int) (*segmentWriter, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, err
@@ -645,7 +648,8 @@ func newSegmentWriter(path string, schema Schema) (*segmentWriter, error) {
 		os.Remove(path)
 		return nil, err
 	}
-	return &segmentWriter{f: f, path: path, schema: schema, off: int64(len(segMagic))}, nil
+	return &segmentWriter{f: f, path: path, schema: schema, off: int64(len(segMagic)),
+		want: nRows, bloom: newBloomFilter(nRows)}, nil
 }
 
 // add appends one row; rows must arrive in strictly ascending primary-
@@ -656,7 +660,9 @@ func (w *segmentWriter) add(row Row) error {
 		return fmt.Errorf("store: segment writer: rows out of order")
 	}
 	w.prev = key
-	w.bloom.add(key)
+	if w.bloom != nil {
+		w.bloom.add(key)
+	}
 	if w.rows == 0 {
 		w.minKey = key
 	}
@@ -696,7 +702,8 @@ func (w *segmentWriter) flushBlock() error {
 var testHookSegmentFinish func(path string) error
 
 // finish flushes the last block, writes the footer and fsyncs. On any
-// error the partial file is removed and the descriptor closed.
+// error — including a row count other than the one the writer was sized
+// for — the partial file is removed and the descriptor closed.
 func (w *segmentWriter) finish() (err error) {
 	defer func() {
 		if err != nil {
@@ -704,6 +711,9 @@ func (w *segmentWriter) finish() (err error) {
 			os.Remove(w.path)
 		}
 	}()
+	if w.nRows != w.want {
+		return fmt.Errorf("store: segment writer: %d rows added, run sized for %d", w.nRows, w.want)
+	}
 	if err = w.flushBlock(); err != nil {
 		return err
 	}
@@ -718,8 +728,8 @@ func (w *segmentWriter) finish() (err error) {
 		return err
 	}
 	var filterBytes []byte
-	if bf := w.bloom.build(); bf != nil {
-		filterBytes = bf.encode()
+	if w.bloom != nil {
+		filterBytes = w.bloom.encode()
 		if _, err = w.f.Write(filterBytes); err != nil {
 			return err
 		}

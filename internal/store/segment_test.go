@@ -23,11 +23,11 @@ import (
 func TestSegmentRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.seg")
 	s := attrSchema()
-	w, err := newSegmentWriter(path, s)
+	const n = 1000 // ~4 blocks at 256 rows/block
+	w, err := newSegmentWriter(path, s, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 1000 // ~4 blocks at 256 rows/block
 	for i := 1; i <= n; i++ {
 		row := Row{Int(int64(i)), Int(int64(i % 50)), Str("pulse"), Str("v"), Float(float64(i))}
 		if err := w.add(row); err != nil {
@@ -106,7 +106,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 func TestSegmentRejectsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "t.seg")
-	w, err := newSegmentWriter(path, attrSchema())
+	w, err := newSegmentWriter(path, attrSchema(), 300)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -450,6 +450,14 @@ func indexAdd(idx *btree, sk []byte, pk string, row Row) {
 		idx.Put(sk, pl)
 	}
 	if i, found := slices.BinarySearch(pl.keys, pk); !found {
+		if len(pl.keys) == cap(pl.keys) {
+			// Grow by a quarter, at least 4 slots. Append's doubling
+			// would leave half of a fresh list's slots empty: a new
+			// patient's keys arrive in one batch, one insert at a time.
+			grown := make([]string, len(pl.keys), len(pl.keys)+max(4, len(pl.keys)/4))
+			copy(grown, pl.keys)
+			pl.keys = grown
+		}
 		pl.keys = slices.Insert(pl.keys, i, pk)
 	}
 	if row == nil {
