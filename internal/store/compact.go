@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 )
 
 // Compaction folds a shard's write-ahead log and memtable into
@@ -70,15 +69,9 @@ func (db *DB) compactAll(mode compactMode) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	errs := make([]error, len(db.shards))
-	var wg sync.WaitGroup
-	for i, sh := range db.shards {
-		wg.Add(1)
-		go func(i int, sh *Shard) {
-			defer wg.Done()
-			errs[i] = db.compactShard(sh, mode)
-		}(i, sh)
-	}
-	wg.Wait()
+	fanOut(len(db.shards), func(i int) {
+		errs[i] = db.compactShard(db.shards[i], mode)
+	})
 	return errors.Join(errs...)
 }
 
@@ -313,7 +306,6 @@ func (db *DB) compactShardLocked(sh *Shard, mode compactMode) (rowsOut, bytesOut
 			// leave the side lists, which stop holding row memory the
 			// run persists.
 			ts.deinline(c.snap.mem)
-			ts.seq++
 		}
 		sh.gen = gen
 		sh.pending.Store(0)

@@ -79,15 +79,9 @@ func OpenSharded(path string, n int) (*DB, error) {
 	cache := newBlockCache(DefaultBlockCacheBytes)
 	shards := make([]*Shard, len(paths))
 	errs := make([]error, len(paths))
-	var wg sync.WaitGroup
-	for i, p := range paths {
-		wg.Add(1)
-		go func(i int, p string) {
-			defer wg.Done()
-			shards[i], errs[i] = openShard(i, p, cache)
-		}(i, p)
-	}
-	wg.Wait()
+	fanOut(len(paths), func(i int) {
+		shards[i], errs[i] = openShard(i, paths[i], cache)
+	})
 	if err := errors.Join(errs...); err != nil {
 		// A partial open must not leak the shards that did succeed.
 		for _, sh := range shards {

@@ -155,26 +155,18 @@ func segFileName(gen uint64, ti int) string {
 	return fmt.Sprintf("seg-%06d-%03d.seg", gen, ti)
 }
 
-// pendingTable is one table's segment state between open and the
-// replay of its create record: its segments in oldest → newest order
-// and the number of distinct live keys they merge to (newer runs
-// shadow older ones, so summing nRows would overcount).
-type pendingTable struct {
-	segs []*segment
-	live int
-}
-
 // loadShardSegments reads a shard's segment state from segsDir.
 //
-// Returns the per-table open segments (oldest → newest, with their
-// merged live-row count), the manifest generation, and whether anything
-// was lost (a torn manifest, a missing or corrupt segment file): on
-// loss the shard falls back to whatever its WAL replays — every opened
-// segment is closed first, so the fallback path leaks no descriptors.
-// A missing directory or missing manifest is the normal
+// Returns the per-table open runs (oldest → newest), the manifest
+// generation, and whether anything was lost (a torn manifest, a missing
+// or corrupt segment file): on loss the shard falls back to whatever
+// its WAL replays — every opened segment is closed first, so the
+// fallback path leaks no descriptors. Only footers are read: a run's
+// row count comes from its block index, never from its blocks. A
+// missing directory or missing manifest is the normal
 // pre-first-compaction state, not loss. Stray files (crashed
 // compaction temps, segments no longer in the manifest) are removed.
-func loadShardSegments(segsDir string) (segs map[string]*pendingTable, gen uint64, lost bool, err error) {
+func loadShardSegments(segsDir string) (segs map[string][]*segment, gen uint64, lost bool, err error) {
 	raw, rerr := os.ReadFile(filepath.Join(segsDir, manifestName))
 	if rerr != nil {
 		if os.IsNotExist(rerr) {
@@ -193,11 +185,11 @@ func loadShardSegments(segsDir string) (segs map[string]*pendingTable, gen uint6
 		// manifest supersedes them and removes them as strays.
 		return nil, 0, true, nil
 	}
-	segs = make(map[string]*pendingTable, len(entries))
+	segs = make(map[string][]*segment, len(entries))
 	keep := make(map[string]bool, len(entries))
 	closeAll := func() {
-		for _, pt := range segs {
-			for _, sg := range pt.segs {
+		for _, runs := range segs {
+			for _, sg := range runs {
 				sg.unref()
 			}
 		}
@@ -211,43 +203,18 @@ func loadShardSegments(segsDir string) (segs map[string]*pendingTable, gen uint6
 			closeAll()
 			return nil, gen, true, nil
 		}
-		pt := segs[e.table]
-		if pt == nil {
-			pt = &pendingTable{}
-			segs[e.table] = pt
-		}
+		runs := segs[e.table]
 		if sg.schema.Name != e.table ||
-			(len(pt.segs) > 0 && !schemaEqual(pt.segs[0].schema, sg.schema)) {
+			(len(runs) > 0 && !schemaEqual(runs[0].schema, sg.schema)) {
 			sg.unref()
 			closeAll()
 			return nil, gen, true, nil
 		}
-		pt.segs = append(pt.segs, sg)
+		segs[e.table] = append(runs, sg)
 		keep[e.file] = true
-	}
-	for _, pt := range segs {
-		live, cerr := segsLiveCount(pt.segs)
-		if cerr != nil {
-			closeAll()
-			return nil, gen, true, nil
-		}
-		pt.live = live
 	}
 	removeStraySegFiles(segsDir, keep)
 	return segs, gen, false, nil
-}
-
-// segsLiveCount counts the distinct keys of a merged (newest-wins)
-// segment stack. One segment answers from its footer without touching
-// blocks; a stack is the snapshot merge with an empty memtable.
-func segsLiveCount(segs []*segment) (int, error) {
-	if len(segs) == 1 {
-		return segs[0].nRows, nil
-	}
-	ss := shardSnap{segs: segs}
-	n := 0
-	err := ss.iterate(nil, nil, nil, func(Row) bool { n++; return true })
-	return n, err
 }
 
 // removeStraySegFiles deletes files in segsDir that are neither the

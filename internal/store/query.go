@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"errors"
-	"sync"
 )
 
 // ErrBadQuery reports a malformed predicate (unknown operator).
@@ -75,7 +74,7 @@ type Query struct {
 type QueryStats struct {
 	UsedIndex    bool   // candidates came from a secondary index
 	IndexCol     string // the index column, when UsedIndex
-	IndexProbes  int    // index entries (distinct values) visited
+	IndexProbes  int    // postings (distinct indexed values) visited; 0 for an absent value
 	RowsExamined int    // candidate rows fetched and tested
 	FullScan     bool   // fell back to scanning the primary index
 	Shards       int    // shards examined (1 on a single-shard engine)
@@ -98,13 +97,14 @@ func (s QueryStats) Plan() string {
 // order (ascending indexed value then primary key on the index path,
 // ascending primary key on the scan path), along with execution stats.
 //
-// Planning: an equality predicate on an indexed column is preferred (one
-// B-tree probe); otherwise the range predicates on an indexed column are
-// combined into one bounded index walk; otherwise the primary index is
-// scanned. All remaining predicates filter the candidate rows. Every
-// shard holds the same secondary indexes, so all shards pick the same
-// plan; the fan-out runs them concurrently and merges the sorted
-// per-shard results (each shard honors Limit, so the merge sees at most
+// Planning: the first indexed column carrying an equality predicate is
+// chosen, else the first indexed column carrying a range predicate;
+// every predicate on that column folds into one bounded index walk, and
+// the other predicates filter the rows it visits. With no indexed
+// column constrained, the primary index is scanned. Every shard holds
+// the same secondary indexes, so all shards pick the same plan; the
+// fan-out runs them concurrently and merges the sorted per-shard
+// results (each shard honors Limit, so the merge sees at most
 // shards×Limit rows before truncating).
 //
 // Queries run entirely under the shards' read locks, so any number can
@@ -125,31 +125,19 @@ func (t *Table) Query(q Query) ([]Row, QueryStats, error) {
 		cis[i] = ci
 	}
 
-	if len(t.shards) == 1 {
-		rows, stats, err := t.shards[0].query(q, cis)
-		stats.Shards = 1
-		return rows, stats, err
-	}
-
-	// Fan out: one goroutine per shard, identical plan everywhere.
-	parts := make([][]Row, len(t.shards))
-	statss := make([]QueryStats, len(t.shards))
-	errs := make([]error, len(t.shards))
-	var wg sync.WaitGroup
-	for i, ts := range t.shards {
-		wg.Add(1)
-		go func(i int, ts *tableShard) {
-			defer wg.Done()
-			parts[i], statss[i], errs[i] = ts.query(q, cis)
-		}(i, ts)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return nil, QueryStats{Shards: len(t.shards)}, err
-	}
-
+	// Fan out: the same plan on every shard, shard 0 on this goroutine.
+	res := make([]shardResult, len(t.shards))
+	fanOut(len(t.shards), func(i int) {
+		r := &res[i]
+		r.rows, r.stats, r.err = t.shards[i].query(q, cis)
+	})
 	var stats QueryStats
-	for _, st := range statss {
+	var err error
+	parts := make([][]Row, len(res))
+	for i, r := range res {
+		parts[i] = r.rows
+		err = errors.Join(err, r.err)
+		st := r.stats
 		stats.UsedIndex = stats.UsedIndex || st.UsedIndex
 		stats.FullScan = stats.FullScan || st.FullScan
 		if stats.IndexCol == "" {
@@ -164,9 +152,12 @@ func (t *Table) Query(q Query) ([]Row, QueryStats, error) {
 		stats.CacheMisses += st.CacheMisses
 	}
 	stats.Shards = len(t.shards)
+	if err != nil {
+		return nil, QueryStats{Shards: len(t.shards)}, err
+	}
 	// Each part is already in the plan's order; merge restores the
-	// global single-shard order: (indexed value, primary key) on the
-	// index path, primary key alone on the scan path.
+	// global order: (indexed value, primary key) on the index path,
+	// primary key alone on the scan path.
 	less := t.lessByPK()
 	if stats.UsedIndex {
 		less = t.lessByColPK(t.schema.colIndex(stats.IndexCol))
@@ -178,11 +169,18 @@ func (t *Table) Query(q Query) ([]Row, QueryStats, error) {
 	return out, stats, nil
 }
 
+// shardResult is one shard's answer to a fanned-out query.
+type shardResult struct {
+	rows  []Row
+	stats QueryStats
+	err   error
+}
+
 // query runs one shard's slice of the plan. cis are the pre-resolved
-// column indexes of q.Preds (validated by the router). The index paths
-// run under the shard's read lock; the scan path captures a snapshot
-// under it and then iterates with no lock held, so a long scan never
-// blocks this shard's writers.
+// column indexes of q.Preds (validated by the router). The index walk
+// runs under the shard's read lock; the scan path pins a view under it
+// and then iterates with no lock held, so a long scan never blocks this
+// shard's writers.
 func (ts *tableShard) query(q Query, cis []int) (out []Row, stats QueryStats, err error) {
 	ts.mu.RLock()
 
@@ -195,75 +193,20 @@ func (ts *tableShard) query(q Query, cis []int) (out []Row, stats QueryStats, er
 		stats.CacheHits = rs.cacheHits
 		stats.CacheMisses = rs.cacheMisses
 	}()
-	limit := q.Limit
-	done := func() bool { return limit > 0 && len(out) >= limit }
-	// filter tests every predicate except the ones the access path
-	// already guarantees (tracked by skip).
-	filter := func(row Row, skip int) bool {
-		for i, p := range q.Preds {
-			if i == skip {
-				continue
-			}
-			if !predHolds(p.Op, cmpValues(row[cis[i]], p.V)) {
-				return false
-			}
-		}
-		return true
-	}
-
-	// 1. Equality on an indexed column: one probe.
-	for i, p := range q.Preds {
-		if p.Op != OpEq {
-			continue
-		}
-		idx, ok := ts.secondary[p.Col]
-		if !ok {
-			continue
-		}
+	// Index walk: every predicate on the chosen column tightens [lo, hi),
+	// so none of them needs re-checking per row; matches tests the rest.
+	// Each posting visited is one probe, resolved in one batched segment
+	// walk (keys are sorted, so each touched block is decoded once).
+	if pick := ts.indexPick(q.Preds); pick >= 0 {
 		defer ts.mu.RUnlock()
-		stats.UsedIndex = true
-		stats.IndexCol = p.Col
-		stats.IndexProbes = 1
-		segReads := false
-		if pv, ok := idx.Get(encodeKey(p.V)); ok {
-			// Resolve the whole posting list in one batched segment walk
-			// (each touched block decoded once), then examine in order.
-			pl := pv.(*postingList)
-			segReads = len(pl.mem) < len(pl.keys)
-			rows, rerr := ts.resolveAll(pl, &rs)
-			if rerr != nil {
-				return nil, stats, rerr
-			}
-			for _, row := range rows {
-				stats.RowsExamined++
-				if filter(row, i) {
-					out = append(out, row)
-					if done() {
-						break
-					}
-				}
-			}
-		}
-		if segReads {
-			stats.Segments = len(ts.segs)
-		}
-		return out, stats, nil
-	}
-
-	// 2. Range predicates on one indexed column: a bounded index walk.
-	// All range predicates on the chosen column tighten the bounds, so
-	// none of them needs re-checking per row.
-	if col, lo, hi, ok := ts.rangeBounds(q.Preds); ok {
-		defer ts.mu.RUnlock()
-		idx := ts.secondary[col]
+		col, ci := q.Preds[pick].Col, cis[pick]
+		lo, hi := bounds(q.Preds, cis, ci)
 		stats.UsedIndex = true
 		stats.IndexCol = col
 		var walkErr error
 		segReads := false
-		idx.AscendRange(lo, hi, func(_ []byte, v interface{}) bool {
+		ts.secondary[col].AscendRange(lo, hi, func(_ []byte, v interface{}) bool {
 			stats.IndexProbes++
-			// One batched resolve per posting list: keys are sorted, so
-			// the segment walk touches each block at most once.
 			pl := v.(*postingList)
 			segReads = segReads || len(pl.mem) < len(pl.keys)
 			rows, rerr := ts.resolveAll(pl, &rs)
@@ -273,9 +216,9 @@ func (ts *tableShard) query(q Query, cis []int) (out []Row, stats QueryStats, er
 			}
 			for _, row := range rows {
 				stats.RowsExamined++
-				if filterExceptCol(q.Preds, cis, col, row) {
+				if matches(q.Preds, cis, ci, row) {
 					out = append(out, row)
-					if done() {
+					if q.Limit > 0 && len(out) >= q.Limit {
 						return false
 					}
 				}
@@ -291,10 +234,10 @@ func (ts *tableShard) query(q Query, cis []int) (out []Row, stats QueryStats, er
 		return out, stats, nil
 	}
 
-	// 3. Fallback: a snapshot scan. Predicates on the primary-key
+	// Fallback: a scan of a pinned view. Predicates on the primary-key
 	// column tighten the scan to [lo, hi) key bounds, which the zone
 	// maps turn into skipped segment blocks.
-	lo, hi := pkBounds(q.Preds, cis, ts.schema.Primary)
+	lo, hi := bounds(q.Preds, cis, ts.schema.Primary)
 	ss := ts.captureLocked(lo, hi)
 	ts.mu.RUnlock()
 	defer ss.release()
@@ -302,11 +245,9 @@ func (ts *tableShard) query(q Query, cis []int) (out []Row, stats QueryStats, er
 	stats.Segments = len(ss.segs)
 	err = ss.iterate(lo, hi, &rs, func(row Row) bool {
 		stats.RowsExamined++
-		if filter(row, -1) {
+		if matches(q.Preds, cis, -1, row) {
 			out = append(out, row)
-			if done() {
-				return false
-			}
+			return q.Limit <= 0 || len(out) < q.Limit
 		}
 		return true
 	})
@@ -317,32 +258,29 @@ func (ts *tableShard) query(q Query, cis []int) (out []Row, stats QueryStats, er
 	return out, stats, nil
 }
 
-// pkBounds folds the predicates on the primary-key column into [lo, hi)
-// encoded-key bounds for the scan path (nil = unbounded).
-func pkBounds(preds []Pred, cis []int, primary int) (lo, hi []byte) {
+// indexPick returns the position of the predicate whose column an
+// index walk serves — the first on an indexed column with an equality,
+// else the first on an indexed column — or -1 when no predicate is on
+// an indexed column.
+func (ts *tableShard) indexPick(preds []Pred) int {
+	pick := -1
 	for i, p := range preds {
-		if cis[i] == primary {
+		if _, indexed := ts.secondary[p.Col]; indexed && (pick < 0 || p.Op == OpEq && preds[pick].Op != OpEq) {
+			pick = i
+		}
+	}
+	return pick
+}
+
+// bounds folds the predicates on column ci into [lo, hi) encoded-key
+// bounds (nil = unbounded).
+func bounds(preds []Pred, cis []int, ci int) (lo, hi []byte) {
+	for i, p := range preds {
+		if cis[i] == ci {
 			lo, hi = narrowBounds(lo, hi, p)
 		}
 	}
 	return lo, hi
-}
-
-// rangeBounds picks the first indexed column that carries a range
-// predicate and folds every range predicate on it into [lo, hi) key
-// bounds.
-func (ts *tableShard) rangeBounds(preds []Pred) (col string, lo, hi []byte, ok bool) {
-	for _, p := range preds {
-		if p.Op == OpEq {
-			continue
-		}
-		if _, indexed := ts.secondary[p.Col]; !indexed || (ok && p.Col != col) {
-			continue
-		}
-		col, ok = p.Col, true
-		lo, hi = narrowBounds(lo, hi, p)
-	}
-	return col, lo, hi, ok
 }
 
 // narrowBounds tightens [lo, hi) encoded-key bounds (nil = unbounded) by
@@ -352,8 +290,9 @@ func (ts *tableShard) rangeBounds(preds []Pred) (col string, lo, hi []byte, ok b
 func narrowBounds(lo, hi []byte, p Pred) ([]byte, []byte) {
 	var plo, phi []byte
 	switch p.Op {
-	case OpEq:
-		plo, phi = encodeKey(p.V), append(encodeKey(p.V), 0)
+	case OpEq: // [k, k+0x00): the key and its successor share one array
+		phi = append(encodeKey(p.V), 0)
+		plo = phi[:len(phi)-1]
 	case OpGe:
 		plo = encodeKey(p.V)
 	case OpGt:
@@ -372,14 +311,10 @@ func narrowBounds(lo, hi []byte, p Pred) ([]byte, []byte) {
 	return lo, hi
 }
 
-// filterExceptCol tests every predicate not on the given column (those
-// are guaranteed by the index walk's bounds).
-func filterExceptCol(preds []Pred, cis []int, col string, row Row) bool {
+// matches tests every predicate not on column skip (-1 skips none).
+func matches(preds []Pred, cis []int, skip int, row Row) bool {
 	for i, p := range preds {
-		if p.Col == col && p.Op != OpEq {
-			continue
-		}
-		if !predHolds(p.Op, cmpValues(row[cis[i]], p.V)) {
+		if cis[i] != skip && !predHolds(p.Op, cmpValues(row[cis[i]], p.V)) {
 			return false
 		}
 	}

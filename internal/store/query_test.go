@@ -78,6 +78,15 @@ func TestQueryEqualityUsesIndexNoFullScan(t *testing.T) {
 	if stats.RowsExamined != 90 { // 90 smoking rows, not 270 total rows
 		t.Errorf("RowsExamined = %d, want 90 (table has %d)", stats.RowsExamined, tbl.Len())
 	}
+
+	// A value no row holds visits no posting and examines no row.
+	rows, stats, err = tbl.Query(Query{Preds: []Pred{Eq("attribute", Str("temperature"))}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 0 || !stats.UsedIndex || stats.FullScan || stats.IndexProbes != 0 || stats.RowsExamined != 0 {
+		t.Errorf("miss: %d rows, stats %+v; want an index plan with 0 probes and 0 rows examined", len(rows), stats)
+	}
 }
 
 func TestQueryRangeUsesIndex(t *testing.T) {

@@ -601,8 +601,8 @@ func TestCacheDropsObsoleteSegments(t *testing.T) {
 // TestCompactionDoesNotFillCache pins the merge's cache discipline: a
 // major compaction reads every block of the runs it retires yet adds no
 // block-cache entry.
-// A snapshot pins the old runs across the merge, so blocks the merge
-// cached would outlive the commit and show in the counts.
+// A pinned view holds the old runs across the merge, so blocks the
+// merge cached would outlive the commit and show in the counts.
 func TestCompactionDoesNotFillCache(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "nofill.db")
 	db, err := Open(path)
@@ -636,7 +636,7 @@ func TestCompactionDoesNotFillCache(t *testing.T) {
 	if before.Entries == 0 {
 		t.Fatal("reads cached nothing")
 	}
-	snap := tbl.Snapshot()
+	snap := pinTable(tbl)
 	if err := db.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -649,7 +649,7 @@ func TestCompactionDoesNotFillCache(t *testing.T) {
 		t.Fatalf("major compaction counted cache lookups: hits %d→%d, misses %d→%d",
 			before.Hits, after.Hits, before.Misses, after.Misses)
 	}
-	snap.Release()
+	snap.release()
 	if got := tbl.Len(); got != 1800 {
 		t.Fatalf("Len = %d, want 1800", got)
 	}

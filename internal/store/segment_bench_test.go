@@ -80,8 +80,8 @@ func BenchmarkSegmentScan(b *testing.B) {
 func BenchmarkQuerySnapshotDuringIngest(b *testing.B) {
 	// Single shard: one table shard, one RWMutex — the configuration
 	// where the pre-segment design serialized a scan against every
-	// writer, and where the single-shard Scan path streams rows through
-	// the callback (so the reader's pacing takes effect row by row).
+	// writer. The reader streams a pinned view's rows through the
+	// callback, so its pacing takes effect row by row.
 	const preRows = 50000
 	db, tbl := benchCompactedTable(b, 1, preRows)
 	defer db.Close()
@@ -136,8 +136,8 @@ func BenchmarkQuerySnapshotDuringIngest(b *testing.B) {
 				return
 			default:
 			}
-			snap := tbl.Snapshot()
-			_ = snap.Scan(func(Row) bool {
+			snap := pinTable(tbl)
+			_ = snap.scan(func(Row) bool {
 				scanned++
 				if scanned%256 == 0 {
 					time.Sleep(200 * time.Microsecond)
@@ -149,7 +149,7 @@ func BenchmarkQuerySnapshotDuringIngest(b *testing.B) {
 				}
 				return true
 			})
-			snap.Release()
+			snap.release()
 		}
 	}()
 	start = b.Elapsed()

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -374,6 +375,121 @@ func TestScanReturnsReadErrors(t *testing.T) {
 	}
 }
 
+// TestOpenKeepsLogOnCorruptBlock damages block 0 of a table's oldest
+// run, under 10 rows that only the WAL holds, and reopens. Open reads no
+// block to count rows, so an unindexed table opens healthy with every
+// row counted and the damage surfaces where a read meets it: Scan
+// returns ErrCorrupt. Rebuilding an index on open must read every run;
+// that read error fails Open with ErrCorrupt instead of being taken for
+// a corrupt log tail. Either way the WAL is byte-identical afterwards.
+func TestOpenKeepsLogOnCorruptBlock(t *testing.T) {
+	for _, runs := range []int{1, 2} {
+		for _, indexed := range []bool{false, true} {
+			t.Run(fmt.Sprintf("runs=%d/indexed=%v", runs, indexed), func(t *testing.T) {
+				testOpenKeepsLogOnCorruptBlock(t, runs, indexed)
+			})
+		}
+	}
+}
+
+func testOpenKeepsLogOnCorruptBlock(t *testing.T, runs int, indexed bool) {
+	path := filepath.Join(t.TempDir(), "corrupt.db")
+	db, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTable(attrSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if indexed {
+		if err := tbl.CreateIndex("attribute"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	insert := func(lo, n int64) {
+		t.Helper()
+		var rows []Row
+		for pk := lo; pk < lo+n; pk++ {
+			rows = append(rows, Row{Int(pk), Int(pk % 7), Str("pulse"), Str("v"), Float(0)})
+		}
+		if err := tbl.InsertBatch(rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for r := 0; r < runs; r++ {
+		insert(int64(r*600+1), 600) // three blocks per run
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	insert(int64(runs*600+1), 10) // acknowledged, WAL only
+	want := tbl.Len()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var segPaths []string
+	for _, name := range segFilesOf(t, path) {
+		if strings.HasSuffix(name, ".seg") {
+			segPaths = append(segPaths, filepath.Join(segsDirFor(path), name))
+		}
+	}
+	if len(segPaths) != runs {
+		t.Fatalf("%d segment files, want %d", len(segPaths), runs)
+	}
+	raw, err := os.ReadFile(segPaths[0]) // generation-major names: the oldest run
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(segMagic)+10] ^= 0xff // inside block 0
+	if err := os.WriteFile(segPaths[0], raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	walBefore, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkWAL := func() {
+		t.Helper()
+		walAfter, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(walAfter, walBefore) {
+			t.Fatalf("open rewrote the WAL: %d bytes before, %d after", len(walBefore), len(walAfter))
+		}
+	}
+
+	db, err = Open(path)
+	if indexed {
+		if err == nil {
+			db.Close()
+		}
+		checkWAL()
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Open rebuilding an index over a corrupt block returned %v, want ErrCorrupt", err)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer db.Close()
+	checkWAL()
+	if h := db.Health(); !h.Ok() {
+		t.Fatalf("Health = %v, want ok", h)
+	}
+	if tbl, err = db.Table("extracted"); err != nil {
+		t.Fatal(err)
+	}
+	if got := tbl.Len(); got != want {
+		t.Fatalf("Len = %d, want %d", got, want)
+	}
+	if err := tbl.Scan(func(Row) bool { return true }); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Scan over a corrupt block returned %v, want ErrCorrupt", err)
+	}
+}
+
 // TestZoneMapPruning proves the acceptance criterion: a primary-key
 // range query over a compacted store skips the segment blocks its
 // bounds miss, and the skips surface in QueryStats.BlocksPruned.
@@ -418,11 +534,52 @@ func TestZoneMapPruning(t *testing.T) {
 
 // --- snapshot isolation ---
 
+// pinnedTable is every shard's pinned view of one table — the view
+// Query's scan path and compaction's capture hold for one shard — kept
+// by tests across writes and compactions.
+type pinnedTable []shardSnap
+
+// pinTable pins every shard's runs and captures its memtable, each
+// under that shard's read lock.
+func pinTable(tbl *Table) pinnedTable {
+	p := make(pinnedTable, len(tbl.shards))
+	for i, ts := range tbl.shards {
+		ts.mu.RLock()
+		p[i] = ts.captureLocked(nil, nil)
+		ts.mu.RUnlock()
+	}
+	return p
+}
+
+// scan calls fn for every pinned row, shard by shard and each shard's
+// rows in ascending key order, until fn returns false. It streams: a
+// one-shard table's rows reach fn in primary-key order as they are
+// read.
+func (p pinnedTable) scan(fn func(Row) bool) error {
+	stopped := false
+	for i := range p {
+		err := p[i].iterate(nil, nil, nil, func(r Row) bool {
+			stopped = !fn(r)
+			return !stopped
+		})
+		if err != nil || stopped {
+			return err
+		}
+	}
+	return nil
+}
+
+// release unpins every shard's runs.
+func (p pinnedTable) release() {
+	for i := range p {
+		p[i].release()
+	}
+}
+
 // TestSnapshotIsolation pins the MVCC contract under the race detector:
-// a snapshot taken before concurrent InsertBatch + Compact keeps
-// serving exactly the rows that were live at capture, its watermark
-// never moves, and pinned segment files survive until Release even
-// after a newer compaction obsoletes them.
+// a view pinned before concurrent InsertBatch + Compact keeps serving
+// exactly the rows that were live at capture, and pinned segment files
+// survive until release even after a newer compaction obsoletes them.
 func TestSnapshotIsolation(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db")
 	db, err := OpenSharded(path, 4)
@@ -440,9 +597,14 @@ func TestSnapshotIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := collectRows(tbl)
-
-	snap := tbl.Snapshot()
-	seq0 := snap.Seq()
+	// scanSnap reads the pinned view in primary-key order.
+	snap := pinTable(tbl)
+	scanSnap := func() ([]Row, error) {
+		var got []Row
+		err := snap.scan(func(r Row) bool { got = append(got, r); return true })
+		slices.SortFunc(got, func(a, b Row) int { return cmpValues(a[0], b[0]) })
+		return got, err
+	}
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -483,8 +645,8 @@ func TestSnapshotIsolation(t *testing.T) {
 
 	// Reader: the snapshot view must not move while writers run.
 	for i := 0; i < 20; i++ {
-		var got []Row
-		if err := snap.Scan(func(r Row) bool { got = append(got, r); return true }); err != nil {
+		got, err := scanSnap()
+		if err != nil {
 			t.Fatalf("snapshot scan %d: %v", i, err)
 		}
 		if len(got) != len(want) {
@@ -495,9 +657,6 @@ func TestSnapshotIsolation(t *testing.T) {
 				t.Fatalf("snapshot scan %d row %d drifted", i, j)
 			}
 		}
-		if s := snap.Seq(); s != seq0 {
-			t.Fatalf("snapshot watermark moved: %d -> %d", seq0, s)
-		}
 	}
 	// The reader can finish before the writer has run at all; stop the
 	// writer only once 20 of its batches are applied.
@@ -507,8 +666,8 @@ func TestSnapshotIsolation(t *testing.T) {
 		t.Fatal("writer did not apply 20 batches within 30s")
 	}
 	// The snapshot still predates every batch.
-	var got []Row
-	if err := snap.Scan(func(r Row) bool { got = append(got, r); return true }); err != nil || len(got) != len(want) {
+	got, err := scanSnap()
+	if err != nil || len(got) != len(want) {
 		t.Fatalf("snapshot after 20 batches: %d rows (%v), want %d", len(got), err, len(want))
 	}
 	for j := range got {
@@ -518,7 +677,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	snap.Release()
+	snap.release()
 
 	// The live view did move: the new rows exist.
 	if n := tbl.Len(); n < len(want)+20*16 {
@@ -552,7 +711,7 @@ func TestSnapshotPinsObsoleteSegments(t *testing.T) {
 	if _, err := os.Stat(gen1); err != nil {
 		t.Fatalf("gen-1 segment missing: %v", err)
 	}
-	snap := tbl.Snapshot()
+	snap := pinTable(tbl)
 	want := tbl.Len()
 	if err := tbl.Insert(Row{Int(8000), Int(1), Str("a"), Str("v"), Float(0)}); err != nil {
 		t.Fatal(err)
@@ -565,13 +724,13 @@ func TestSnapshotPinsObsoleteSegments(t *testing.T) {
 		t.Fatalf("pinned gen-1 segment removed early: %v", err)
 	}
 	got := 0
-	if err := snap.Scan(func(Row) bool { got++; return true }); err != nil {
+	if err := snap.scan(func(Row) bool { got++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
 		t.Fatalf("pinned snapshot saw %d rows, want %d", got, want)
 	}
-	snap.Release()
+	snap.release()
 	if _, err := os.Stat(gen1); !os.IsNotExist(err) {
 		t.Fatalf("released obsolete segment not removed: %v", err)
 	}

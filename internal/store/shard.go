@@ -31,11 +31,11 @@ type Shard struct {
 	tables  map[string]*tableShard
 	cache   *blockCache // engine-shared decoded-block cache (may be nil)
 
-	// pendingSegs holds manifest segments between open and the replay of
-	// their tables' create records; leftovers (a WAL whose create record
-	// was lost to a crash) are synthesized from the segment's own footer
-	// schema after replay.
-	pendingSegs map[string]*pendingTable
+	// pendingSegs holds each table's manifest runs between open and the
+	// replay of the table's create record; leftovers (a WAL whose create
+	// record was lost to a crash) are synthesized from the segment's own
+	// footer schema after replay.
+	pendingSegs map[string][]*segment
 
 	// Compaction state. compactMu serializes compactions of this shard
 	// (explicit Compact vs the background compactor); the counters below
@@ -52,9 +52,11 @@ type Shard struct {
 // openShard opens (creating if necessary) one shard's WAL and segment
 // directory, then replays the WAL over the segment state. A torn
 // manifest or unreadable segment falls back to WAL-only recovery
-// (reported via Health().RecoveredWithLoss); on replay failure the log
-// handle and every opened segment are closed before returning, so an
-// engine that fails mid-open leaks no descriptors.
+// (reported via Health().RecoveredWithLoss). A segment read that fails
+// during replay fails the open and leaves the log as it is; on any
+// replay failure the log handle and every opened segment are closed
+// before returning, so an engine that fails mid-open leaks no
+// descriptors.
 func openShard(id int, path string, cache *blockCache) (*Shard, error) {
 	// A crashed compaction can leave its truncated-WAL temp beside the
 	// log. It holds nothing the committed state doesn't (schema/index
@@ -68,15 +70,15 @@ func openShard(id int, path string, cache *blockCache) (*Shard, error) {
 	}
 	// Attach the shared cache before replay: liveGet during replay (and
 	// every read after) goes through the cached block path.
-	for _, pt := range segs {
-		for _, sg := range pt.segs {
+	for _, runs := range segs {
+		for _, sg := range runs {
 			sg.cache = cache
 		}
 	}
 	l, err := openWAL(path)
 	if err != nil {
-		for _, pt := range segs {
-			for _, sg := range pt.segs {
+		for _, runs := range segs {
+			for _, sg := range runs {
 				sg.unref()
 			}
 		}
@@ -90,15 +92,15 @@ func openShard(id int, path string, cache *blockCache) (*Shard, error) {
 	if err != nil {
 		l.close()
 		sh.releaseSegments()
-		return nil, err
+		return nil, fmt.Errorf("store: replay %s: %w", path, err)
 	}
 	sh.dropped = dropped
 	sh.walLen.Store(l.len)
 	// Segments whose create-table record was lost to a torn WAL:
 	// the footer schema makes the segment self-describing, so the table
 	// (and its rows) survive anyway.
-	for _, pt := range sh.pendingSegs {
-		sh.newTableShard(pt.segs[0].schema)
+	for _, runs := range sh.pendingSegs {
+		sh.newTableShard(runs[0].schema)
 	}
 	return sh, nil
 }
@@ -119,8 +121,8 @@ func (sh *Shard) releaseSegments() {
 		ts.segs = nil
 		ts.mu.Unlock()
 	}
-	for name, pt := range sh.pendingSegs {
-		for _, sg := range pt.segs {
+	for name, runs := range sh.pendingSegs {
+		for _, sg := range runs {
 			sg.unref()
 		}
 		delete(sh.pendingSegs, name)
@@ -212,8 +214,9 @@ func (sh *Shard) noteWrite(rows int) {
 }
 
 // newTableShard creates (or returns the existing) state for one table on
-// this shard, attaching the table's manifest segment when one is
-// pending from open.
+// this shard, attaching the table's manifest runs when they are pending
+// from open. A key lives in exactly one run, so the runs' footer row
+// counts sum to the rows they hold: no block is read.
 func (sh *Shard) newTableShard(s Schema) *tableShard {
 	if ts, ok := sh.tables[s.Name]; ok {
 		return ts
@@ -224,16 +227,18 @@ func (sh *Shard) newTableShard(s Schema) *tableShard {
 		primary:   newBtree(),
 		secondary: make(map[string]*btree),
 	}
-	if pt, ok := sh.pendingSegs[s.Name]; ok {
+	if runs, ok := sh.pendingSegs[s.Name]; ok {
 		delete(sh.pendingSegs, s.Name)
-		if schemaEqual(pt.segs[0].schema, s) {
-			ts.segs = pt.segs
-			ts.count = pt.live
+		if schemaEqual(runs[0].schema, s) {
+			ts.segs = runs
+			for _, sg := range runs {
+				ts.count += sg.nRows
+			}
 		} else {
 			// The WAL and the segment footers disagree on the schema:
 			// trust the WAL (it carries the later writes) and recover
 			// without the segments, reporting the loss.
-			for _, sg := range pt.segs {
+			for _, sg := range runs {
 				sg.unref()
 			}
 			sh.segLost = true
@@ -259,11 +264,15 @@ func (sh *Shard) logCreateIndex(table, col string) error {
 }
 
 // applyLogRecord replays one WAL payload into this shard's in-memory
-// state. Any error it returns is treated by replay as a corrupt tail:
+// state. An error it returns is treated by replay as a corrupt tail:
 // replay stops and the log is truncated at the last record that applied
 // cleanly, so a mangled-but-CRC-valid record can never panic or
 // half-apply. Batch records are decoded and validated in full before any
-// row is applied, keeping replay all-or-nothing per record.
+// row is applied, keeping replay all-or-nothing per record. The
+// exception is a segment read that fails while applying a sound record
+// (a batch's liveness checks, a create-index build): that is the run's
+// fault, not the log's, so it comes back as a replayAbort, which fails
+// the open and leaves the log — and the rows only it holds — intact.
 func (sh *Shard) applyLogRecord(payload []byte) error {
 	if len(payload) == 0 {
 		return ErrCorrupt
@@ -314,7 +323,9 @@ func (sh *Shard) applyLogRecord(payload []byte) error {
 			return ErrCorrupt
 		}
 		for _, row := range rows {
-			ts.replayInsert(row)
+			if err := ts.replayInsert(row); err != nil {
+				return replayAbort{err}
+			}
 		}
 	case opCreateIndex:
 		ts, ok := sh.tables[name]
@@ -329,7 +340,7 @@ func (sh *Shard) applyLogRecord(payload []byte) error {
 			return ErrCorrupt
 		}
 		if err := ts.createIndexLocked(col); err != nil {
-			return err
+			return replayAbort{err}
 		}
 	default:
 		return ErrCorrupt
@@ -340,13 +351,9 @@ func (sh *Shard) applyLogRecord(payload []byte) error {
 // shardIndex maps an encoded primary key to its home shard: FNV-1a over
 // the key bytes, modulo the shard count. The hash depends only on the
 // key encoding, which is stable across reopens, so the routing never
-// changes for a given layout. A single-shard engine skips the hash.
-// Inlined (rather than hash/fnv) to keep the per-row routing
-// allocation-free.
+// changes for a given layout. Inlined (rather than hash/fnv) to keep
+// the per-row routing allocation-free.
 func shardIndex(key []byte, n int) int {
-	if n == 1 {
-		return 0
-	}
 	const offset64, prime64 = 14695981039346656037, 1099511628211
 	h := uint64(offset64)
 	for _, b := range key {

@@ -67,6 +67,33 @@ func TestShardedQueryParity(t *testing.T) {
 		{Preds: []Pred{Eq("attribute", Str("pulse"))}, Limit: 7},
 		{Preds: []Pred{Gt("numeric", Float(55))}, Limit: 11},
 	}
+	// Planner corners, each also checked against a full scan. Every one
+	// is an index walk over a single indexed value, so the reference is
+	// in primary-key order, cut to the query's Limit.
+	refs := []struct {
+		q   Query
+		ref func(Row) bool
+	}{
+		{ // an equality whose value no row holds
+			Query{Preds: []Pred{Eq("attribute", Str("temperature"))}},
+			func(r Row) bool { return r[2].S == "temperature" },
+		},
+		{ // an equality plus a range on the same indexed column
+			Query{Preds: []Pred{Lt("numeric", Float(90)), Eq("numeric", Float(80))}},
+			func(r Row) bool { return r[4].F == 80 },
+		},
+		{ // two different equalities on one indexed column
+			Query{Preds: []Pred{Eq("attribute", Str("pulse")), Eq("attribute", Str("smoking"))}},
+			func(Row) bool { return false },
+		},
+		{ // a Limit on an indexed equality with a residual filter
+			Query{Preds: []Pred{Eq("attribute", Str("smoking")), Eq("value", Str("current"))}, Limit: 5},
+			func(r Row) bool { return r[2].S == "smoking" && r[3].S == "current" },
+		},
+	}
+	for _, c := range refs {
+		queries = append(queries, c.q)
+	}
 	for qi, q := range queries {
 		want, wantStats, err := st.Query(q)
 		if err != nil {
@@ -89,6 +116,20 @@ func TestShardedQueryParity(t *testing.T) {
 		}
 		if gotStats.UsedIndex != wantStats.UsedIndex || gotStats.FullScan != wantStats.FullScan {
 			t.Errorf("query %d: plans diverge: single %+v sharded %+v", qi, wantStats, gotStats)
+		}
+		if ri := qi - (len(queries) - len(refs)); ri >= 0 {
+			ref := scanWhere(t, st, refs[ri].ref)
+			if q.Limit > 0 && len(ref) > q.Limit {
+				ref = ref[:q.Limit]
+			}
+			if !wantStats.UsedIndex || len(want) != len(ref) {
+				t.Fatalf("query %d: %d rows (index %v), scan reference has %d", qi, len(want), wantStats.UsedIndex, len(ref))
+			}
+			for i := range ref {
+				if !slices.Equal(want[i], ref[i]) {
+					t.Errorf("query %d row %d: %v, scan reference %v", qi, i, want[i], ref[i])
+				}
+			}
 		}
 	}
 
@@ -458,13 +499,11 @@ func TestMaxPK(t *testing.T) {
 }
 
 // mergedMaxPK is MaxPK's reference answer: the last row of a full
-// snapshot merge.
+// merged scan.
 func mergedMaxPK(t *testing.T, tbl *Table) (int64, bool) {
 	t.Helper()
-	snap := tbl.Snapshot()
-	defer snap.Release()
 	var last Row
-	if err := snap.Scan(func(r Row) bool { last = r; return true }); err != nil {
+	if err := tbl.Scan(func(r Row) bool { last = r; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if last == nil {

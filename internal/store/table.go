@@ -52,19 +52,19 @@ func (s *Schema) validate(row Row) error {
 // table is append-only: a primary key is written once and its row never
 // changes, so every key lives in exactly one place — the memtable or
 // one run. Point operations route to one shard; batch inserts split
-// into per-shard sub-batches logged and applied in parallel; scans and
-// range reads take a snapshot (pinned segments + captured memtable) and
-// k-way-merge it without holding any lock, so a long analytic read
-// never blocks a live ingest.
+// into per-shard sub-batches logged and applied in parallel; queries
+// fan out to every shard and k-way-merge the per-shard answers. A scan
+// pins each shard's runs and captures its memtable, then merges them
+// without holding any lock, so a long analytic read never blocks a
+// live ingest.
 type Table struct {
 	schema Schema
 	shards []*tableShard
 }
 
 // tableShard is one shard's slice of a table: its immutable segments,
-// the memtable of post-compaction writes, the live-row count, the
-// snapshot sequence, and the shard-local halves of every secondary
-// index.
+// the memtable of post-compaction writes, the live-row count, and the
+// shard-local halves of every secondary index.
 type tableShard struct {
 	schema    Schema
 	shard     *Shard
@@ -72,7 +72,6 @@ type tableShard struct {
 	segs      []*segment        // immutable sorted runs, oldest → newest
 	primary   *btree            // memtable: pk key bytes → Row
 	count     int               // rows (segments + memtable)
-	seq       uint64            // bumped per mutation; snapshot watermark
 	secondary map[string]*btree // column name → key bytes → postingList
 }
 
@@ -211,10 +210,10 @@ func (t *Table) InsertBatch(rows []Row) error {
 
 	// Phase 1: lock involved shards in id order (a fixed order keeps
 	// concurrent batches from deadlocking) and validate everything.
-	var locked []*tableShard
+	var involved []int
 	unlock := func() {
-		for i := len(locked) - 1; i >= 0; i-- {
-			locked[i].mu.Unlock()
+		for i := len(involved) - 1; i >= 0; i-- {
+			t.shards[involved[i]].mu.Unlock()
 		}
 	}
 	for si, g := range groups {
@@ -223,7 +222,7 @@ func (t *Table) InsertBatch(rows []Row) error {
 		}
 		ts := t.shards[si]
 		ts.mu.Lock()
-		locked = append(locked, ts)
+		involved = append(involved, si)
 		inBatch := make(map[string]bool, len(g))
 		for i, row := range g {
 			key := keys[si][i]
@@ -241,23 +240,12 @@ func (t *Table) InsertBatch(rows []Row) error {
 	}
 	defer unlock()
 
-	// Phase 2: log and apply per shard, in parallel when partitioned.
-	if n == 1 {
-		return t.shards[0].logApplyBatch(groups[0], keys[0])
-	}
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for si := range groups {
-		if len(groups[si]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			errs[si] = t.shards[si].logApplyBatch(groups[si], keys[si])
-		}(si)
-	}
-	wg.Wait()
+	// Phase 2: log and apply the sub-batches in parallel.
+	errs := make([]error, len(involved))
+	fanOut(len(involved), func(i int) {
+		si := involved[i]
+		errs[i] = t.shards[si].logApplyBatch(groups[si], keys[si])
+	})
 	return errors.Join(errs...)
 }
 
@@ -279,13 +267,15 @@ func (ts *tableShard) logApplyBatch(rows []Row, keys [][]byte) error {
 // compaction interrupted between its manifest commit and its WAL swap:
 // the old WAL then replays rows the committed runs already hold, and
 // skipping them keeps every key in exactly one place. A segment read
-// error here is treated as key-absent: the memtable row then shadows
-// the segment on every read path.
-func (ts *tableShard) replayInsert(row Row) {
+// error is returned, not read as key-absent: that guess could store
+// the key twice.
+func (ts *tableShard) replayInsert(row Row) error {
 	key := encodeKey(row[ts.schema.Primary])
-	if _, live, _ := ts.liveGet(key); !live {
+	_, live, err := ts.liveGet(key)
+	if err == nil && !live {
 		ts.applyInsert(key, row)
 	}
+	return err
 }
 
 // applyInsert performs the in-memory insert. The key must not be live
@@ -293,7 +283,6 @@ func (ts *tableShard) replayInsert(row Row) {
 func (ts *tableShard) applyInsert(key []byte, row Row) {
 	ts.primary.Put(key, row)
 	ts.count++
-	ts.seq++
 	pk := string(key) // one copy shared by every index's posting
 	for col, idx := range ts.secondary {
 		ci := ts.schema.colIndex(col)
@@ -516,17 +505,36 @@ func (t *Table) Lookup(col string, v Value) ([]Row, error) {
 	return rows, err
 }
 
+// fanOut runs fn(0), …, fn(n-1) concurrently and waits for them all:
+// fn(0) on the calling goroutine, the rest on their own, so work for a
+// single shard starts no goroutine.
+func fanOut(n int, fn func(i int)) {
+	var wg sync.WaitGroup
+	for i := 1; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(i)
+		}()
+	}
+	fn(0)
+	wg.Wait()
+}
+
 // kwayMerge merges per-shard result slices that are each already
 // sorted by less into one sorted slice. Each output row costs at most
-// shards-1 comparisons and the merge allocates only the output, so the
-// fan-out read paths stay close to the single-shard cost.
+// shards-1 comparisons and the merge allocates only the output; when
+// at most one part holds rows, that part is returned as is.
 func kwayMerge(parts [][]Row, less func(a, b Row) bool) []Row {
-	total := 0
-	for _, p := range parts {
+	total, last := 0, 0
+	for i, p := range parts {
 		total += len(p)
+		if len(p) > 0 {
+			last = i
+		}
 	}
-	if total == 0 {
-		return nil
+	if len(parts[last]) == total {
+		return parts[last]
 	}
 	out := make([]Row, 0, total)
 	idx := make([]int, len(parts))
@@ -568,13 +576,19 @@ func (t *Table) lessByColPK(ci int) func(a, b Row) bool {
 }
 
 // Scan calls fn for every row in ascending primary-key order until fn
-// returns false, and returns any segment read error (which ends the
-// scan). It runs over a snapshot: each shard's lock is held only for
-// the memtable capture, after which fn streams from pinned segments and
-// the captured entries with no lock held — a scan of any length never
-// blocks a concurrent ingest.
+// returns false. It is Query with no predicates: each shard's lock is
+// held only to pin its runs and capture its memtable, so a scan never
+// blocks a concurrent ingest. A segment read error is returned before
+// fn sees any row.
 func (t *Table) Scan(fn func(Row) bool) error {
-	snap := t.Snapshot()
-	defer snap.Release()
-	return snap.Scan(fn)
+	rows, _, err := t.Query(Query{})
+	if err != nil {
+		return err
+	}
+	for _, row := range rows {
+		if !fn(row) {
+			break
+		}
+	}
+	return nil
 }

@@ -57,11 +57,20 @@ func openWAL(path string) (*wal, error) {
 	return &wal{f: f, w: bufio.NewWriter(f), len: st.Size()}, nil
 }
 
+// replayAbort is the error a replay callback returns when it cannot
+// apply a sound record for a reason outside the log (a segment read
+// failed): replay returns the wrapped error and cuts nothing.
+type replayAbort struct{ err error }
+
+func (e replayAbort) Error() string { return e.err.Error() }
+
 // replay streams every valid record to fn, then positions the file for
 // appending. On a corrupt or truncated tail — a bad frame, a CRC
 // mismatch, or a CRC-valid payload that fn rejects — it truncates the
 // file to the last record that applied cleanly and reports how many
-// records were dropped; it never fails on malformed input.
+// records were dropped; it never fails on malformed input. A
+// replayAbort from fn stops replay with its error and the file
+// unchanged.
 func (l *wal) replay(fn func(payload []byte) error) (dropped int, err error) {
 	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
 		return 0, err
@@ -93,6 +102,9 @@ func (l *wal) replay(fn func(payload []byte) error) (dropped int, err error) {
 			break
 		}
 		if err := fn(payload); err != nil {
+			if abort, ok := err.(replayAbort); ok {
+				return 0, abort.err
+			}
 			dropped = 1
 			break
 		}
