@@ -92,7 +92,7 @@ func runExtract(args []string) error {
 		return fmt.Errorf("extract: %w", err)
 	}
 
-	strategy, err := parseStrategy(*strategyName)
+	strategy, err := core.ParseStrategy(*strategyName)
 	if err != nil {
 		return err
 	}
@@ -183,18 +183,6 @@ func runExtract(args []string) error {
 	}
 	fmt.Println()
 	return nil
-}
-
-func parseStrategy(name string) (core.Strategy, error) {
-	switch name {
-	case "link-grammar":
-		return core.LinkGrammar, nil
-	case "pattern-only":
-		return core.PatternOnly, nil
-	case "proximity-only":
-		return core.ProximityOnly, nil
-	}
-	return 0, fmt.Errorf("unknown strategy %q", name)
 }
 
 func printExtraction(ex core.Extraction) {

@@ -10,23 +10,6 @@ import (
 	"repro/internal/store"
 )
 
-func TestParseStrategy(t *testing.T) {
-	cases := map[string]core.Strategy{
-		"link-grammar":   core.LinkGrammar,
-		"pattern-only":   core.PatternOnly,
-		"proximity-only": core.ProximityOnly,
-	}
-	for name, want := range cases {
-		got, err := parseStrategy(name)
-		if err != nil || got != want {
-			t.Errorf("parseStrategy(%q) = %v, %v", name, got, err)
-		}
-	}
-	if _, err := parseStrategy("bogus"); err == nil {
-		t.Error("bogus strategy accepted")
-	}
-}
-
 // queryTestDB persists a small synthetic extraction set to a WAL-backed
 // database, with warehouse indexes created before ingest (the medex
 // extract order).

@@ -82,7 +82,7 @@ func parseFlags(args []string, errOut io.Writer) (config, error) {
 	if fs.NArg() > 0 {
 		return cfg, fmt.Errorf("medexd: unexpected argument %q", fs.Arg(0))
 	}
-	strategy, err := parseStrategy(strategyName)
+	strategy, err := core.ParseStrategy(strategyName)
 	if err != nil {
 		return cfg, fmt.Errorf("medexd: %w", err)
 	}
@@ -148,16 +148,4 @@ func (c config) compactionPolicy() store.CompactionPolicy {
 		Fanout:   c.CompactFanout,
 		Disabled: c.CompactOff,
 	}
-}
-
-func parseStrategy(name string) (core.Strategy, error) {
-	switch name {
-	case "link-grammar":
-		return core.LinkGrammar, nil
-	case "pattern-only":
-		return core.PatternOnly, nil
-	case "proximity-only":
-		return core.ProximityOnly, nil
-	}
-	return 0, fmt.Errorf("unknown strategy %q (want link-grammar, pattern-only or proximity-only)", name)
 }

@@ -6,6 +6,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 
@@ -41,6 +42,16 @@ func (s Strategy) String() string {
 		return "proximity-only"
 	}
 	return "unknown"
+}
+
+// ParseStrategy inverts Strategy.String.
+func ParseStrategy(name string) (Strategy, error) {
+	for _, s := range []Strategy{LinkGrammar, PatternOnly, ProximityOnly} {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown strategy %q (want link-grammar, pattern-only or proximity-only)", name)
 }
 
 // NumericField specifies one numeric attribute to extract.

@@ -13,6 +13,18 @@ GYN History:  Menarche at age 10, gravida 4, para 3, last menstrual period about
 Vitals:  Blood pressure is 144/90, pulse of 84, and weight of 154.
 `
 
+func TestParseStrategy(t *testing.T) {
+	for _, want := range []Strategy{LinkGrammar, PatternOnly, ProximityOnly} {
+		got, err := ParseStrategy(want.String())
+		if err != nil || got != want {
+			t.Errorf("ParseStrategy(%q) = %v, %v", want.String(), got, err)
+		}
+	}
+	if _, err := ParseStrategy("bogus"); err == nil {
+		t.Error("bogus strategy accepted")
+	}
+}
+
 func TestNumericExtractionFullRecord(t *testing.T) {
 	x := NewNumericExtractor(LinkGrammar)
 	got := x.ExtractDoc(textproc.Analyze(vitalsRecord))

@@ -26,7 +26,7 @@ type blockKey struct {
 type blockEntry struct {
 	key  blockKey
 	rows []Row
-	keys [][]byte
+	keys []string
 	size int64
 }
 
@@ -60,7 +60,7 @@ func newBlockCache(capBytes int64) *blockCache {
 }
 
 // get returns the cached decoded block, marking it most recently used.
-func (c *blockCache) get(k blockKey) ([]Row, [][]byte, bool) {
+func (c *blockCache) get(k blockKey) ([]Row, []string, bool) {
 	c.mu.Lock()
 	if el, ok := c.m[k]; ok {
 		c.lru.MoveToFront(el)
@@ -77,7 +77,7 @@ func (c *blockCache) get(k blockKey) ([]Row, [][]byte, bool) {
 // put inserts a decoded block, evicting from the cold end until the
 // byte budget holds. A concurrent reader that decoded the same block
 // first wins; an entry larger than the whole capacity is not stored.
-func (c *blockCache) put(k blockKey, rows []Row, keys [][]byte, size int64) {
+func (c *blockCache) put(k blockKey, rows []Row, keys []string, size int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.cap <= 0 || size > c.cap {

@@ -40,28 +40,11 @@ type bloomFilter struct {
 }
 
 // bloomHash derives the two independent 64-bit hashes the k probe
-// positions are generated from: FNV-1a for h1, a murmur-style finalizer
-// of it for h2 (forced odd so successive probes never collapse).
-func bloomHash(key []byte) (h1, h2 uint64) {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h1 = uint64(offset64)
-	for _, b := range key {
-		h1 ^= uint64(b)
-		h1 *= prime64
-	}
-	return h1, bloomMix(h1)
-}
-
-// bloomHashString is bloomHash over a string key (index posting pks are
-// stored as strings); duplicated to keep the hot resolve path
-// allocation-free.
-func bloomHashString(key string) (h1, h2 uint64) {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h1 = uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h1 ^= uint64(key[i])
-		h1 *= prime64
-	}
+// positions are generated from: FNV-1a for h1 (the hash that also
+// routes a key to its shard), a murmur-style finalizer of it for h2
+// (forced odd so successive probes never collapse).
+func bloomHash(key string) (h1, h2 uint64) {
+	h1 = fnv1a(key)
 	return h1, bloomMix(h1)
 }
 
@@ -102,7 +85,7 @@ func newBloomFilter(n int) *bloomFilter {
 
 // add sets key's probe bits. Only the segment writer calls it, before
 // the filter is encoded.
-func (bf *bloomFilter) add(key []byte) {
+func (bf *bloomFilter) add(key string) {
 	h1, h2 := bloomHash(key)
 	for i := uint64(0); i < uint64(bf.k); i++ {
 		pos := (h1 + i*h2) % bf.nbits

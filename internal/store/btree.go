@@ -1,10 +1,10 @@
 package store
 
-import "bytes"
+import "slices"
 
-// btree is an in-memory B-tree keyed by []byte with arbitrary values,
-// used for the primary index of each table. Fan-out is fixed; nodes split
-// on overflow and the tree grows at the root.
+// btree is an in-memory B-tree keyed by encoded keys with arbitrary
+// values, used for each table's memtable and secondary indexes. Fan-out
+// is fixed; nodes split on overflow and the tree grows at the root.
 const btreeOrder = 32 // max children per internal node
 
 type btree struct {
@@ -13,7 +13,7 @@ type btree struct {
 }
 
 type bnode struct {
-	keys     [][]byte
+	keys     []string
 	vals     []interface{} // leaf only
 	children []*bnode      // internal only; len(children) == len(keys)+1
 	leaf     bool
@@ -27,10 +27,10 @@ func newBtree() *btree {
 func (t *btree) Len() int { return t.size }
 
 // Get returns the value for key and whether it exists.
-func (t *btree) Get(key []byte) (interface{}, bool) {
+func (t *btree) Get(key string) (interface{}, bool) {
 	n := t.root
 	for {
-		i, eq := n.search(key)
+		i, eq := slices.BinarySearch(n.keys, key)
 		if n.leaf {
 			if eq {
 				return n.vals[i], true
@@ -46,11 +46,11 @@ func (t *btree) Get(key []byte) (interface{}, bool) {
 
 // Put inserts or replaces the value for key. It reports whether the key
 // was newly inserted.
-func (t *btree) Put(key []byte, val interface{}) bool {
+func (t *btree) Put(key string, val interface{}) bool {
 	inserted, splitKey, right := t.root.insert(key, val)
 	if right != nil {
 		t.root = &bnode{
-			keys:     [][]byte{splitKey},
+			keys:     []string{splitKey},
 			children: []*bnode{t.root, right},
 		}
 	}
@@ -62,83 +62,59 @@ func (t *btree) Put(key []byte, val interface{}) bool {
 
 // Ascend calls fn for every key/value in ascending key order until fn
 // returns false.
-func (t *btree) Ascend(fn func(key []byte, val interface{}) bool) {
-	t.root.ascend(fn)
+func (t *btree) Ascend(fn func(key string, val interface{}) bool) {
+	t.root.ascendRange("", "", fn)
 }
 
 // Descend calls fn for every key/value in descending key order until
 // fn returns false.
-func (t *btree) Descend(fn func(key []byte, val interface{}) bool) {
+func (t *btree) Descend(fn func(key string, val interface{}) bool) {
 	t.root.descend(fn)
 }
 
-// AscendRange calls fn for keys in [lo, hi) in ascending order.
-func (t *btree) AscendRange(lo, hi []byte, fn func(key []byte, val interface{}) bool) {
+// AscendRange calls fn for keys in [lo, hi) in ascending order; hi ""
+// is unbounded.
+func (t *btree) AscendRange(lo, hi string, fn func(key string, val interface{}) bool) {
 	t.root.ascendRange(lo, hi, fn)
-}
-
-// search returns the index of the first key >= key and whether it equals
-// key.
-func (n *bnode) search(key []byte) (int, bool) {
-	lo, hi := 0, len(n.keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(n.keys[mid], key) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	eq := lo < len(n.keys) && bytes.Equal(n.keys[lo], key)
-	return lo, eq
 }
 
 // insert adds key/val below n. If n splits, it returns the separator key
 // and the new right sibling.
-func (n *bnode) insert(key []byte, val interface{}) (inserted bool, splitKey []byte, right *bnode) {
-	i, eq := n.search(key)
+func (n *bnode) insert(key string, val interface{}) (inserted bool, splitKey string, right *bnode) {
+	i, eq := slices.BinarySearch(n.keys, key)
 	if n.leaf {
 		if eq {
 			n.vals[i] = val
-			return false, nil, nil
+			return false, "", nil
 		}
-		n.keys = append(n.keys, nil)
-		copy(n.keys[i+1:], n.keys[i:])
-		n.keys[i] = append([]byte(nil), key...)
-		n.vals = append(n.vals, nil)
-		copy(n.vals[i+1:], n.vals[i:])
-		n.vals[i] = val
+		n.keys = slices.Insert(n.keys, i, key)
+		n.vals = slices.Insert(n.vals, i, val)
 		inserted = true
 	} else {
 		if eq {
 			i++
 		}
-		var childSplit []byte
+		var childSplit string
 		var childRight *bnode
 		inserted, childSplit, childRight = n.children[i].insert(key, val)
 		if childRight != nil {
-			n.keys = append(n.keys, nil)
-			copy(n.keys[i+1:], n.keys[i:])
-			n.keys[i] = childSplit
-			n.children = append(n.children, nil)
-			copy(n.children[i+2:], n.children[i+1:])
-			n.children[i+1] = childRight
+			n.keys = slices.Insert(n.keys, i, childSplit)
+			n.children = slices.Insert(n.children, i+1, childRight)
 		}
 	}
 	if len(n.keys) < btreeOrder {
-		return inserted, nil, nil
+		return inserted, "", nil
 	}
 	// Split.
 	mid := len(n.keys) / 2
 	r := &bnode{leaf: n.leaf}
+	splitKey = n.keys[mid]
 	if n.leaf {
-		splitKey = append([]byte(nil), n.keys[mid]...)
 		r.keys = append(r.keys, n.keys[mid:]...)
 		r.vals = append(r.vals, n.vals[mid:]...)
 		n.keys = n.keys[:mid]
 		n.vals = n.vals[:mid]
 	} else {
-		splitKey = n.keys[mid]
 		r.keys = append(r.keys, n.keys[mid+1:]...)
 		r.children = append(r.children, n.children[mid+1:]...)
 		n.keys = n.keys[:mid]
@@ -147,25 +123,7 @@ func (n *bnode) insert(key []byte, val interface{}) (inserted bool, splitKey []b
 	return inserted, splitKey, r
 }
 
-func (n *bnode) ascend(fn func([]byte, interface{}) bool) bool {
-	if n.leaf {
-		for i, k := range n.keys {
-			if !fn(k, n.vals[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	for i, c := range n.children {
-		if !c.ascend(fn) {
-			return false
-		}
-		_ = i
-	}
-	return true
-}
-
-func (n *bnode) descend(fn func([]byte, interface{}) bool) bool {
+func (n *bnode) descend(fn func(string, interface{}) bool) bool {
 	if n.leaf {
 		for i := len(n.keys) - 1; i >= 0; i-- {
 			if !fn(n.keys[i], n.vals[i]) {
@@ -182,11 +140,11 @@ func (n *bnode) descend(fn func([]byte, interface{}) bool) bool {
 	return true
 }
 
-func (n *bnode) ascendRange(lo, hi []byte, fn func([]byte, interface{}) bool) bool {
+func (n *bnode) ascendRange(lo, hi string, fn func(string, interface{}) bool) bool {
+	i, eq := slices.BinarySearch(n.keys, lo)
 	if n.leaf {
-		i, _ := n.search(lo)
 		for ; i < len(n.keys); i++ {
-			if hi != nil && bytes.Compare(n.keys[i], hi) >= 0 {
+			if hi != "" && n.keys[i] >= hi {
 				return false
 			}
 			if !fn(n.keys[i], n.vals[i]) {
@@ -195,7 +153,6 @@ func (n *bnode) ascendRange(lo, hi []byte, fn func([]byte, interface{}) bool) bo
 		}
 		return true
 	}
-	i, eq := n.search(lo)
 	if eq {
 		i++
 	}
@@ -203,7 +160,7 @@ func (n *bnode) ascendRange(lo, hi []byte, fn func([]byte, interface{}) bool) bo
 		if !n.children[i].ascendRange(lo, hi, fn) {
 			return false
 		}
-		if i < len(n.keys) && hi != nil && bytes.Compare(n.keys[i], hi) >= 0 {
+		if i < len(n.keys) && hi != "" && n.keys[i] >= hi {
 			return false
 		}
 	}

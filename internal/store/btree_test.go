@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -14,16 +13,16 @@ func TestBtreeBasic(t *testing.T) {
 	if bt.Len() != 0 {
 		t.Fatal("empty tree len != 0")
 	}
-	if !bt.Put([]byte("b"), 2) || !bt.Put([]byte("a"), 1) || !bt.Put([]byte("c"), 3) {
+	if !bt.Put("b", 2) || !bt.Put("a", 1) || !bt.Put("c", 3) {
 		t.Fatal("fresh inserts must report true")
 	}
-	if bt.Put([]byte("b"), 22) {
+	if bt.Put("b", 22) {
 		t.Fatal("replace must report false")
 	}
-	if v, ok := bt.Get([]byte("b")); !ok || v.(int) != 22 {
+	if v, ok := bt.Get("b"); !ok || v.(int) != 22 {
 		t.Fatalf("Get(b) = %v, %v", v, ok)
 	}
-	if _, ok := bt.Get([]byte("zzz")); ok {
+	if _, ok := bt.Get("zzz"); ok {
 		t.Fatal("Get of missing key")
 	}
 	if bt.Len() != 3 {
@@ -36,19 +35,19 @@ func TestBtreeManyKeysOrdered(t *testing.T) {
 	const n = 5000
 	perm := rand.New(rand.NewSource(42)).Perm(n)
 	for _, i := range perm {
-		bt.Put([]byte(fmt.Sprintf("key-%06d", i)), i)
+		bt.Put(fmt.Sprintf("key-%06d", i), i)
 	}
 	if bt.Len() != n {
 		t.Fatalf("Len = %d, want %d", bt.Len(), n)
 	}
 	// Ascend must yield sorted order and every key.
-	var prev []byte
+	prev := ""
 	count := 0
-	bt.Ascend(func(k []byte, v interface{}) bool {
-		if prev != nil && bytes.Compare(prev, k) >= 0 {
+	bt.Ascend(func(k string, v interface{}) bool {
+		if k <= prev {
 			t.Fatalf("out of order: %q then %q", prev, k)
 		}
-		prev = append(prev[:0], k...)
+		prev = k
 		count++
 		return true
 	})
@@ -57,7 +56,7 @@ func TestBtreeManyKeysOrdered(t *testing.T) {
 	}
 	// Every key must be retrievable.
 	for i := 0; i < n; i++ {
-		k := []byte(fmt.Sprintf("key-%06d", i))
+		k := fmt.Sprintf("key-%06d", i)
 		if v, ok := bt.Get(k); !ok || v.(int) != i {
 			t.Fatalf("Get(%s) = %v, %v", k, v, ok)
 		}
@@ -67,10 +66,10 @@ func TestBtreeManyKeysOrdered(t *testing.T) {
 func TestBtreeAscendRange(t *testing.T) {
 	bt := newBtree()
 	for i := 0; i < 100; i++ {
-		bt.Put([]byte(fmt.Sprintf("%03d", i)), i)
+		bt.Put(fmt.Sprintf("%03d", i), i)
 	}
 	var got []int
-	bt.AscendRange([]byte("010"), []byte("020"), func(_ []byte, v interface{}) bool {
+	bt.AscendRange("010", "020", func(_ string, v interface{}) bool {
 		got = append(got, v.(int))
 		return true
 	})
@@ -79,7 +78,7 @@ func TestBtreeAscendRange(t *testing.T) {
 	}
 	// Early stop.
 	n := 0
-	bt.AscendRange([]byte("000"), nil, func(_ []byte, _ interface{}) bool {
+	bt.AscendRange("000", "", func(_ string, _ interface{}) bool {
 		n++
 		return n < 5
 	})
@@ -94,14 +93,14 @@ func TestBtreeQuickAgainstMap(t *testing.T) {
 		bt := newBtree()
 		ref := map[string]int{}
 		for i, k := range keys {
-			bt.Put([]byte(k), i)
+			bt.Put(k, i)
 			ref[k] = i
 		}
 		if bt.Len() != len(ref) {
 			return false
 		}
 		for k, v := range ref {
-			got, ok := bt.Get([]byte(k))
+			got, ok := bt.Get(k)
 			if !ok || got.(int) != v {
 				return false
 			}
@@ -114,8 +113,8 @@ func TestBtreeQuickAgainstMap(t *testing.T) {
 		sort.Strings(want)
 		i := 0
 		okAll := true
-		bt.Ascend(func(k []byte, _ interface{}) bool {
-			if i >= len(want) || string(k) != want[i] {
+		bt.Ascend(func(k string, _ interface{}) bool {
+			if i >= len(want) || k != want[i] {
 				okAll = false
 				return false
 			}
@@ -134,22 +133,41 @@ func TestEncodeKeyOrdering(t *testing.T) {
 	ints := []int64{-1000, -5, -1, 0, 1, 2, 99, 100000}
 	for i := 1; i < len(ints); i++ {
 		a, b := encodeKey(Int(ints[i-1])), encodeKey(Int(ints[i]))
-		if bytes.Compare(a, b) >= 0 {
+		if a >= b {
 			t.Errorf("int key order broken: %d !< %d", ints[i-1], ints[i])
 		}
 	}
 	floats := []float64{-100.5, -0.25, 0, 0.25, 1, 98.3, 144}
 	for i := 1; i < len(floats); i++ {
 		a, b := encodeKey(Float(floats[i-1])), encodeKey(Float(floats[i]))
-		if bytes.Compare(a, b) >= 0 {
+		if a >= b {
 			t.Errorf("float key order broken: %g !< %g", floats[i-1], floats[i])
 		}
 	}
-	if bytes.Compare(encodeKey(Str("abc")), encodeKey(Str("abd"))) >= 0 {
+	if encodeKey(Str("abc")) >= encodeKey(Str("abd")) {
 		t.Error("string key order broken")
 	}
-	if bytes.Compare(encodeKey(Bool(false)), encodeKey(Bool(true))) >= 0 {
+	if encodeKey(Bool(false)) >= encodeKey(Bool(true)) {
 		t.Error("bool key order broken")
+	}
+	// The encoding is on disk (zone maps, segment keys) and drives shard
+	// routing and bloom bits, so its bytes are pinned.
+	for _, c := range []struct {
+		v    Value
+		want string
+	}{
+		{Int(-1), "\x01\x7f\xff\xff\xff\xff\xff\xff\xff"},
+		{Int(1), "\x01\x80\x00\x00\x00\x00\x00\x00\x01"},
+		{Float(-2), "\x02\x3f\xff\xff\xff\xff\xff\xff\xff"},
+		{Float(1.5), "\x02\xbf\xf8\x00\x00\x00\x00\x00\x00"},
+		{Str("ab"), "\x03ab"},
+		{Str(""), "\x03"},
+		{Bool(false), "\x04\x00"},
+		{Bool(true), "\x04\x01"},
+	} {
+		if got := encodeKey(c.v); got != c.want {
+			t.Errorf("encodeKey(%v) = %q, want %q", c.v, got, c.want)
+		}
 	}
 }
 
@@ -159,11 +177,11 @@ func TestEncodeKeyQuick(t *testing.T) {
 		ka, kb := encodeKey(Int(a)), encodeKey(Int(b))
 		switch {
 		case a < b:
-			return bytes.Compare(ka, kb) < 0
+			return ka < kb
 		case a > b:
-			return bytes.Compare(ka, kb) > 0
+			return ka > kb
 		default:
-			return bytes.Equal(ka, kb)
+			return ka == kb
 		}
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -154,18 +154,21 @@ func decodeValues(buf []byte, n int) (Row, []byte, error) {
 func zigzag(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// encodeKey produces an order-preserving byte encoding of a value for use
-// as a B-tree key: strings compare lexicographically, ints and floats
-// numerically.
-func encodeKey(v Value) []byte {
+// encodeKey produces the order-preserving encoding of a value that is
+// the store's one key type: every primary key, indexed value and bound
+// is such a string, and Go string order is the value order — strings
+// compare lexicographically, ints and floats numerically. The leading
+// type byte makes an encoded key never empty, so "" can stand for "no
+// bound".
+func encodeKey(v Value) string {
 	switch v.Type {
 	case TString:
-		return append([]byte{byte(TString)}, v.S...)
+		return string(rune(TString)) + v.S
 	case TInt:
 		var b [9]byte
 		b[0] = byte(TInt)
 		binary.BigEndian.PutUint64(b[1:], uint64(v.I)^(1<<63))
-		return b[:]
+		return string(b[:])
 	case TFloat:
 		var b [9]byte
 		b[0] = byte(TFloat)
@@ -176,12 +179,12 @@ func encodeKey(v Value) []byte {
 			bits = ^bits
 		}
 		binary.BigEndian.PutUint64(b[1:], bits)
-		return b[:]
+		return string(b[:])
 	case TBool:
 		if v.B {
-			return []byte{byte(TBool), 1}
+			return string(rune(TBool)) + "\x01"
 		}
-		return []byte{byte(TBool), 0}
+		return string(rune(TBool)) + "\x00"
 	}
-	return nil
+	return ""
 }

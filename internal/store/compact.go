@@ -1,11 +1,11 @@
 package store
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 )
 
 // Compaction folds a shard's write-ahead log and memtable into
@@ -111,8 +111,15 @@ func (db *DB) compactShardLocked(sh *Shard, mode compactMode) (rowsOut, bytesOut
 		return 0, 0, nil // in-memory shards have nothing to compact
 	}
 	segsDir := segsDirFor(sh.path)
-	if err := os.MkdirAll(segsDir, 0o755); err != nil {
-		return 0, 0, err
+	if _, err := os.Stat(segsDir); os.IsNotExist(err) {
+		// The first compaction creates the directory; its entry must be
+		// durable before a manifest inside it can commit anything.
+		if err := os.Mkdir(segsDir, 0o755); err != nil {
+			return 0, 0, err
+		}
+		if err := syncDir(filepath.Dir(segsDir)); err != nil {
+			return 0, 0, err
+		}
 	}
 	gen := sh.gen + 1
 
@@ -120,7 +127,7 @@ func (db *DB) compactShardLocked(sh *Shard, mode compactMode) (rowsOut, bytesOut
 	for n := range sh.tables {
 		lockNames = append(lockNames, n)
 	}
-	sortKeys(lockNames)
+	slices.Sort(lockNames)
 
 	// Phase A: capture. A brief read lock per table pins its segments
 	// and copies the memtable view; writers resume immediately after.
@@ -133,7 +140,7 @@ func (db *DB) compactShardLocked(sh *Shard, mode compactMode) (rowsOut, bytesOut
 	for _, name := range lockNames {
 		ts := sh.tables[name]
 		ts.mu.RLock()
-		snap := ts.captureLocked(nil, nil)
+		snap := ts.captureLocked("", "")
 		ts.mu.RUnlock()
 		tcs = append(tcs, &tableCompact{name: name, ts: ts, snap: snap})
 	}
@@ -177,7 +184,7 @@ func (db *DB) compactShardLocked(sh *Shard, mode compactMode) (rowsOut, bytesOut
 			}
 			seg, serr = writeTableRun(path, c.ts.schema, n, func(add func(Row) error) error {
 				var addErr error
-				iterErr := c.snap.iterate(nil, nil, &readStats{noFill: true}, func(row Row) bool {
+				iterErr := c.snap.iterate("", "", &readStats{noFill: true}, func(_ string, row Row) bool {
 					addErr = add(row)
 					return addErr == nil
 				})
@@ -234,7 +241,7 @@ func (db *DB) compactShardLocked(sh *Shard, mode compactMode) (rowsOut, bytesOut
 		for col := range c.ts.secondary {
 			idxCols = append(idxCols, col)
 		}
-		sortKeys(idxCols)
+		slices.Sort(idxCols)
 		for _, col := range idxCols {
 			if err := tmp.append(encodeCreateIndexPayload(c.name, col)); err != nil {
 				cleanup()
@@ -322,6 +329,12 @@ func (db *DB) compactShardLocked(sh *Shard, mode compactMode) (rowsOut, bytesOut
 	if err := os.Rename(tmpPath, sh.path); err != nil {
 		return 0, 0, fail(fmt.Errorf("store: compact rename: %w (shard closed; reopen to recover)", err))
 	}
+	// The rename is durable only once the log's directory is synced;
+	// until then a power cut can bring back the old log, so the new one
+	// takes no write before it.
+	if err := syncDir(filepath.Dir(sh.path)); err != nil {
+		return 0, 0, fail(fmt.Errorf("store: compact rename sync: %w (shard closed; reopen to recover)", err))
+	}
 	l, err := openWAL(sh.path)
 	if err != nil {
 		return 0, 0, fail(fmt.Errorf("store: compact reopen: %w (shard closed; reopen to recover)", err))
@@ -347,8 +360,8 @@ func (c *tableCompact) planCommit() (residue []Row) {
 	c.newMem = newBtree()
 	captured := c.snap.mem // a subset of the memtable, in the same key order
 	ci := 0
-	c.ts.primary.Ascend(func(key []byte, val interface{}) bool {
-		if ci < len(captured) && bytes.Equal(captured[ci].key, key) {
+	c.ts.primary.Ascend(func(key string, val interface{}) bool {
+		if ci < len(captured) && captured[ci].key == key {
 			ci++
 			return true
 		}

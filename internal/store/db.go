@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -216,12 +216,19 @@ func shardWALPaths(dir string, n int) []string {
 	return paths
 }
 
-// makeShardDirs creates dir and its n shard subdirectories.
+// makeShardDirs creates dir and its n shard subdirectories, syncing
+// dir and its parent so the new entries are durable.
 func makeShardDirs(dir string, n int) ([]string, error) {
 	for i := 0; i < n; i++ {
 		if err := os.MkdirAll(filepath.Join(dir, shardDirName(i)), 0o755); err != nil {
 			return nil, err
 		}
+	}
+	if err := syncDir(dir); err != nil {
+		return nil, err
+	}
+	if err := syncDir(filepath.Dir(dir)); err != nil {
+		return nil, err
 	}
 	return shardWALPaths(dir, n), nil
 }
@@ -245,7 +252,7 @@ func (db *DB) buildRouters() error {
 	for n := range nameSet {
 		names = append(names, n)
 	}
-	sortKeys(names)
+	slices.Sort(names)
 
 	for _, name := range names {
 		var schema Schema
@@ -273,7 +280,7 @@ func (db *DB) buildRouters() error {
 		for c := range idxSet {
 			idxCols = append(idxCols, c)
 		}
-		sortKeys(idxCols)
+		slices.Sort(idxCols)
 
 		shards := make([]*tableShard, len(db.shards))
 		for i, sh := range db.shards {
@@ -284,15 +291,17 @@ func (db *DB) buildRouters() error {
 				}
 				ts = sh.newTableShard(schema)
 			}
+			var missing []string
 			for _, col := range idxCols {
 				if _, ok := ts.secondary[col]; !ok {
 					if err := sh.appendLog(encodeCreateIndexPayload(name, col)); err != nil {
 						return err
 					}
-					if err := ts.createIndexLocked(col); err != nil {
-						return err
-					}
+					missing = append(missing, col)
 				}
+			}
+			if err := ts.createIndexesLocked(missing); err != nil {
+				return err
 			}
 			shards[i] = ts
 		}
@@ -347,9 +356,9 @@ func (db *DB) BlockCacheStats() CacheStats { return db.cache.stats() }
 func (db *DB) Shards() int { return len(db.shards) }
 
 // Health reports the engine's degradation state: which shards latched
-// the failed-compaction write refusal, and whether recovery dropped
-// data. It reads the latches under the database lock, so it is safe
-// concurrently with compaction and writes.
+// a write refusal, and whether recovery dropped data. It reads the
+// latches under the database lock, so it is safe concurrently with
+// compaction and writes.
 func (db *DB) Health() Health {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -470,7 +479,3 @@ func (db *DB) Table(name string) (*Table, error) {
 	}
 	return t, nil
 }
-
-// sortKeys sorts byte-encoded keys; Go string order is byte order, so
-// this matches bytes.Compare on the underlying encodings.
-func sortKeys(ks []string) { sort.Strings(ks) }

@@ -8,10 +8,11 @@ import (
 // Health is an engine's degradation report. The zero value means fully
 // healthy: every shard accepts writes and recovery lost nothing.
 type Health struct {
-	// ReadOnly reports that at least one shard's durable log was lost
-	// to a failed compaction swap: the shard (and so the engine)
-	// refuses writes until the database is reopened, but reads keep
-	// serving the committed state.
+	// ReadOnly reports that at least one shard latched a write
+	// failure: a WAL write, flush or fsync failed, or a failed
+	// compaction swap lost the durable log. The shard (and so the
+	// engine) refuses writes until the database is reopened, but reads
+	// keep serving the state in memory.
 	ReadOnly bool
 	// FailedShards lists the shard ids refusing writes, in order.
 	FailedShards []int

@@ -76,6 +76,64 @@ func TestHealthFailedCompactionLatch(t *testing.T) {
 	}
 }
 
+// TestHealthWALFailureLatch: a failed WAL write or fsync latches its
+// shard. After a failed fsync the kernel may have dropped the unwritten
+// pages, so a later fsync that succeeds proves nothing: Health reports
+// the shard read-only, Sync keeps failing, and inserts routed to it get
+// the latched error while the other shard keeps taking writes.
+func TestHealthWALFailureLatch(t *testing.T) {
+	for _, trigger := range []string{"sync", "write"} {
+		t.Run(trigger, func(t *testing.T) {
+			db, err := OpenSharded(filepath.Join(t.TempDir(), "db"), 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close() // fails on the closed log; nothing to check
+			tbl, err := db.CreateTable(Schema{
+				Name:    "t",
+				Columns: []Column{{Name: "id", Type: TInt}, {Name: "v", Type: TString}},
+				Primary: 0,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pkOn := func(shard int, from int64) int64 {
+				for shardIndex(encodeKey(Int(from)), 2) != shard {
+					from++
+				}
+				return from
+			}
+			db.shards[1].log.f.Close() // every later write or fsync of shard 1 fails
+			switch trigger {
+			case "sync":
+				err = db.Sync()
+			case "write":
+				err = tbl.Insert(Row{Int(pkOn(1, 0)), Str("x")})
+			}
+			if err == nil {
+				t.Fatalf("%s on a closed log succeeded", trigger)
+			}
+			h := db.Health()
+			if !h.ReadOnly || len(h.FailedShards) != 1 || h.FailedShards[0] != 1 {
+				t.Fatalf("Health = %+v, want shard 1 read-only", h)
+			}
+			if st := tbl.Stats(); st.FailedShards != 1 {
+				t.Fatalf("Stats.FailedShards = %d, want 1", st.FailedShards)
+			}
+			latched := db.shards[1].failedErr()
+			if err := db.Sync(); !errors.Is(err, latched) {
+				t.Fatalf("Sync after the failure = %v, want the latched %v", err, latched)
+			}
+			if err := tbl.Insert(Row{Int(pkOn(1, 1000)), Str("x")}); !errors.Is(err, latched) {
+				t.Fatalf("insert into the latched shard = %v, want %v", err, latched)
+			}
+			if err := tbl.Insert(Row{Int(pkOn(0, 0)), Str("x")}); err != nil {
+				t.Fatalf("insert into the healthy shard: %v", err)
+			}
+		})
+	}
+}
+
 // TestHealthRecoveredWithLoss: a torn WAL tail surfaces as
 // RecoveredWithLoss with a dropped-record count, and clears on a clean
 // reopen after compaction rewrote the log.

@@ -1,9 +1,6 @@
 package store
 
-import (
-	"bytes"
-	"errors"
-)
+import "errors"
 
 // ErrBadQuery reports a malformed predicate (unknown operator).
 var ErrBadQuery = errors.New("store: malformed query predicate")
@@ -205,7 +202,7 @@ func (ts *tableShard) query(q Query, cis []int) (out []Row, stats QueryStats, er
 		stats.IndexCol = col
 		var walkErr error
 		segReads := false
-		ts.secondary[col].AscendRange(lo, hi, func(_ []byte, v interface{}) bool {
+		ts.secondary[col].AscendRange(lo, hi, func(_ string, v interface{}) bool {
 			stats.IndexProbes++
 			pl := v.(*postingList)
 			segReads = segReads || len(pl.mem) < len(pl.keys)
@@ -243,7 +240,7 @@ func (ts *tableShard) query(q Query, cis []int) (out []Row, stats QueryStats, er
 	defer ss.release()
 	stats.FullScan = true
 	stats.Segments = len(ss.segs)
-	err = ss.iterate(lo, hi, &rs, func(row Row) bool {
+	err = ss.iterate(lo, hi, &rs, func(_ string, row Row) bool {
 		stats.RowsExamined++
 		if matches(q.Preds, cis, -1, row) {
 			out = append(out, row)
@@ -273,8 +270,8 @@ func (ts *tableShard) indexPick(preds []Pred) int {
 }
 
 // bounds folds the predicates on column ci into [lo, hi) encoded-key
-// bounds (nil = unbounded).
-func bounds(preds []Pred, cis []int, ci int) (lo, hi []byte) {
+// bounds ("" = unbounded).
+func bounds(preds []Pred, cis []int, ci int) (lo, hi string) {
 	for i, p := range preds {
 		if cis[i] == ci {
 			lo, hi = narrowBounds(lo, hi, p)
@@ -283,29 +280,28 @@ func bounds(preds []Pred, cis []int, ci int) (lo, hi []byte) {
 	return lo, hi
 }
 
-// narrowBounds tightens [lo, hi) encoded-key bounds (nil = unbounded) by
-// one predicate. Exclusive bounds use the key-successor trick:
+// narrowBounds tightens [lo, hi) encoded-key bounds ("" = unbounded) by
+// one predicate. "" is below every encoded key, so the larger lower
+// bound always wins. Exclusive bounds use the key-successor trick:
 // appending a zero byte to an encoded key yields the smallest strictly
 // greater key.
-func narrowBounds(lo, hi []byte, p Pred) ([]byte, []byte) {
-	var plo, phi []byte
+func narrowBounds(lo, hi string, p Pred) (string, string) {
+	var plo, phi string
 	switch p.Op {
-	case OpEq: // [k, k+0x00): the key and its successor share one array
-		phi = append(encodeKey(p.V), 0)
+	case OpEq: // [k, k+0x00): the key is a prefix of its successor
+		phi = encodeKey(p.V) + "\x00"
 		plo = phi[:len(phi)-1]
 	case OpGe:
 		plo = encodeKey(p.V)
 	case OpGt:
-		plo = append(encodeKey(p.V), 0)
+		plo = encodeKey(p.V) + "\x00"
 	case OpLt:
 		phi = encodeKey(p.V)
 	case OpLe:
-		phi = append(encodeKey(p.V), 0)
+		phi = encodeKey(p.V) + "\x00"
 	}
-	if plo != nil && (lo == nil || bytes.Compare(plo, lo) > 0) {
-		lo = plo
-	}
-	if phi != nil && (hi == nil || bytes.Compare(phi, hi) < 0) {
+	lo = max(lo, plo)
+	if phi != "" && (hi == "" || phi < hi) {
 		hi = phi
 	}
 	return lo, hi

@@ -325,7 +325,7 @@ func TestPostingKeySlack(t *testing.T) {
 		keys, slots := 0, 0
 		for _, ts := range tbl.shards {
 			ts.mu.RLock()
-			ts.secondary["patient"].Ascend(func(_ []byte, v interface{}) bool {
+			ts.secondary["patient"].Ascend(func(_ string, v interface{}) bool {
 				pl := v.(*postingList)
 				keys += len(pl.keys)
 				slots += cap(pl.keys)
@@ -374,11 +374,14 @@ func checkShardIndexConsistent(t *testing.T, ts *tableShard) {
 	// Materialize the shard's view — segments merged with the memtable —
 	// which is what the indexes must mirror exactly.
 	live := make(map[string]Row)
-	ss := ts.captureLocked(nil, nil)
+	ss := ts.captureLocked("", "")
 	defer ss.release()
 	pkc := ts.schema.Primary
-	if err := ss.iterate(nil, nil, nil, func(row Row) bool {
-		live[string(encodeKey(row[pkc]))] = row
+	if err := ss.iterate("", "", nil, func(pk string, row Row) bool {
+		if pk != encodeKey(row[pkc]) {
+			t.Errorf("shard %d: iterate key %q is not row %v's key", ts.shard.id, pk, row[pkc])
+		}
+		live[pk] = row
 		return true
 	}); err != nil {
 		t.Fatalf("shard %d: merged iterate: %v", ts.shard.id, err)
@@ -414,7 +417,7 @@ func checkShardIndexConsistent(t *testing.T, ts *tableShard) {
 		// is the memtable's row for that key, and the side lists hold
 		// every memtable row.
 		indexed, inMem := 0, 0
-		idx.Ascend(func(_ []byte, v interface{}) bool {
+		idx.Ascend(func(_ string, v interface{}) bool {
 			pl := v.(*postingList)
 			indexed += len(pl.keys)
 			inMem += len(pl.mem)
@@ -422,7 +425,7 @@ func checkShardIndexConsistent(t *testing.T, ts *tableShard) {
 				if _, found := slices.BinarySearch(pl.keys, e.pk); !found {
 					t.Errorf("shard %d: index %s side-list pk missing from its keys", ts.shard.id, col)
 				}
-				mv, ok := ts.primary.Get([]byte(e.pk))
+				mv, ok := ts.primary.Get(e.pk)
 				if !ok || !slices.Equal(mv.(Row), e.row) {
 					t.Errorf("shard %d: index %s side-list row %v is not the memtable's row", ts.shard.id, col, e.row[pkc])
 				}

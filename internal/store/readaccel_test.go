@@ -44,17 +44,6 @@ func TestBloomFilterBasics(t *testing.T) {
 		t.Fatalf("false-positive rate %.3f, want < 0.05", rate)
 	}
 
-	// String and byte hashing must agree (the batch path hashes posting
-	// pks without converting).
-	for i := 0; i < 100; i++ {
-		k := encodeKey(Int(int64(i)))
-		h1a, h2a := bloomHash(k)
-		h1b, h2b := bloomHashString(string(k))
-		if h1a != h1b || h2a != h2b {
-			t.Fatalf("bloomHash/bloomHashString disagree on key %d", i)
-		}
-	}
-
 	enc := bf.encode()
 	dec := decodeBloom(enc)
 	if dec == nil || dec.k != bf.k || dec.nbits != bf.nbits {
@@ -164,7 +153,7 @@ func TestSegmentFilterPersisted(t *testing.T) {
 // referenceBloomRegion builds the filter region the way the writer did
 // when it buffered every key's hashes and sized the bit array once the
 // last key had arrived.
-func referenceBloomRegion(keys [][]byte) []byte {
+func referenceBloomRegion(keys []string) []byte {
 	var hashes []uint64
 	for _, k := range keys {
 		h1, h2 := bloomHash(k)
@@ -196,7 +185,7 @@ func TestSegmentBloomMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var keys [][]byte
+		var keys []string
 		for i := 1; i <= n; i++ {
 			keys = append(keys, encodeKey(Int(int64(i))))
 		}
@@ -324,7 +313,7 @@ func TestSegmentLegacyFooterReadable(t *testing.T) {
 	if _, ok, err := sg.get(encodeKey(Int(601)), nil); ok || err != nil {
 		t.Fatalf("legacy get(601): ok=%v err=%v, want miss", ok, err)
 	}
-	it := newSegIter(sg, nil, nil, nil)
+	it := newSegIter(sg, "", "", nil)
 	n := 0
 	for it.valid() {
 		n++
@@ -415,7 +404,7 @@ func TestSegmentCorruptFilterFallsBack(t *testing.T) {
 func TestBlockCacheLRU(t *testing.T) {
 	c := newBlockCache(100)
 	rows := []Row{{Int(1)}}
-	keys := [][]byte{encodeKey(Int(1))}
+	keys := []string{encodeKey(Int(1))}
 	put := func(seg uint64, bi int, size int64) { c.put(blockKey{seg, bi}, rows, keys, size) }
 	has := func(seg uint64, bi int) bool { _, _, ok := c.get(blockKey{seg, bi}); return ok }
 
@@ -831,9 +820,9 @@ func TestBatchedResolveMatchesSingle(t *testing.T) {
 	}
 	pl := &postingList{}
 	for i := 0; i < 500; i++ {
-		pk := string(encodeKey(Int(int64(i))))
+		pk := encodeKey(Int(int64(i)))
 		pl.keys = append(pl.keys, pk)
-		if v, ok := ts.primary.Get([]byte(pk)); ok {
+		if v, ok := ts.primary.Get(pk); ok {
 			pl.mem = append(pl.mem, postingEntry{pk: pk, row: v.(Row)})
 		}
 	}
@@ -845,7 +834,7 @@ func TestBatchedResolveMatchesSingle(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, pk := range pl.keys {
-		want, ok, err := ts.liveGet([]byte(pk))
+		want, ok, err := ts.liveGet(pk)
 		if err != nil || !ok {
 			t.Fatalf("liveGet(%d): ok=%v err=%v", i, ok, err)
 		}
@@ -858,7 +847,7 @@ func TestBatchedResolveMatchesSingle(t *testing.T) {
 	}
 	// A posting for a key no segment holds must fail loudly, not
 	// silently drop.
-	if _, err := ts.resolveAll(&postingList{keys: []string{string(encodeKey(Int(99999)))}}, nil); err == nil {
+	if _, err := ts.resolveAll(&postingList{keys: []string{encodeKey(Int(99999))}}, nil); err == nil {
 		t.Fatal("missing segment row resolved without error")
 	}
 }

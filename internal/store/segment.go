@@ -1,12 +1,13 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -67,8 +68,8 @@ type segBlock struct {
 	length int
 	rows   int
 	crc    uint32
-	minKey []byte
-	maxKey []byte
+	minKey string
+	maxKey string
 }
 
 // segIDs hands out process-unique segment ids for block-cache keys; ids
@@ -86,8 +87,8 @@ type segment struct {
 	schema Schema
 	blocks []segBlock
 	nRows  int
-	minKey []byte // zone map over the whole file
-	maxKey []byte
+	minKey string // zone map over the whole file
+	maxKey string
 
 	id     uint64       // process-unique cache key prefix
 	filter *bloomFilter // nil: no filter persisted, or filter region corrupt
@@ -230,7 +231,6 @@ func decodeSegIndex(buf []byte, metaOff int64) ([]segBlock, int, error) {
 	var blocks []segBlock
 	nRows := 0
 	next := int64(len(segMagic))
-	var prevMax []byte
 	for len(buf) > 0 {
 		var b segBlock
 		length, k := binary.Uvarint(buf)
@@ -249,27 +249,23 @@ func decodeSegIndex(buf []byte, metaOff int64) ([]segBlock, int, error) {
 		b.crc = binary.BigEndian.Uint32(buf[:4])
 		buf = buf[4:]
 		var err error
-		var minS, maxS string
-		minS, buf, err = readString(buf)
+		b.minKey, buf, err = readString(buf)
 		if err != nil {
 			return nil, 0, err
 		}
-		maxS, buf, err = readString(buf)
+		b.maxKey, buf, err = readString(buf)
 		if err != nil {
 			return nil, 0, err
 		}
 		b.off = next
 		b.length = int(length)
 		b.rows = int(rows)
-		b.minKey = []byte(minS)
-		b.maxKey = []byte(maxS)
-		if bytes.Compare(b.minKey, b.maxKey) > 0 {
+		if b.minKey > b.maxKey {
 			return nil, 0, ErrCorrupt
 		}
-		if prevMax != nil && bytes.Compare(prevMax, b.minKey) >= 0 {
+		if len(blocks) > 0 && blocks[len(blocks)-1].maxKey >= b.minKey {
 			return nil, 0, ErrCorrupt
 		}
-		prevMax = b.maxKey
 		next += int64(length)
 		if next > metaOff {
 			return nil, 0, ErrCorrupt
@@ -296,7 +292,7 @@ var segReadBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 8192); ret
 // compaction merge (rs.noFill) reads from disk and leaves the cache and
 // its hit/miss counters alone: the runs it reads are about to retire,
 // and their blocks would only evict what readers use.
-func (sg *segment) readBlock(bi int, rs *readStats) ([]Row, [][]byte, error) {
+func (sg *segment) readBlock(bi int, rs *readStats) ([]Row, []string, error) {
 	if sg.cache != nil && (rs == nil || !rs.noFill) {
 		k := blockKey{seg: sg.id, bi: bi}
 		if rows, keys, ok := sg.cache.get(k); ok {
@@ -321,7 +317,7 @@ func (sg *segment) readBlock(bi int, rs *readStats) ([]Row, [][]byte, error) {
 // readBlockDisk fetches and decodes one block's rows, verifying the
 // CRC. It returns the rows and their encoded primary keys in ascending
 // order.
-func (sg *segment) readBlockDisk(bi int) ([]Row, [][]byte, error) {
+func (sg *segment) readBlockDisk(bi int) ([]Row, []string, error) {
 	b := sg.blocks[bi]
 	bp := segReadBufPool.Get().(*[]byte)
 	defer segReadBufPool.Put(bp)
@@ -337,8 +333,7 @@ func (sg *segment) readBlockDisk(bi int) ([]Row, [][]byte, error) {
 	}
 	ncols := len(sg.schema.Columns)
 	rows := make([]Row, 0, b.rows)
-	keys := make([][]byte, 0, b.rows)
-	var prev []byte
+	keys := make([]string, 0, b.rows)
 	buf := full
 	for i := 0; i < b.rows; i++ {
 		var row Row
@@ -351,10 +346,9 @@ func (sg *segment) readBlockDisk(bi int) ([]Row, [][]byte, error) {
 			return nil, nil, err
 		}
 		key := encodeKey(row[sg.schema.Primary])
-		if prev != nil && bytes.Compare(prev, key) >= 0 {
+		if len(keys) > 0 && keys[len(keys)-1] >= key {
 			return nil, nil, ErrCorrupt // rows must be strictly ascending
 		}
-		prev = key
 		rows = append(rows, row)
 		keys = append(keys, key)
 	}
@@ -376,8 +370,8 @@ func (sg *segment) noteBloomSkip(rs *readStats) {
 
 // get returns the row with the given primary key, using the zone maps
 // and the bloom filter to reject misses without touching the file.
-func (sg *segment) get(key []byte, rs *readStats) (Row, bool, error) {
-	if len(sg.blocks) == 0 || bytes.Compare(key, sg.minKey) < 0 || bytes.Compare(key, sg.maxKey) > 0 {
+func (sg *segment) get(key string, rs *readStats) (Row, bool, error) {
+	if len(sg.blocks) == 0 || key < sg.minKey || key > sg.maxKey {
 		return nil, false, nil
 	}
 	if sg.filter != nil {
@@ -386,24 +380,15 @@ func (sg *segment) get(key []byte, rs *readStats) (Row, bool, error) {
 			return nil, false, nil
 		}
 	}
-	// First block whose maxKey >= key.
-	lo, hi := 0, len(sg.blocks)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(sg.blocks[mid].maxKey, key) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(sg.blocks) || bytes.Compare(sg.blocks[lo].minKey, key) > 0 {
+	bi := sort.Search(len(sg.blocks), func(i int) bool { return sg.blocks[i].maxKey >= key })
+	if bi == len(sg.blocks) || sg.blocks[bi].minKey > key {
 		return nil, false, nil
 	}
-	rows, keys, err := sg.readBlock(lo, rs)
+	rows, keys, err := sg.readBlock(bi, rs)
 	if err != nil {
 		return nil, false, err
 	}
-	i, found := searchKeys(keys, key)
+	i, found := slices.BinarySearch(keys, key)
 	if !found {
 		return nil, false, nil
 	}
@@ -424,26 +409,26 @@ func (sg *segment) getBatch(keys []string, missing []int, out []Row, rs *readSta
 	rest := missing[:0]
 	bi := 0        // first candidate block (monotone: pks ascend)
 	var rows []Row // currently decoded block
-	var rowKeys [][]byte
+	var rowKeys []string
 	loaded := -1
 	for _, pos := range missing {
 		pk := keys[pos]
-		if cmpKeyStr(sg.minKey, pk) > 0 || cmpKeyStr(sg.maxKey, pk) < 0 {
+		if pk < sg.minKey || pk > sg.maxKey {
 			rest = append(rest, pos)
 			continue
 		}
 		if sg.filter != nil {
-			if h1, h2 := bloomHashString(pk); !sg.filter.mayContain(h1, h2) {
+			if h1, h2 := bloomHash(pk); !sg.filter.mayContain(h1, h2) {
 				sg.noteBloomSkip(rs)
 				rest = append(rest, pos)
 				continue
 			}
 		}
 		// Advance to the first block whose maxKey >= pk.
-		for bi < len(sg.blocks) && cmpKeyStr(sg.blocks[bi].maxKey, pk) < 0 {
+		for bi < len(sg.blocks) && sg.blocks[bi].maxKey < pk {
 			bi++
 		}
-		if bi == len(sg.blocks) || cmpKeyStr(sg.blocks[bi].minKey, pk) > 0 {
+		if bi == len(sg.blocks) || sg.blocks[bi].minKey > pk {
 			rest = append(rest, pos)
 			continue
 		}
@@ -455,7 +440,7 @@ func (sg *segment) getBatch(keys []string, missing []int, out []Row, rs *readSta
 			}
 			loaded = bi
 		}
-		if i, found := searchKeysStr(rowKeys, pk); found {
+		if i, found := slices.BinarySearch(rowKeys, pk); found {
 			out[pos] = rows[i]
 		} else {
 			rest = append(rest, pos)
@@ -464,69 +449,15 @@ func (sg *segment) getBatch(keys []string, missing []int, out []Row, rs *readSta
 	return rest, nil
 }
 
-// searchKeys returns the position of key in sorted keys and whether it
-// is present.
-func searchKeys(keys [][]byte, key []byte) (int, bool) {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(keys[mid], key) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(keys) && bytes.Equal(keys[lo], key)
-}
-
-// cmpKeyStr is bytes.Compare between an encoded key and a posting pk
-// held as a string — a manual loop so the batch resolve path never
-// converts (and so never allocates).
-func cmpKeyStr(a []byte, b string) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	}
-	return 0
-}
-
-// searchKeysStr is searchKeys against a string pk.
-func searchKeysStr(keys [][]byte, key string) (int, bool) {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cmpKeyStr(keys[mid], key) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(keys) && cmpKeyStr(keys[lo], key) == 0
-}
-
 // segIter streams a segment's rows in ascending key order, bounded to
-// [lo, hi) when the bounds are non-nil. Blocks whose zone map misses
-// the bounds are never read; pruned counts them for QueryStats.
+// [lo, hi) ("" = unbounded). Blocks whose zone map misses the bounds
+// are never read; pruned counts them for QueryStats.
 type segIter struct {
 	seg    *segment
-	hi     []byte
+	hi     string
 	bi     int // next block to read
 	rows   []Row
-	keys   [][]byte
+	keys   []string
 	ri     int
 	pruned int
 	stats  *readStats // cache hit/miss accounting for loaded blocks
@@ -535,47 +466,26 @@ type segIter struct {
 
 // newSegIter positions an iterator at the first row >= lo, counting
 // the blocks the zone map let it skip.
-func newSegIter(sg *segment, lo, hi []byte, stats *readStats) *segIter {
+func newSegIter(sg *segment, lo, hi string, stats *readStats) *segIter {
 	it := &segIter{seg: sg, hi: hi, stats: stats}
-	// First block that can contain a key >= lo.
-	start := 0
-	if lo != nil {
-		l, h := 0, len(sg.blocks)
-		for l < h {
-			mid := (l + h) / 2
-			if bytes.Compare(sg.blocks[mid].maxKey, lo) < 0 {
-				l = mid + 1
-			} else {
-				h = mid
-			}
-		}
-		start = l
-	}
-	it.pruned += start
-	it.bi = start
+	// The first block that can contain a key >= lo.
+	it.bi = sort.Search(len(sg.blocks), func(i int) bool { return sg.blocks[i].maxKey >= lo })
+	it.pruned = it.bi
 	// Blocks past hi are pruned too; account for them up front so the
 	// stats reflect the whole zone-map saving even if iteration stops
 	// early.
-	if hi != nil {
-		end := len(sg.blocks)
-		for end > start && bytes.Compare(sg.blocks[end-1].minKey, hi) >= 0 {
-			end--
-		}
-		it.pruned += len(sg.blocks) - end
+	if hi != "" {
+		end := sort.Search(len(sg.blocks), func(i int) bool { return sg.blocks[i].minKey >= hi })
+		it.pruned += len(sg.blocks) - max(end, it.bi)
 	}
 	it.loadBlock(lo)
 	return it
 }
 
-// loadBlock reads block it.bi and positions ri at the first key >= lo
-// (or 0 when lo is nil).
-func (it *segIter) loadBlock(lo []byte) {
+// loadBlock reads block it.bi and positions ri at the first key >= lo.
+func (it *segIter) loadBlock(lo string) {
 	for {
-		if it.bi >= len(it.seg.blocks) {
-			it.rows, it.keys = nil, nil
-			return
-		}
-		if it.hi != nil && bytes.Compare(it.seg.blocks[it.bi].minKey, it.hi) >= 0 {
+		if it.bi >= len(it.seg.blocks) || (it.hi != "" && it.seg.blocks[it.bi].minKey >= it.hi) {
 			it.rows, it.keys = nil, nil
 			return
 		}
@@ -586,33 +496,28 @@ func (it *segIter) loadBlock(lo []byte) {
 			return
 		}
 		it.bi++
-		ri := 0
-		if lo != nil {
-			ri, _ = searchKeys(keys, lo)
-		}
-		if ri < len(keys) {
+		if ri, _ := slices.BinarySearch(keys, lo); ri < len(keys) {
 			it.rows, it.keys, it.ri = rows, keys, ri
 			return
 		}
-		lo = nil // the bound was past this block; the next starts fresh
+		lo = "" // the bound was past this block; the next starts fresh
 	}
 }
 
 // valid reports whether the iterator currently points at a row.
 func (it *segIter) valid() bool {
-	return it.err == nil && it.ri < len(it.keys) &&
-		(it.hi == nil || bytes.Compare(it.keys[it.ri], it.hi) < 0)
+	return it.err == nil && it.ri < len(it.keys) && (it.hi == "" || it.keys[it.ri] < it.hi)
 }
 
 // key and row return the current position (valid() must hold).
-func (it *segIter) key() []byte { return it.keys[it.ri] }
+func (it *segIter) key() string { return it.keys[it.ri] }
 func (it *segIter) row() Row    { return it.rows[it.ri] }
 
 // next advances to the following row.
 func (it *segIter) next() {
 	it.ri++
 	if it.ri >= len(it.keys) {
-		it.loadBlock(nil)
+		it.loadBlock("")
 	}
 }
 
@@ -623,12 +528,11 @@ type segmentWriter struct {
 	schema Schema
 	buf    []byte // current block
 	rows   int
-	minKey []byte
-	maxKey []byte
+	minKey string
+	maxKey string
 	off    int64
 	index  []byte
 	nRows  int
-	prev   []byte
 	blocks int
 	want   int          // rows the run was sized for
 	bloom  *bloomFilter // filter over every added key; nil when want is 0
@@ -656,10 +560,9 @@ func newSegmentWriter(path string, schema Schema, nRows int) (*segmentWriter, er
 // key order.
 func (w *segmentWriter) add(row Row) error {
 	key := encodeKey(row[w.schema.Primary])
-	if w.prev != nil && bytes.Compare(w.prev, key) >= 0 {
+	if key <= w.maxKey {
 		return fmt.Errorf("store: segment writer: rows out of order")
 	}
-	w.prev = key
 	if w.bloom != nil {
 		w.bloom.add(key)
 	}
@@ -687,8 +590,8 @@ func (w *segmentWriter) flushBlock() error {
 	w.index = binary.AppendUvarint(w.index, uint64(len(w.buf)))
 	w.index = binary.AppendUvarint(w.index, uint64(w.rows))
 	w.index = binary.BigEndian.AppendUint32(w.index, crc32.ChecksumIEEE(w.buf))
-	w.index = appendString(w.index, string(w.minKey))
-	w.index = appendString(w.index, string(w.maxKey))
+	w.index = appendString(w.index, w.minKey)
+	w.index = appendString(w.index, w.maxKey)
 	w.off += int64(len(w.buf))
 	w.buf = w.buf[:0]
 	w.rows = 0

@@ -69,7 +69,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 		}
 	}
 	// Full iteration order.
-	it := newSegIter(sg, nil, nil, nil)
+	it := newSegIter(sg, "", "", nil)
 	prev := int64(0)
 	count := 0
 	for it.valid() {
@@ -142,7 +142,7 @@ func TestSegmentRejectsCorruption(t *testing.T) {
 		if err == nil {
 			// A corrupt block body is only detected when the block is
 			// read; the open validates the footer alone.
-			it := newSegIter(sg, nil, nil, nil)
+			it := newSegIter(sg, "", "", nil)
 			for it.valid() {
 				it.next()
 			}
@@ -490,6 +490,74 @@ func testOpenKeepsLogOnCorruptBlock(t *testing.T, runs int, indexed bool) {
 	}
 }
 
+// TestOpenReadsEachBlockOnce: Open builds every index the log names
+// after replay, from one walk of each table's runs, so a table with two
+// indexes over two runs reads each run block exactly once — the
+// block-cache counters see one hit or miss per block — and the indexes
+// it builds match the table, WAL-only rows included.
+func TestOpenReadsEachBlockOnce(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "twoidx.db")
+	db, err := OpenSharded(path, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTable(attrSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, col := range []string{"attribute", "patient"} {
+		if err := tbl.CreateIndex(col); err != nil {
+			t.Fatal(err)
+		}
+	}
+	insert := func(lo, n int64) {
+		t.Helper()
+		var rows []Row
+		for pk := lo; pk < lo+n; pk++ {
+			rows = append(rows, Row{Int(pk), Int(pk % 7), Str(fmt.Sprint("a", pk%3)), Str("v"), Float(0)})
+		}
+		if err := tbl.InsertBatch(rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for r := int64(0); r < 2; r++ {
+		insert(r*1200+1, 1200)
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	insert(2401, 10) // WAL only: the memtable walk indexes these
+	blocks := 0
+	for _, ts := range tbl.shards {
+		if len(ts.segs) != 2 {
+			t.Fatalf("shard %d holds %d runs, want 2", ts.shard.id, len(ts.segs))
+		}
+		for _, sg := range ts.segs {
+			blocks += len(sg.blocks)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err = Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	cs := db.BlockCacheStats()
+	if reads := cs.Hits + cs.Misses; reads != int64(blocks) {
+		t.Fatalf("Open read %d blocks (%d hits, %d misses) of %d, want each once", reads, cs.Hits, cs.Misses, blocks)
+	}
+	if tbl, err = db.Table("extracted"); err != nil {
+		t.Fatal(err)
+	}
+	if got := tbl.Stats().IndexNames; !slices.Equal(got, []string{"attribute", "patient"}) {
+		t.Fatalf("indexes after reopen = %v", got)
+	}
+	checkIndexConsistent(t, tbl)
+}
+
 // TestZoneMapPruning proves the acceptance criterion: a primary-key
 // range query over a compacted store skips the segment blocks its
 // bounds miss, and the skips surface in QueryStats.BlocksPruned.
@@ -545,7 +613,7 @@ func pinTable(tbl *Table) pinnedTable {
 	p := make(pinnedTable, len(tbl.shards))
 	for i, ts := range tbl.shards {
 		ts.mu.RLock()
-		p[i] = ts.captureLocked(nil, nil)
+		p[i] = ts.captureLocked("", "")
 		ts.mu.RUnlock()
 	}
 	return p
@@ -558,7 +626,7 @@ func pinTable(tbl *Table) pinnedTable {
 func (p pinnedTable) scan(fn func(Row) bool) error {
 	stopped := false
 	for i := range p {
-		err := p[i].iterate(nil, nil, nil, func(r Row) bool {
+		err := p[i].iterate("", "", nil, func(_ string, r Row) bool {
 			stopped = !fn(r)
 			return !stopped
 		})

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
+	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -23,7 +25,7 @@ type Shard struct {
 	id      int
 	logMu   sync.Mutex // serializes WAL appends on this shard
 	log     *wal       // nil = in-memory shard
-	failed  error      // a failed compaction swap left the shard logless
+	failed  error      // latched WAL or compaction-swap failure: the shard refuses writes
 	path    string
 	dropped int  // WAL records dropped during this shard's recovery
 	segLost bool // segment state was unreadable; recovered from WAL alone
@@ -36,6 +38,10 @@ type Shard struct {
 	// record was lost to a crash) are synthesized from the segment's own
 	// footer schema after replay.
 	pendingSegs map[string][]*segment
+	// pendingIdx holds each table's index columns named by the WAL's
+	// create-index records; replay only notes them, and open builds
+	// every table's noted indexes after replay in one walk of its rows.
+	pendingIdx map[string][]string
 
 	// Compaction state. compactMu serializes compactions of this shard
 	// (explicit Compact vs the background compactor); the counters below
@@ -50,13 +56,14 @@ type Shard struct {
 }
 
 // openShard opens (creating if necessary) one shard's WAL and segment
-// directory, then replays the WAL over the segment state. A torn
-// manifest or unreadable segment falls back to WAL-only recovery
+// directory, replays the WAL over the segment state, and then builds
+// the indexes the WAL names, each table's from one walk of its rows. A
+// torn manifest or unreadable segment falls back to WAL-only recovery
 // (reported via Health().RecoveredWithLoss). A segment read that fails
-// during replay fails the open and leaves the log as it is; on any
-// replay failure the log handle and every opened segment are closed
-// before returning, so an engine that fails mid-open leaks no
-// descriptors.
+// during replay or the index build fails the open and keeps every
+// record the log holds; on any failure the log handle and every opened
+// segment are closed before returning, so an engine that fails mid-open
+// leaks no descriptors.
 func openShard(id int, path string, cache *blockCache) (*Shard, error) {
 	// A crashed compaction can leave its truncated-WAL temp beside the
 	// log. It holds nothing the committed state doesn't (schema/index
@@ -75,7 +82,15 @@ func openShard(id int, path string, cache *blockCache) (*Shard, error) {
 			sg.cache = cache
 		}
 	}
+	_, statErr := os.Stat(path)
 	l, err := openWAL(path)
+	if err == nil && os.IsNotExist(statErr) {
+		// A new log's directory entry is durable only once its
+		// directory is synced.
+		if err = syncDir(filepath.Dir(path)); err != nil {
+			l.close()
+		}
+	}
 	if err != nil {
 		for _, runs := range segs {
 			for _, sg := range runs {
@@ -87,8 +102,12 @@ func openShard(id int, path string, cache *blockCache) (*Shard, error) {
 	sh := &Shard{
 		id: id, log: l, path: path, gen: gen, segLost: segLost,
 		tables: make(map[string]*tableShard), pendingSegs: segs, cache: cache,
+		pendingIdx: make(map[string][]string),
 	}
 	dropped, err := l.replay(sh.applyLogRecord)
+	if err == nil {
+		err = sh.buildPendingIndexes()
+	}
 	if err != nil {
 		l.close()
 		sh.releaseSegments()
@@ -103,6 +122,18 @@ func openShard(id int, path string, cache *blockCache) (*Shard, error) {
 		sh.newTableShard(runs[0].schema)
 	}
 	return sh, nil
+}
+
+// buildPendingIndexes builds the indexes replay noted, one walk of each
+// table's runs and memtable for all of that table's indexes.
+func (sh *Shard) buildPendingIndexes() error {
+	for name, cols := range sh.pendingIdx {
+		if err := sh.tables[name].createIndexesLocked(cols); err != nil {
+			return err
+		}
+	}
+	sh.pendingIdx = nil
+	return nil
 }
 
 // memShard returns an in-memory shard with no durable log.
@@ -143,19 +174,29 @@ func (sh *Shard) close() error {
 	return err
 }
 
-// sync flushes buffered log records to stable storage.
+// sync flushes buffered log records to stable storage. A failed flush
+// or fsync latches the shard: after a failed fsync the kernel may have
+// dropped the unwritten pages, so a later fsync that succeeds proves
+// nothing about the records before it.
 func (sh *Shard) sync() error {
 	sh.logMu.Lock()
 	defer sh.logMu.Unlock()
+	if sh.failed != nil {
+		return sh.failed
+	}
 	if sh.log == nil {
 		return nil
 	}
-	return sh.log.sync()
+	if err := sh.log.sync(); err != nil {
+		sh.failed = fmt.Errorf("store: shard %d wal sync: %w (reopen to recover)", sh.id, err)
+		return sh.failed
+	}
+	return nil
 }
 
-// failedErr reads the failed-compaction latch under logMu — the lock
-// fail() holds when latching — so Health can be called concurrently
-// with a compaction's commit phase.
+// failedErr reads the write-refusal latch under logMu, the lock every
+// latching path holds, so Health and Stats can be called concurrently
+// with writes and a compaction's commit phase.
 func (sh *Shard) failedErr() error {
 	sh.logMu.Lock()
 	defer sh.logMu.Unlock()
@@ -173,8 +214,9 @@ func (sh *Shard) logSize() int64 {
 }
 
 // appendLog appends and flushes one record under logMu; a nil log
-// (in-memory shard) is a no-op. A shard whose durable log was lost to a
-// failed compaction swap refuses writes instead of silently dropping
+// (in-memory shard) is a no-op. A failed write or flush latches the
+// shard, and a latched shard — its log failed, or was lost to a failed
+// compaction swap — refuses writes instead of silently dropping
 // durability.
 func (sh *Shard) appendLog(payload []byte) error {
 	sh.logMu.Lock()
@@ -185,11 +227,13 @@ func (sh *Shard) appendLog(payload []byte) error {
 	if sh.log == nil {
 		return nil
 	}
-	if err := sh.log.append(payload); err != nil {
-		return err
+	err := sh.log.append(payload)
+	if err == nil {
+		err = sh.log.flush()
 	}
-	if err := sh.log.flush(); err != nil {
-		return err
+	if err != nil {
+		sh.failed = fmt.Errorf("store: shard %d wal write: %w (reopen to recover)", sh.id, err)
+		return sh.failed
 	}
 	sh.walLen.Store(sh.log.len)
 	return nil
@@ -270,9 +314,10 @@ func (sh *Shard) logCreateIndex(table, col string) error {
 // half-apply. Batch records are decoded and validated in full before any
 // row is applied, keeping replay all-or-nothing per record. The
 // exception is a segment read that fails while applying a sound record
-// (a batch's liveness checks, a create-index build): that is the run's
-// fault, not the log's, so it comes back as a replayAbort, which fails
-// the open and leaves the log — and the rows only it holds — intact.
+// (a batch's liveness checks): that is the run's fault, not the log's,
+// so it comes back as a replayAbort, which fails the open and leaves
+// the log — and the rows only it holds — intact. A create-index record
+// is only noted; open builds the index once replay ends.
 func (sh *Shard) applyLogRecord(payload []byte) error {
 	if len(payload) == 0 {
 		return ErrCorrupt
@@ -339,8 +384,8 @@ func (sh *Shard) applyLogRecord(payload []byte) error {
 		if len(rest) != 0 || ts.schema.colIndex(col) < 0 {
 			return ErrCorrupt
 		}
-		if err := ts.createIndexLocked(col); err != nil {
-			return replayAbort{err}
+		if !slices.Contains(sh.pendingIdx[name], col) {
+			sh.pendingIdx[name] = append(sh.pendingIdx[name], col)
 		}
 	default:
 		return ErrCorrupt
@@ -351,14 +396,19 @@ func (sh *Shard) applyLogRecord(payload []byte) error {
 // shardIndex maps an encoded primary key to its home shard: FNV-1a over
 // the key bytes, modulo the shard count. The hash depends only on the
 // key encoding, which is stable across reopens, so the routing never
-// changes for a given layout. Inlined (rather than hash/fnv) to keep
-// the per-row routing allocation-free.
-func shardIndex(key []byte, n int) int {
+// changes for a given layout.
+func shardIndex(key string, n int) int {
+	return int(fnv1a(key) % uint64(n))
+}
+
+// fnv1a is the 64-bit FNV-1a hash of key, inlined (rather than
+// hash/fnv) to keep per-row routing and bloom probes allocation-free.
+func fnv1a(key string) uint64 {
 	const offset64, prime64 = 14695981039346656037, 1099511628211
 	h := uint64(offset64)
-	for _, b := range key {
-		h ^= uint64(b)
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
 		h *= prime64
 	}
-	return int(h % uint64(n))
+	return h
 }

@@ -118,22 +118,11 @@ func BenchmarkQueryFanout(b *testing.B) {
 	}
 }
 
-// BenchmarkMaxPK measures the id-allocation read every ingest request
-// pays (core.PersistAll seeds row ids from it): 4 shards, each holding
-// 4 flushed runs of ascending keys (~400k rows) and an empty memtable,
-// the shape of a warehouse between compactions. MaxPK reads each
-// shard's newest run tail, not the table.
-func BenchmarkMaxPK(b *testing.B) {
-	const shards, runs, perRun = 4, 4, 100_000
-	db, err := OpenSharded(filepath.Join(b.TempDir(), "maxpk.db"), shards)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	tbl, err := db.CreateTable(attrSchema())
-	if err != nil {
-		b.Fatal(err)
-	}
+// flushRuns inserts runs runs of perRun ascending keys into tbl,
+// flushing db after each so every run becomes a segment on every
+// shard, and returns the last key.
+func flushRuns(b *testing.B, db *DB, tbl *Table, runs, perRun int) int64 {
+	b.Helper()
 	id := int64(0)
 	batch := make([]Row, 0, 4096)
 	for r := 0; r < runs; r++ {
@@ -151,6 +140,26 @@ func BenchmarkMaxPK(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	return id
+}
+
+// BenchmarkMaxPK measures the id-allocation read every ingest request
+// pays (core.PersistAll seeds row ids from it): 4 shards, each holding
+// 4 flushed runs of ascending keys (~400k rows) and an empty memtable,
+// the shape of a warehouse between compactions. MaxPK reads each
+// shard's newest run tail, not the table.
+func BenchmarkMaxPK(b *testing.B) {
+	const shards, runs, perRun = 4, 4, 100_000
+	db, err := OpenSharded(filepath.Join(b.TempDir(), "maxpk.db"), shards)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	tbl, err := db.CreateTable(attrSchema())
+	if err != nil {
+		b.Fatal(err)
+	}
+	id := flushRuns(b, db, tbl, runs, perRun)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -159,4 +168,49 @@ func BenchmarkMaxPK(b *testing.B) {
 			b.Fatalf("MaxPK = %v,%v,%v, want %d", pk, ok, err, id)
 		}
 	}
+}
+
+// BenchmarkOpen measures reopening the warehouse's shape between
+// compactions: 4 shards, each holding 4 flushed runs (100k rows in
+// all) of a table with the attribute and patient indexes. Open reads
+// the run footers, replays each shard's log and then builds both
+// indexes from one walk of each shard's runs. blocks/op counts the run
+// blocks one open reads (block-cache hits plus misses); it equals the
+// store's block count when each block is read once.
+func BenchmarkOpen(b *testing.B) {
+	const shards, runs, perRun = 4, 4, 25_000
+	path := filepath.Join(b.TempDir(), "open.db")
+	db, err := OpenSharded(path, shards)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tbl, err := db.CreateTable(attrSchema())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, col := range []string{"attribute", "patient"} {
+		if err := tbl.CreateIndex(col); err != nil {
+			b.Fatal(err)
+		}
+	}
+	flushRuns(b, db, tbl, runs, perRun)
+	if err := db.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	var blocks int64
+	for b.Loop() {
+		db, err := Open(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		cs := db.BlockCacheStats()
+		blocks += cs.Hits + cs.Misses
+		if err := db.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(blocks)/float64(b.N), "blocks/op")
 }

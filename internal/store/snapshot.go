@@ -1,6 +1,6 @@
 package store
 
-import "bytes"
+import "sort"
 
 // A scan reads a stable view of one shard: under the table's read lock
 // it pins the shard's immutable runs (refcounted, so a concurrent
@@ -18,7 +18,7 @@ import "bytes"
 
 // memRow is one captured memtable entry.
 type memRow struct {
-	key []byte
+	key string
 	row Row
 }
 
@@ -29,9 +29,9 @@ type shardSnap struct {
 }
 
 // captureLocked pins the shard's runs and captures its memtable entries
-// in [lo, hi) (nil = unbounded) with the shard's lock already held (read
+// in [lo, hi) ("" = unbounded) with the shard's lock already held (read
 // or write); the caller releases the lock, and later the view.
-func (ts *tableShard) captureLocked(lo, hi []byte) shardSnap {
+func (ts *tableShard) captureLocked(lo, hi string) shardSnap {
 	var ss shardSnap
 	if len(ts.segs) > 0 {
 		ss.segs = make([]*segment, len(ts.segs))
@@ -40,15 +40,10 @@ func (ts *tableShard) captureLocked(lo, hi []byte) shardSnap {
 			ss.segs[i] = sg
 		}
 	}
-	visit := func(key []byte, val interface{}) bool {
+	ts.primary.AscendRange(lo, hi, func(key string, val interface{}) bool {
 		ss.mem = append(ss.mem, memRow{key: key, row: val.(Row)})
 		return true
-	}
-	if lo == nil && hi == nil {
-		ts.primary.Ascend(visit)
-	} else {
-		ts.primary.AscendRange(lo, hi, visit)
-	}
+	})
 	return ss
 }
 
@@ -76,16 +71,14 @@ type readStats struct {
 }
 
 // iterate merges the view's memtable capture and runs in ascending key
-// order, bounded to [lo, hi) (nil = unbounded). The store is
+// order, bounded to [lo, hi) ("" = unbounded). The store is
 // append-only, so a key lives in exactly one source: each step emits
-// the smallest current key and advances only its source. It returns
-// the first segment read error. stats may be nil.
-func (ss *shardSnap) iterate(lo, hi []byte, stats *readStats, fn func(Row) bool) error {
+// the smallest current key and advances only its source; fn gets each
+// row with its encoded primary key. It returns the first segment read
+// error. stats may be nil.
+func (ss *shardSnap) iterate(lo, hi string, stats *readStats, fn func(key string, row Row) bool) error {
 	mem := ss.mem
-	mi := 0
-	if lo != nil {
-		mi = searchMemRows(mem, lo)
-	}
+	mi := sort.Search(len(mem), func(i int) bool { return mem[i].key >= lo })
 	iters := make([]*segIter, len(ss.segs))
 	for i, sg := range ss.segs {
 		iters[i] = newSegIter(sg, lo, hi, stats)
@@ -98,20 +91,20 @@ func (ss *shardSnap) iterate(lo, hi []byte, stats *readStats, fn func(Row) bool)
 		}()
 	}
 	for {
-		var best []byte
-		src := -1 // -1 = memtable
-		if mi < len(mem) && (hi == nil || bytes.Compare(mem[mi].key, hi) < 0) {
+		best := "" // no row left
+		src := -1  // -1 = memtable
+		if mi < len(mem) && (hi == "" || mem[mi].key < hi) {
 			best = mem[mi].key
 		}
 		for si, it := range iters {
 			if it.err != nil {
 				return it.err
 			}
-			if it.valid() && (best == nil || bytes.Compare(it.key(), best) < 0) {
+			if it.valid() && (best == "" || it.key() < best) {
 				best, src = it.key(), si
 			}
 		}
-		if best == nil {
+		if best == "" {
 			return nil
 		}
 		var row Row
@@ -122,23 +115,8 @@ func (ss *shardSnap) iterate(lo, hi []byte, stats *readStats, fn func(Row) bool)
 			row = iters[src].row()
 			iters[src].next()
 		}
-		if !fn(row) {
+		if !fn(best, row) {
 			return nil
 		}
 	}
-}
-
-// searchMemRows returns the position of the first captured entry with
-// key >= lo.
-func searchMemRows(mem []memRow, lo []byte) int {
-	l, h := 0, len(mem)
-	for l < h {
-		mid := (l + h) / 2
-		if bytes.Compare(mem[mid].key, lo) < 0 {
-			l = mid + 1
-		} else {
-			h = mid
-		}
-	}
-	return l
 }

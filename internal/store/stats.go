@@ -1,13 +1,15 @@
 package store
 
+import "slices"
+
 // Stats summarizes a table for monitoring.
 type Stats struct {
 	Rows     int
 	Shards   int
 	Segments int // segment files currently serving reads
-	// FailedShards counts shards refusing writes behind the
-	// failed-compaction latch (see DB.Health); non-zero means the
-	// table is effectively read-only until the database is reopened.
+	// FailedShards counts shards refusing writes behind the write
+	// latch (see DB.Health); non-zero means the table is effectively
+	// read-only until the database is reopened.
 	FailedShards int
 	Indexes      int
 	IndexNames   []string
@@ -29,11 +31,11 @@ func (t *Table) Stats() Stats {
 		ts.mu.RLock()
 		s.Rows += ts.count
 		s.Segments += len(ts.segs)
-		if ts.shard != nil && ts.shard.failed != nil {
-			s.FailedShards++
-		}
 		ts.mu.RUnlock()
 		if ts.shard != nil {
+			if ts.shard.failedErr() != nil {
+				s.FailedShards++
+			}
 			addShardCompactionStats(&s.Compaction, ts.shard)
 		}
 	}
@@ -44,7 +46,7 @@ func (t *Table) Stats() Stats {
 		s.IndexNames = append(s.IndexNames, name)
 	}
 	ts.mu.RUnlock()
-	sortKeys(s.IndexNames)
+	slices.Sort(s.IndexNames)
 	if ts.shard != nil {
 		s.Cache = ts.shard.cache.stats()
 	}

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -70,9 +69,9 @@ type tableShard struct {
 	shard     *Shard
 	mu        sync.RWMutex
 	segs      []*segment        // immutable sorted runs, oldest → newest
-	primary   *btree            // memtable: pk key bytes → Row
+	primary   *btree            // memtable: encoded pk → Row
 	count     int               // rows (segments + memtable)
-	secondary map[string]*btree // column name → key bytes → postingList
+	secondary map[string]*btree // column name → encoded value → postingList
 }
 
 // Errors returned by table operations.
@@ -82,17 +81,14 @@ var (
 	ErrNoIndex   = errors.New("store: no index on column")
 )
 
-// Schema returns a copy of the table's schema.
-func (t *Table) Schema() Schema { return t.schema }
-
 // shardFor routes an encoded primary key to its home shard.
-func (t *Table) shardFor(key []byte) *tableShard {
+func (t *Table) shardFor(key string) *tableShard {
 	return t.shards[shardIndex(key, len(t.shards))]
 }
 
 // segGet searches the shard's segments newest-first for key. rs (may
 // be nil) accumulates bloom/cache accounting.
-func (ts *tableShard) segGet(key []byte, rs *readStats) (Row, bool, error) {
+func (ts *tableShard) segGet(key string, rs *readStats) (Row, bool, error) {
 	for i := len(ts.segs) - 1; i >= 0; i-- {
 		row, ok, err := ts.segs[i].get(key, rs)
 		if err != nil {
@@ -107,7 +103,7 @@ func (ts *tableShard) segGet(key []byte, rs *readStats) (Row, bool, error) {
 
 // liveGet resolves key through the layers: the memtable, then the
 // segments. Callers hold at least the read lock.
-func (ts *tableShard) liveGet(key []byte) (Row, bool, error) {
+func (ts *tableShard) liveGet(key string) (Row, bool, error) {
 	if v, ok := ts.primary.Get(key); ok {
 		return v.(Row), true, nil
 	}
@@ -143,20 +139,20 @@ func (t *Table) MaxPK() (Value, bool, error) {
 func (ts *tableShard) maxPK() (Value, bool, error) {
 	ts.mu.RLock()
 	defer ts.mu.RUnlock()
-	var memKey []byte
+	var memKey string
 	var best Value
-	ts.primary.Descend(func(key []byte, val interface{}) bool {
+	ts.primary.Descend(func(key string, val interface{}) bool {
 		memKey, best = key, val.(Row)[ts.schema.Primary]
 		return false
 	})
 	var top *segment // the run with the largest maximum
 	for _, sg := range ts.segs {
-		if len(sg.blocks) > 0 && (top == nil || bytes.Compare(sg.maxKey, top.maxKey) > 0) {
+		if len(sg.blocks) > 0 && (top == nil || sg.maxKey > top.maxKey) {
 			top = sg
 		}
 	}
-	if top == nil || (memKey != nil && bytes.Compare(memKey, top.maxKey) > 0) {
-		return best, memKey != nil, nil
+	if top == nil || memKey > top.maxKey {
+		return best, memKey != "", nil
 	}
 	rows, _, err := top.readBlock(len(top.blocks)-1, nil)
 	if err != nil {
@@ -197,7 +193,7 @@ func (t *Table) InsertBatch(rows []Row) error {
 	}
 	n := len(t.shards)
 	groups := make([][]Row, n)
-	keys := make([][][]byte, n)
+	keys := make([][]string, n)
 	for _, row := range rows {
 		if err := t.schema.validate(row); err != nil {
 			return err
@@ -231,11 +227,11 @@ func (t *Table) InsertBatch(rows []Row) error {
 				unlock()
 				return err
 			}
-			if live || inBatch[string(key)] {
+			if live || inBatch[key] {
 				unlock()
 				return fmt.Errorf("%w: %s", ErrDuplicate, row[t.schema.Primary])
 			}
-			inBatch[string(key)] = true
+			inBatch[key] = true
 		}
 	}
 	defer unlock()
@@ -252,7 +248,7 @@ func (t *Table) InsertBatch(rows []Row) error {
 // logApplyBatch writes one batch record to the shard's WAL and applies
 // the rows. Callers hold the shard's write lock and have validated the
 // batch.
-func (ts *tableShard) logApplyBatch(rows []Row, keys [][]byte) error {
+func (ts *tableShard) logApplyBatch(rows []Row, keys []string) error {
 	if err := ts.shard.logInsertBatch(ts.schema.Name, rows); err != nil {
 		return err
 	}
@@ -280,13 +276,12 @@ func (ts *tableShard) replayInsert(row Row) error {
 
 // applyInsert performs the in-memory insert. The key must not be live
 // (callers checked).
-func (ts *tableShard) applyInsert(key []byte, row Row) {
+func (ts *tableShard) applyInsert(key string, row Row) {
 	ts.primary.Put(key, row)
 	ts.count++
-	pk := string(key) // one copy shared by every index's posting
 	for col, idx := range ts.secondary {
 		ci := ts.schema.colIndex(col)
-		indexAdd(idx, encodeKey(row[ci]), pk, row)
+		indexAdd(idx, encodeKey(row[ci]), key, row)
 	}
 }
 
@@ -332,7 +327,7 @@ func (t *Table) CreateIndex(col string) error {
 		if err := ts.shard.logCreateIndex(ts.schema.Name, col); err != nil && firstErr == nil {
 			firstErr = err
 		}
-		if err := ts.createIndexLocked(col); err != nil && firstErr == nil {
+		if err := ts.createIndexesLocked([]string{col}); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		ts.mu.Unlock()
@@ -340,34 +335,48 @@ func (t *Table) CreateIndex(col string) error {
 	return firstErr
 }
 
-// createIndexLocked builds the index from the shard's current live
-// view: segment-resident rows are indexed by primary key only, so the
-// index holds no second copy of rows that already live on disk;
-// memtable rows also enter their posting's side list. Callers hold the
-// shard's write lock (or are single-threaded WAL replay / open).
-func (ts *tableShard) createIndexLocked(col string) error {
-	if _, ok := ts.secondary[col]; ok {
-		return nil
+// createIndexesLocked builds the shard's indexes on cols, skipping any
+// that exist, from one walk of its runs and one of its memtable:
+// segment-resident rows are indexed by primary key only, so an index
+// holds no second copy of rows that already live on disk; memtable rows
+// also enter their posting's side list. Callers hold the shard's write
+// lock (or are single-threaded open).
+func (ts *tableShard) createIndexesLocked(cols []string) error {
+	type build struct {
+		col string
+		ci  int
+		idx *btree
 	}
-	idx := newBtree()
-	ci := ts.schema.colIndex(col)
-	// Segment rows first, keyed only …
-	if len(ts.segs) > 0 {
-		ss := shardSnap{segs: ts.segs} // borrowed refs; not released
-		err := ss.iterate(nil, nil, nil, func(row Row) bool {
-			indexAdd(idx, encodeKey(row[ci]), string(encodeKey(row[ts.schema.Primary])), nil)
-			return true
-		})
-		if err != nil {
-			return err
+	var builds []build
+	for _, col := range cols {
+		if _, ok := ts.secondary[col]; !ok {
+			builds = append(builds, build{col: col, ci: ts.schema.colIndex(col), idx: newBtree()})
 		}
 	}
-	// … then memtable rows, keyed and in the side lists.
-	ts.primary.Ascend(func(key []byte, val interface{}) bool {
-		indexAdd(idx, encodeKey(val.(Row)[ci]), string(key), val.(Row))
+	if len(builds) == 0 {
+		return nil
+	}
+	// Segment rows first, keyed only …
+	ss := shardSnap{segs: ts.segs} // borrowed refs; not released
+	err := ss.iterate("", "", nil, func(pk string, row Row) bool {
+		for _, b := range builds {
+			indexAdd(b.idx, encodeKey(row[b.ci]), pk, nil)
+		}
 		return true
 	})
-	ts.secondary[col] = idx
+	if err != nil {
+		return err
+	}
+	// … then memtable rows, keyed and in the side lists.
+	ts.primary.Ascend(func(pk string, val interface{}) bool {
+		for _, b := range builds {
+			indexAdd(b.idx, encodeKey(val.(Row)[b.ci]), pk, val.(Row))
+		}
+		return true
+	})
+	for _, b := range builds {
+		ts.secondary[b.col] = b.idx
+	}
 	return nil
 }
 
@@ -430,7 +439,7 @@ func (ts *tableShard) resolveAll(pl *postingList, rs *readStats) ([]Row, error) 
 
 // indexAdd files pk under the indexed value sk; a non-nil row is a
 // memtable row and also enters the side list.
-func indexAdd(idx *btree, sk []byte, pk string, row Row) {
+func indexAdd(idx *btree, sk, pk string, row Row) {
 	var pl *postingList
 	if v, ok := idx.Get(sk); ok {
 		pl = v.(*postingList)
@@ -479,7 +488,7 @@ func (ts *tableShard) deinline(folded []memRow) {
 			}
 			done[pl] = true
 			pl.mem = slices.DeleteFunc(pl.mem, func(e postingEntry) bool {
-				_, ok := ts.primary.Get([]byte(e.pk))
+				_, ok := ts.primary.Get(e.pk)
 				return !ok
 			})
 			if len(pl.mem) == 0 {
