@@ -143,9 +143,8 @@ func planLine(s core.QueryStats, h store.Health) string {
 	if s.Segments > 0 {
 		line += fmt.Sprintf(", %d segment(s), %d blocks pruned", s.Segments, s.BlocksPruned)
 	}
-	if s.BloomSkips > 0 || s.CacheHits > 0 || s.CacheMisses > 0 {
-		line += fmt.Sprintf(", %d bloom skips, %d cache hits, %d cache misses",
-			s.BloomSkips, s.CacheHits, s.CacheMisses)
+	if s.CacheHits > 0 || s.CacheMisses > 0 {
+		line += fmt.Sprintf(", %d cache hits, %d cache misses", s.CacheHits, s.CacheMisses)
 	}
 	if !h.Ok() {
 		line += fmt.Sprintf(", health: %s", h)

@@ -34,12 +34,10 @@ type config struct {
 	MaxGroup   int
 	MaxBody    int64
 	MaxBatch   int
-	NoSync     bool
 
 	CompactMemRows  int
 	CompactWALBytes int64
 	CompactFanout   int
-	CompactOff      bool
 
 	BlockCacheMB int
 
@@ -67,11 +65,9 @@ func parseFlags(args []string, errOut io.Writer) (config, error) {
 	fs.IntVar(&cfg.MaxGroup, "max-group", 16, "max batches folded into one group commit (one fsync)")
 	fs.Int64Var(&cfg.MaxBody, "max-body", 8<<20, "max ingest request body in bytes (larger requests get 413)")
 	fs.IntVar(&cfg.MaxBatch, "max-batch", 512, "max records per ingest request (larger batches get 413)")
-	fs.BoolVar(&cfg.NoSync, "no-sync", false, "skip the fsync before acknowledging a batch (survives process crash, not machine crash)")
 	fs.IntVar(&cfg.CompactMemRows, "compact-mem-rows", store.DefaultCompactMemRows, "rows logged on a shard since its last compaction before the background compactor wakes")
 	fs.Int64Var(&cfg.CompactWALBytes, "compact-wal-bytes", store.DefaultCompactWALBytes, "shard WAL size that wakes the background compactor")
 	fs.IntVar(&cfg.CompactFanout, "compact-fanout", store.DefaultCompactFanout, "segment runs per table before a background compaction escalates from a minor fold to a major merge")
-	fs.BoolVar(&cfg.CompactOff, "compact-off", false, "disable background compaction (explicit medex extract -compact still works)")
 	fs.IntVar(&cfg.BlockCacheMB, "block-cache-mb", int(store.DefaultBlockCacheBytes>>20), "decoded-block cache capacity in MiB, shared across shards (0 disables caching)")
 	fs.DurationVar(&cfg.IngestTimeout, "ingest-timeout", 30*time.Second, "per-request bound on reading, extracting and persisting one ingest batch; also the server read timeout that cuts off stalled clients")
 	fs.DurationVar(&cfg.QueryTimeout, "query-timeout", 10*time.Second, "per-request bound on query endpoints")
@@ -146,6 +142,5 @@ func (c config) compactionPolicy() store.CompactionPolicy {
 		MemRows:  c.CompactMemRows,
 		WALBytes: c.CompactWALBytes,
 		Fanout:   c.CompactFanout,
-		Disabled: c.CompactOff,
 	}
 }

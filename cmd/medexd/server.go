@@ -53,7 +53,6 @@ func newServer(cfg config, db engine, sys *core.System, wh *core.Warehouse) *ser
 		ing: core.NewIngester(db, core.IngestConfig{
 			QueueDepth: cfg.QueueDepth,
 			MaxGroup:   cfg.MaxGroup,
-			NoSync:     cfg.NoSync,
 		}),
 		started: time.Now(),
 	}
@@ -101,7 +100,6 @@ type ingestResponse struct {
 	Batch   int64 `json:"batch"`
 	Records int   `json:"records"`
 	Rows    int   `json:"rows"`
-	Durable bool  `json:"durable"`
 }
 
 // handleIngest is the write path: decode an NDJSON stream of records,
@@ -201,7 +199,6 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		Batch:   s.batches.Add(1),
 		Records: len(exs),
 		Rows:    rows,
-		Durable: !s.cfg.NoSync,
 	})
 }
 
@@ -229,7 +226,6 @@ type queryStatsJSON struct {
 	RowsExamined int    `json:"rowsExamined"`
 	FullScans    int    `json:"fullScans"`
 	Shards       int    `json:"shards"`
-	BloomSkips   int    `json:"bloomSkips"`
 	CacheHits    int    `json:"cacheHits"`
 	CacheMisses  int    `json:"cacheMisses"`
 	Health       string `json:"health,omitempty"` // set when the engine is degraded
@@ -243,7 +239,6 @@ func (s *server) statsJSON(qs core.QueryStats) queryStatsJSON {
 		RowsExamined: qs.RowsExamined,
 		FullScans:    qs.FullScans,
 		Shards:       qs.Shards,
-		BloomSkips:   qs.BloomSkips,
 		CacheHits:    qs.CacheHits,
 		CacheMisses:  qs.CacheMisses,
 	}
@@ -430,13 +425,12 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"lastError":      cst.LastError,
 		},
 		"cache": map[string]any{
-			"capBytes":   tstats.Cache.CapBytes,
-			"bytes":      tstats.Cache.Bytes,
-			"entries":    tstats.Cache.Entries,
-			"hits":       tstats.Cache.Hits,
-			"misses":     tstats.Cache.Misses,
-			"evictions":  tstats.Cache.Evictions,
-			"bloomSkips": tstats.Cache.BloomSkips,
+			"capBytes":  tstats.Cache.CapBytes,
+			"bytes":     tstats.Cache.Bytes,
+			"entries":   tstats.Cache.Entries,
+			"hits":      tstats.Cache.Hits,
+			"misses":    tstats.Cache.Misses,
+			"evictions": tstats.Cache.Evictions,
 		},
 	})
 }

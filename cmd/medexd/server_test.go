@@ -122,9 +122,6 @@ func TestIngestAndQueryRoundTrip(t *testing.T) {
 	if body["records"].(float64) != 3 || body["rows"].(float64) < 3 {
 		t.Fatalf("ingest response %v, want records=3 rows>=3", body)
 	}
-	if body["durable"] != true {
-		t.Fatalf("ingest response %v, want durable=true", body)
-	}
 
 	// Numeric range: patients 41..43 have pulse 101..103.
 	if resp, body = postIngest(t, ts.URL, ndjsonPatients(41, 42, 43)); resp.StatusCode != http.StatusAccepted {

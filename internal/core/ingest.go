@@ -30,10 +30,6 @@ type IngestConfig struct {
 	// group, so a deep queue amortizes the sync cost instead of paying
 	// it per batch.
 	MaxGroup int
-	// NoSync skips the fsync before acknowledgment. Acknowledged
-	// batches are then only as durable as the OS page cache — they
-	// survive a process crash but not a machine crash.
-	NoSync bool
 }
 
 func (c IngestConfig) withDefaults() IngestConfig {
@@ -50,7 +46,7 @@ func (c IngestConfig) withDefaults() IngestConfig {
 type IngestStats struct {
 	Batches   int64 // batches acknowledged (persist attempted, ack sent)
 	Rows      int64 // attribute rows written by acknowledged batches
-	Groups    int64 // group commits (one fsync each unless NoSync)
+	Groups    int64 // group commits (one fsync each)
 	Rejected  int64 // Submit calls refused with ErrBackpressure
 	Queued    int   // batches currently waiting in the queue
 	PeakQueue int64 // high-water mark of Queued since start
@@ -59,11 +55,13 @@ type IngestStats struct {
 // Ingester serializes extraction batches into a store through a
 // single writer goroutine with a bounded queue and group commit. It is
 // the write path of a long-lived server: many producers Submit
-// concurrently, exactly one goroutine calls PersistAll (so persisted row
-// ids never collide), and a batch is acknowledged only after its rows —
-// and the fsync covering them — have succeeded. A full queue rejects
-// instead of buffering, which is what keeps a daemon's memory bounded
-// under overload.
+// concurrently, and exactly one goroutine calls PersistAll, so the
+// store sees one logical writer — each batch's row ids are allocated
+// from MaxPK()+1 and inserted before the next batch allocates, and
+// keys ascend on every shard. A batch is acknowledged only after its
+// rows — and the fsync covering them — have succeeded. A full queue
+// rejects instead of buffering, which is what keeps a daemon's memory
+// bounded under overload.
 type Ingester struct {
 	db  Storage
 	cfg IngestConfig
@@ -175,7 +173,7 @@ func (ing *Ingester) run() {
 				anyOK = true
 			}
 		}
-		if !ing.cfg.NoSync && anyOK {
+		if anyOK {
 			if err := ing.db.Sync(); err != nil {
 				// Without the fsync no batch in the group is durable;
 				// none may be acknowledged as persisted.

@@ -196,6 +196,13 @@ type Storage interface {
 // extracted table once and batching rows into a few WAL records instead
 // of logging row-at-a-time. It returns the number of rows written.
 //
+// Row ids are numbered upward from the table's MaxPK()+1, so they
+// ascend on every shard, as the store's write contract requires. Two
+// PersistAll calls on one store must not overlap: both would seed from
+// the same MaxPK, and the store refuses the later batch's keys with
+// store.ErrKeyOrder. Concurrent producers go through one Ingester,
+// whose single writer goroutine serializes them.
+//
 // On a sharded store each InsertBatch call routes its rows to their
 // home shards and flushes the per-shard sub-batches to the shard WALs
 // in parallel, so ingest throughput scales with the shard count instead

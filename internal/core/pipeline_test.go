@@ -159,9 +159,9 @@ func TestPersistAllStopsOnCorruptRunTail(t *testing.T) {
 }
 
 // flipLastBlockByte corrupts the final byte of the last row block of
-// the newest segment file in segsDir. The segment tail is indexLen,
-// schemaLen and filterLen (uint32 each), a CRC and an 8-byte magic;
-// the metadata regions precede it and the blocks precede them.
+// the newest segment file in segsDir. The segment tail is indexLen and
+// schemaLen (uint32 each), a CRC and an 8-byte magic; the metadata
+// regions precede it and the blocks precede them.
 func flipLastBlockByte(t *testing.T, segsDir string) {
 	t.Helper()
 	segs, err := filepath.Glob(filepath.Join(segsDir, "seg-*.seg"))
@@ -178,15 +178,15 @@ func flipLastBlockByte(t *testing.T, segsDir string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const tailLen = 24
+	const tailLen = 20
 	tail := make([]byte, tailLen)
 	if _, err := f.ReadAt(tail, st.Size()-tailLen); err != nil {
 		t.Fatal(err)
 	}
-	if string(tail[16:]) != "MEDSEGF2" {
-		t.Fatalf("unexpected segment tail %q", tail[16:])
+	if string(tail[12:]) != "MEDSEGF1" {
+		t.Fatalf("unexpected segment tail %q", tail[12:])
 	}
-	meta := int64(binary.BigEndian.Uint32(tail[0:4])) + int64(binary.BigEndian.Uint32(tail[4:8])) + int64(binary.BigEndian.Uint32(tail[8:12]))
+	meta := int64(binary.BigEndian.Uint32(tail[0:4])) + int64(binary.BigEndian.Uint32(tail[4:8]))
 	off := st.Size() - tailLen - meta - 1
 	b := make([]byte, 1)
 	if _, err := f.ReadAt(b, off); err != nil {

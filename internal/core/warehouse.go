@@ -149,7 +149,6 @@ type QueryStats struct {
 	Shards       int // partitions each condition fanned out across
 	Segments     int // segment files consulted (scans and index-entry resolves)
 	BlocksPruned int // segment blocks skipped via zone maps
-	BloomSkips   int // segment probes rejected by a bloom filter (no IO)
 	CacheHits    int // blocks served from the shared decoded-block cache
 	CacheMisses  int // blocks read from disk (and cached for next time)
 }
@@ -169,7 +168,6 @@ func (s *QueryStats) add(st store.QueryStats) {
 	}
 	s.Segments += st.Segments
 	s.BlocksPruned += st.BlocksPruned
-	s.BloomSkips += st.BloomSkips
 	s.CacheHits += st.CacheHits
 	s.CacheMisses += st.CacheMisses
 }

@@ -175,20 +175,20 @@ func TestInsertBatchAllOrNothingOnDuplicate(t *testing.T) {
 	if err := tbl.Insert(Row{Int(5), Str("v")}); err != nil {
 		t.Fatal(err)
 	}
-	// Batch containing a key that collides with an existing row.
-	if err := tbl.InsertBatch(batchRows(4, 3)); !errors.Is(err, ErrDuplicate) {
-		t.Fatalf("err = %v, want ErrDuplicate", err)
-	}
-	if tbl.Len() != 1 {
-		t.Fatalf("failed batch left %d rows, want 1", tbl.Len())
-	}
-	// Batch with an internal duplicate.
-	dup := []Row{{Int(10), Str("v")}, {Int(10), Str("v")}}
-	if err := tbl.InsertBatch(dup); !errors.Is(err, ErrDuplicate) {
-		t.Fatalf("err = %v, want ErrDuplicate", err)
-	}
-	if tbl.Len() != 1 {
-		t.Fatalf("failed batch left %d rows, want 1", tbl.Len())
+	// A batch colliding with an existing row, one starting below it, and
+	// one with an internal duplicate: each key is not above every key
+	// the (single) shard holds, and each batch is refused whole.
+	for _, bad := range [][]Row{
+		batchRows(5, 3),
+		batchRows(4, 3),
+		{{Int(10), Str("v")}, {Int(10), Str("v")}},
+	} {
+		if err := tbl.InsertBatch(bad); !errors.Is(err, ErrKeyOrder) {
+			t.Fatalf("batch from %v: err = %v, want ErrKeyOrder", bad[0][0], err)
+		}
+		if tbl.Len() != 1 {
+			t.Fatalf("failed batch left %d rows, want 1", tbl.Len())
+		}
 	}
 	// Empty batch is a no-op.
 	if err := tbl.InsertBatch(nil); err != nil {

@@ -52,7 +52,7 @@ type blockCache struct {
 	m   map[blockKey]*list.Element
 
 	// Counters are atomics so Stats never contends with the read path.
-	hits, misses, evictions, bloomSkips atomic.Int64
+	hits, misses, evictions atomic.Int64
 }
 
 func newBlockCache(capBytes int64) *blockCache {
@@ -149,16 +149,13 @@ func (c *blockCache) segEntries(seg uint64) int {
 // CacheStats reports the shared decoded-block cache for monitoring.
 // Hits and Misses count the block reads of queries and point
 // operations; compaction merges bypass the cache and are not counted.
-// BloomSkips counts segment probes rejected by a bloom filter — reads
-// that cost no IO at all.
 type CacheStats struct {
-	CapBytes   int64
-	Bytes      int64
-	Entries    int
-	Hits       int64
-	Misses     int64
-	Evictions  int64
-	BloomSkips int64
+	CapBytes  int64
+	Bytes     int64
+	Entries   int
+	Hits      int64
+	Misses    int64
+	Evictions int64
 }
 
 // stats snapshots the counters; safe on a nil cache (all zeros).
@@ -172,7 +169,6 @@ func (c *blockCache) stats() CacheStats {
 	s.Hits = c.hits.Load()
 	s.Misses = c.misses.Load()
 	s.Evictions = c.evictions.Load()
-	s.BloomSkips = c.bloomSkips.Load()
 	return s
 }
 

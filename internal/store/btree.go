@@ -3,8 +3,9 @@ package store
 import "slices"
 
 // btree is an in-memory B-tree keyed by encoded keys with arbitrary
-// values, used for each table's memtable and secondary indexes. Fan-out
-// is fixed; nodes split on overflow and the tree grows at the root.
+// values, used for the secondary indexes (indexed value → posting
+// list), whose values arrive in any order. Fan-out is fixed; nodes
+// split on overflow and the tree grows at the root.
 const btreeOrder = 32 // max children per internal node
 
 type btree struct {
@@ -60,18 +61,6 @@ func (t *btree) Put(key string, val interface{}) bool {
 	return inserted
 }
 
-// Ascend calls fn for every key/value in ascending key order until fn
-// returns false.
-func (t *btree) Ascend(fn func(key string, val interface{}) bool) {
-	t.root.ascendRange("", "", fn)
-}
-
-// Descend calls fn for every key/value in descending key order until
-// fn returns false.
-func (t *btree) Descend(fn func(key string, val interface{}) bool) {
-	t.root.descend(fn)
-}
-
 // AscendRange calls fn for keys in [lo, hi) in ascending order; hi ""
 // is unbounded.
 func (t *btree) AscendRange(lo, hi string, fn func(key string, val interface{}) bool) {
@@ -121,23 +110,6 @@ func (n *bnode) insert(key string, val interface{}) (inserted bool, splitKey str
 		n.children = n.children[:mid+1]
 	}
 	return inserted, splitKey, r
-}
-
-func (n *bnode) descend(fn func(string, interface{}) bool) bool {
-	if n.leaf {
-		for i := len(n.keys) - 1; i >= 0; i-- {
-			if !fn(n.keys[i], n.vals[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	for i := len(n.children) - 1; i >= 0; i-- {
-		if !n.children[i].descend(fn) {
-			return false
-		}
-	}
-	return true
 }
 
 func (n *bnode) ascendRange(lo, hi string, fn func(string, interface{}) bool) bool {

@@ -43,7 +43,7 @@ func TestBtreeManyKeysOrdered(t *testing.T) {
 	// Ascend must yield sorted order and every key.
 	prev := ""
 	count := 0
-	bt.Ascend(func(k string, v interface{}) bool {
+	bt.AscendRange("", "", func(k string, v interface{}) bool {
 		if k <= prev {
 			t.Fatalf("out of order: %q then %q", prev, k)
 		}
@@ -113,7 +113,7 @@ func TestBtreeQuickAgainstMap(t *testing.T) {
 		sort.Strings(want)
 		i := 0
 		okAll := true
-		bt.Ascend(func(k string, _ interface{}) bool {
+		bt.AscendRange("", "", func(k string, _ interface{}) bool {
 			if i >= len(want) || k != want[i] {
 				okAll = false
 				return false
@@ -151,7 +151,7 @@ func TestEncodeKeyOrdering(t *testing.T) {
 		t.Error("bool key order broken")
 	}
 	// The encoding is on disk (zone maps, segment keys) and drives shard
-	// routing and bloom bits, so its bytes are pinned.
+	// routing and key order, so its bytes are pinned.
 	for _, c := range []struct {
 		v    Value
 		want string

@@ -1,6 +1,7 @@
 // Package store is a small embedded table store: typed schemas, binary
-// row encoding, an in-memory B-tree primary index, non-unique secondary
-// indexes, and a write-ahead log with CRC framing and crash recovery.
+// row encoding, an append-only memtable over immutable sorted segment
+// runs, non-unique secondary indexes, and a write-ahead log with CRC
+// framing and crash recovery.
 //
 // It is the substitute for the external databases in Zhou et al. (ICDE
 // 2005): UMLS installed in a local DB2 instance (read path: ontology

@@ -18,25 +18,29 @@ import (
 //     Cost is proportional to the write set since the last compaction,
 //     not the corpus.
 //
-//   - A major compaction merges each table's whole view (all segment
-//     runs + memtable) into a single new segment, collapsing the run
-//     stack.
+//   - A major compaction rewrites each table's whole view (all segment
+//     runs, then the memtable) into a single new segment, collapsing
+//     the run stack.
+//
+// Keys ascend on every shard, so neither merges anything: a minor run's
+// keys are all above the older runs', and a major run is the old runs
+// and the memtable copied back to back.
 //
 // Both run in three phases designed to stay off the write path:
-// capture (a brief per-table read lock pins segments and copies the
-// memtable view), build (segment files are written with NO table lock
-// held — writers and readers proceed), and commit (all table locks +
-// the log lock, held only to split the memtable by key into captured
-// and residue rows, write the truncated WAL, atomically replace the
-// CRC'd MANIFEST — the rename is the commit point — and swap in-memory
-// state).
+// capture (a brief per-table read lock pins segments and takes the
+// memtable as a sub-slice), build (segment files are written with NO
+// table lock held — writers and readers proceed), and commit (all table
+// locks + the log lock, held only to write the truncated WAL with the
+// residue — the memtable rows appended after the capture —, atomically
+// replace the CRC'd MANIFEST — the rename is the commit point — and
+// swap in-memory state, the memtable becoming a copy of the residue).
 //
 // Every crash window recovers consistently: before the manifest commit
 // the old manifest and full WAL are untouched (new segment files are
 // swept as strays on reopen); between commit and WAL swap the new
-// segments load under the old WAL, whose replay skips every key the
-// runs already hold; after the swap the truncated WAL's residue
-// records replay over the segments alone.
+// segments load under the old WAL, whose replay skips every key at or
+// below the largest run key without reading a block; after the swap
+// the truncated WAL's residue records replay over the segments alone.
 type compactMode int
 
 const (
@@ -92,11 +96,10 @@ func (db *DB) compactShard(sh *Shard, mode compactMode) error {
 
 // tableCompact carries one table's state across the three phases.
 type tableCompact struct {
-	name   string
-	ts     *tableShard
-	snap   shardSnap // pinned segments + captured memtable view
-	seg    *segment  // the new run (nil: minor with nothing to fold)
-	newMem *btree    // the post-swap memtable, planned in phase C
+	name string
+	ts   *tableShard
+	snap shardSnap // pinned segments + captured memtable
+	seg  *segment  // the new run (nil: nothing to write)
 }
 
 // compactShardLocked is the compaction body; compactMu is held. It
@@ -130,7 +133,7 @@ func (db *DB) compactShardLocked(sh *Shard, mode compactMode) (rowsOut, bytesOut
 	slices.Sort(lockNames)
 
 	// Phase A: capture. A brief read lock per table pins its segments
-	// and copies the memtable view; writers resume immediately after.
+	// and takes the memtable; writers resume immediately after.
 	tcs := make([]*tableCompact, 0, len(lockNames))
 	defer func() {
 		for _, c := range tcs {
@@ -140,7 +143,7 @@ func (db *DB) compactShardLocked(sh *Shard, mode compactMode) (rowsOut, bytesOut
 	for _, name := range lockNames {
 		ts := sh.tables[name]
 		ts.mu.RLock()
-		snap := ts.captureLocked("", "")
+		snap := ts.captureLocked()
 		ts.mu.RUnlock()
 		tcs = append(tcs, &tableCompact{name: name, ts: ts, snap: snap})
 	}
@@ -182,6 +185,9 @@ func (db *DB) compactShardLocked(sh *Shard, mode compactMode) (rowsOut, bytesOut
 			for _, sg := range c.snap.segs {
 				n += sg.nRows
 			}
+			if n == 0 {
+				continue // an empty table keeps no run
+			}
 			seg, serr = writeTableRun(path, c.ts.schema, n, func(add func(Row) error) error {
 				var addErr error
 				iterErr := c.snap.iterate("", "", &readStats{noFill: true}, func(_ string, row Row) bool {
@@ -198,9 +204,7 @@ func (db *DB) compactShardLocked(sh *Shard, mode compactMode) (rowsOut, bytesOut
 			abort()
 			return 0, 0, serr
 		}
-		if seg != nil {
-			seg.cache = sh.cache
-		}
+		seg.cache = sh.cache
 		c.seg = seg
 		rowsOut += int64(seg.nRows)
 		if st, err := os.Stat(path); err == nil {
@@ -248,7 +252,9 @@ func (db *DB) compactShardLocked(sh *Shard, mode compactMode) (rowsOut, bytesOut
 				return 0, 0, err
 			}
 		}
-		if residue := c.planCommit(); len(residue) > 0 {
+		// The memtable only appended since the capture, so the residue is
+		// its tail past the captured rows.
+		if residue := c.ts.mem[len(c.snap.mem):]; len(residue) > 0 {
 			if err := tmp.append(encodeBatchPayload(c.name, residue)); err != nil {
 				cleanup()
 				return 0, 0, err
@@ -305,9 +311,14 @@ func (db *DB) compactShardLocked(sh *Shard, mode compactMode) (rowsOut, bytesOut
 					old.markObsolete()
 					old.unref()
 				}
-				ts.segs = []*segment{c.seg}
+				ts.segs = nil
+				if c.seg != nil {
+					ts.segs = []*segment{c.seg}
+				}
 			}
-			ts.primary = c.newMem
+			// A copy, so the captured rows' array is freed with the
+			// last view that pins it.
+			ts.mem = slices.Clone(ts.mem[len(c.snap.mem):])
 			// A compaction never changes the set of rows, so the index
 			// keys stand; the captured rows now live in the new run and
 			// leave the side lists, which stop holding row memory the
@@ -347,29 +358,6 @@ func (db *DB) compactShardLocked(sh *Shard, mode compactMode) (rowsOut, bytesOut
 	sh.walLen.Store(l.len)
 	swapInMemory()
 	return rowsOut, bytesOut, nil
-}
-
-// planCommit splits the table's current memtable by key and returns
-// the residue the truncated WAL must carry. Keys are written once, so
-// a captured key still maps to its captured row, which the new run now
-// holds: it is folded out of the memtable. Every other key was inserted
-// after the capture; it is residue, and stays in the post-swap memtable
-// (c.newMem). The indexes need no plan: every insert since the capture
-// maintained them. Callers hold the table's write lock.
-func (c *tableCompact) planCommit() (residue []Row) {
-	c.newMem = newBtree()
-	captured := c.snap.mem // a subset of the memtable, in the same key order
-	ci := 0
-	c.ts.primary.Ascend(func(key string, val interface{}) bool {
-		if ci < len(captured) && captured[ci].key == key {
-			ci++
-			return true
-		}
-		c.newMem.Put(key, val)
-		residue = append(residue, val.(Row))
-		return true
-	})
-	return residue
 }
 
 // writeTableRun streams nRows pk-ascending rows from emit into a new

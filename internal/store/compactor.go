@@ -5,10 +5,9 @@ import (
 	"sync/atomic"
 )
 
-// CompactionPolicy configures automatic background compaction. The
-// zero value selects every default threshold with the compactor
-// enabled; OpenSharded (and Open) pass Disabled — background
-// compaction is strictly opt-in via OpenShardedWithPolicy.
+// CompactionPolicy configures automatic background compaction, which
+// is opt-in: OpenShardedWithPolicy starts it, OpenSharded (and Open)
+// do not. The zero value selects every default threshold.
 type CompactionPolicy struct {
 	// MemRows wakes a shard's compactor once this many rows have been
 	// logged on the shard since its last compaction. <= 0 selects
@@ -22,9 +21,6 @@ type CompactionPolicy struct {
 	// compaction is a major merge (collapsing the stack to one run)
 	// instead of a minor one. <= 0 selects DefaultCompactFanout.
 	Fanout int
-	// Disabled turns background compaction off entirely; explicit
-	// Compact calls still work.
-	Disabled bool
 }
 
 // Default auto-compaction thresholds.

@@ -170,11 +170,8 @@ func TestMinorCompactionResurrectionMask(t *testing.T) {
 		t.Fatalf("mid-build insert: %v", err)
 	}
 	ts := tbl.shards[0]
-	if n := ts.primary.Len(); n != 1 {
-		t.Fatalf("memtable holds %d rows after the swap, want only the mid-build insert", n)
-	}
-	if _, ok := ts.primary.Get(encodeKey(Int(10))); !ok {
-		t.Fatal("mid-build insert is not in the memtable after the swap")
+	if len(ts.mem) != 1 || ts.mem[0].key != encodeKey(Int(10)) {
+		t.Fatalf("memtable holds %d rows after the swap, want only the mid-build insert", len(ts.mem))
 	}
 	if n := ts.segs[len(ts.segs)-1].nRows; n != 10 {
 		t.Fatalf("new run holds %d rows, want the 10 captured", n)
@@ -407,19 +404,28 @@ func TestBackgroundCompactionUnderLoad(t *testing.T) {
 			}
 		}()
 	}
-	var werr [writers]error
+	// The writers act as one logical writer, as core.Ingester does:
+	// each allocates its batch's ids and inserts it under one lock.
+	var (
+		werr    [writers]error
+		writeMu sync.Mutex
+		next    int64
+	)
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			base := int64(w * perWriter)
 			for off := 0; off < perWriter; off += batch {
+				writeMu.Lock()
 				rows := make([]Row, 0, batch)
 				for i := 0; i < batch; i++ {
-					id := base + int64(off+i)
+					id := next + int64(i)
 					rows = append(rows, Row{Int(id), Str(fmt.Sprintf("n%d", id%5)), Str("p"), Float(0), Bool(true)})
 				}
-				if err := tbl.InsertBatch(rows); err != nil {
+				err := tbl.InsertBatch(rows)
+				next += batch
+				writeMu.Unlock()
+				if err != nil {
 					werr[w] = err
 					return
 				}
@@ -605,9 +611,11 @@ func TestOpenSweepsCompactionLeftovers(t *testing.T) {
 // TestReopenAfterCommitBeforeWALSwap rebuilds the state a crash between
 // a compaction's manifest rename and its WAL swap leaves on disk: the
 // committed manifest and runs beside the old, untruncated WAL, whose
-// rows the new run already holds. Replay must skip those keys, so every
-// reopen — the first, and the one after it — serves the same rows,
-// reports no loss, and stores no key twice.
+// rows the new run already holds. Replay must skip those keys — from
+// the run footers alone, reading no block — so every reopen — the
+// first, and the one after it — serves the same rows, reports no loss,
+// stores no key twice, and reads each run block exactly once, for the
+// index build.
 func TestReopenAfterCommitBeforeWALSwap(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -665,6 +673,15 @@ func TestReopenAfterCommitBeforeWALSwap(t *testing.T) {
 				tbl, err := db.Table("extracted")
 				if err != nil {
 					t.Fatal(err)
+				}
+				blocks := 0
+				for _, ts := range tbl.shards {
+					for _, sg := range ts.segs {
+						blocks += len(sg.blocks)
+					}
+				}
+				if cs := db.BlockCacheStats(); cs.Hits+cs.Misses != int64(blocks) {
+					t.Fatalf("open %d read %d run blocks, want %d: the index build's one walk, none for replay", open, cs.Hits+cs.Misses, blocks)
 				}
 				got := collectRows(tbl)
 				if len(got) != len(want) || tbl.Len() != len(want) {

@@ -99,23 +99,20 @@ func OpenSharded(path string, n int) (*DB, error) {
 	return db, nil
 }
 
-// OpenShardedWithPolicy opens the database like OpenSharded and, unless
-// the policy disables it, starts the background compactor: one
-// goroutine per shard, woken when the shard's post-compaction write
-// volume or WAL size crosses the policy thresholds, folding the
-// memtable into a new small segment off the write path (and escalating
-// to a major merge when a table's segment stack hits the fan-out
-// bound). Close waits for an in-flight background compaction to finish
-// before closing the shards.
+// OpenShardedWithPolicy opens the database like OpenSharded and starts
+// the background compactor: one goroutine per shard, woken when the
+// shard's post-compaction write volume or WAL size crosses the policy
+// thresholds, folding the memtable into a new small segment off the
+// write path (and escalating to a major merge when a table's segment
+// stack hits the fan-out bound). Close waits for an in-flight
+// background compaction to finish before closing the shards.
 func OpenShardedWithPolicy(path string, n int, pol CompactionPolicy) (*DB, error) {
 	db, err := OpenSharded(path, n)
 	if err != nil {
 		return nil, err
 	}
 	db.pol = pol.withDefaults()
-	if !pol.Disabled {
-		db.startCompactors()
-	}
+	db.startCompactors()
 	return db, nil
 }
 
@@ -294,14 +291,18 @@ func (db *DB) buildRouters() error {
 			var missing []string
 			for _, col := range idxCols {
 				if _, ok := ts.secondary[col]; !ok {
-					if err := sh.appendLog(encodeCreateIndexPayload(name, col)); err != nil {
-						return err
-					}
 					missing = append(missing, col)
 				}
 			}
-			if err := ts.createIndexesLocked(missing); err != nil {
+			idxs, err := ts.buildIndexes(missing)
+			if err != nil {
 				return err
+			}
+			for i, col := range missing {
+				if err := sh.appendLog(encodeCreateIndexPayload(name, col)); err != nil {
+					return err
+				}
+				ts.secondary[col] = idxs[i]
 			}
 			shards[i] = ts
 		}

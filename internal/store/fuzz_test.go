@@ -65,6 +65,7 @@ func FuzzWALReplay(f *testing.F) {
 	flip := append([]byte(nil), seed...)
 	flip[len(flip)/2] ^= 0xff
 	f.Add(flip)
+	f.Add(backwardKeysWALBytes(f)) // a CRC-valid record whose keys go backwards
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.db")
@@ -345,8 +346,8 @@ func validSegmentBytes(tb testing.TB) []byte {
 	return raw
 }
 
-// segFilterOff returns the offset of the bloom-filter region in a
-// format-2 segment image.
+// segFilterOff returns the offset of the filter region in a format-2
+// segment image.
 func segFilterOff(tb testing.TB, raw []byte) int {
 	tb.Helper()
 	if string(raw[len(raw)-8:]) != segTailMagic2 {
@@ -372,14 +373,15 @@ func FuzzSegmentDecode(f *testing.F) {
 	flip[len(flip)/2] ^= 0xff // corrupt block body
 	f.Add(flip)
 	metaFlip := append([]byte(nil), seed...)
-	metaFlip[len(metaFlip)-segTail2Len+2] ^= 0xff // corrupt index length
+	metaFlip[len(metaFlip)-segTailLen+2] ^= 0xff // corrupt index length
 	f.Add(metaFlip)
-	filterFlip := append([]byte(nil), seed...)
-	// First filter-region byte (the "BLM1" magic): must degrade to a
-	// filter-less open, not a rejection.
-	filterFlip[segFilterOff(f, seed)] ^= 0xff
+	f2 := format2SegmentBytes(f, seed) // an earlier version's run
+	f.Add(f2)
+	filterFlip := append([]byte(nil), f2...)
+	// First filter-region byte: the region is never read, so the open
+	// must not notice.
+	filterFlip[segFilterOff(f, f2)] ^= 0xff
 	f.Add(filterFlip)
-	f.Add(legacySegmentBytes(f, seed)) // format-1 tail, no filter region
 	f.Add([]byte{})
 	f.Add([]byte(segMagic))
 
@@ -398,25 +400,17 @@ func FuzzSegmentDecode(f *testing.F) {
 			return // rejected cleanly
 		}
 		defer sg.unref()
-		it := newSegIter(sg, "", "", nil)
 		n := 0
 		prev := ""
-		for it.valid() {
-			k := it.key()
+		ss := shardSnap{segs: []*segment{sg}}
+		if err := ss.iterate("", "", nil, func(k string, _ Row) bool {
 			if n > 0 && prev >= k {
 				t.Fatalf("iteration keys not strictly ascending")
 			}
-			if sg.filter != nil && !sg.filter.mayContain(bloomHash(k)) {
-				// A decoded filter may be hostile garbage, but then it
-				// must have forged a valid CRC over its own bits; a
-				// present key it rejects is a false negative.
-				t.Fatalf("bloom false negative for a stored key")
-			}
 			prev = k
 			n++
-			it.next()
-		}
-		if it.err != nil {
+			return true
+		}); err != nil {
 			return // block-level corruption surfaced as an error: fine
 		}
 		if n != sg.nRows {

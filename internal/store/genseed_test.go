@@ -23,11 +23,12 @@ func TestGenSeedCorpora(t *testing.T) {
 	flip := append([]byte(nil), wal...)
 	flip[len(flip)/2] ^= 0xff
 	walSeeds := map[string][]byte{
-		"valid-log":  wal,
-		"torn-tail":  torn,
-		"bitflip":    flip,
-		"empty":      {},
-		"junk-frame": {0, 0, 0, 1, 0, 0, 0, 0, 42},
+		"valid-log":      wal,
+		"torn-tail":      torn,
+		"bitflip":        flip,
+		"empty":          {},
+		"junk-frame":     {0, 0, 0, 1, 0, 0, 0, 0, 42},
+		"keys-backwards": backwardKeysWALBytes(t),
 	}
 	for name, data := range walSeeds {
 		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
@@ -61,6 +62,11 @@ func TestGenSeedCorpora(t *testing.T) {
 	if err := os.MkdirAll(segDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
+	// valid-segment and the seeds derived from it are format-2 runs, the
+	// format earlier versions wrote; legacy-f1 is the format-1 run the
+	// writer produces today (the format predates the filter region).
+	legacyF1 := seg
+	seg = format2SegmentBytes(t, legacyF1)
 	segTorn := seg[:len(seg)-3]
 	segFlip := append([]byte(nil), seg...)
 	segFlip[len(segFlip)/2] ^= 0xff
@@ -74,7 +80,7 @@ func TestGenSeedCorpora(t *testing.T) {
 		"bitflip-body":   segFlip,
 		"bitflip-meta":   segMeta,
 		"bitflip-filter": segFilter,
-		"legacy-f1":      legacySegmentBytes(t, seg),
+		"legacy-f1":      legacyF1,
 		"empty":          {},
 		"magic-only":     []byte(segMagic),
 	}

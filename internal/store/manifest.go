@@ -162,9 +162,14 @@ func segFileName(gen uint64, ti int) string {
 // or corrupt segment file): on loss the shard falls back to whatever
 // its WAL replays — every opened segment is closed first, so the
 // fallback path leaks no descriptors. Only footers are read: a run's
-// row count comes from its block index, never from its blocks. A
-// missing directory or missing manifest is the normal
-// pre-first-compaction state, not loss. Stray files (crashed
+// row count and key range come from its block index, never from its
+// blocks. A run with no rows (an earlier version wrote one for an empty
+// table) is closed and not returned; its file stays while the manifest
+// lists it. A table whose runs' key ranges do not ascend disjointly,
+// oldest first, breaks the invariant every read path relies on (keys
+// ascend on every shard): it fails the load with ErrCorrupt before any
+// file is touched. A missing directory or missing manifest is the
+// normal pre-first-compaction state, not loss. Stray files (crashed
 // compaction temps, segments no longer in the manifest) are removed.
 func loadShardSegments(segsDir string) (segs map[string][]*segment, gen uint64, lost bool, err error) {
 	raw, rerr := os.ReadFile(filepath.Join(segsDir, manifestName))
@@ -210,8 +215,18 @@ func loadShardSegments(segsDir string) (segs map[string][]*segment, gen uint64, 
 			closeAll()
 			return nil, gen, true, nil
 		}
-		segs[e.table] = append(runs, sg)
 		keep[e.file] = true
+		if sg.nRows == 0 {
+			sg.unref()
+			continue
+		}
+		if n := len(runs); n > 0 && runs[n-1].maxKey >= sg.minKey {
+			prev := filepath.Base(runs[n-1].path)
+			sg.unref()
+			closeAll()
+			return nil, 0, false, fmt.Errorf("store: %s: table %q runs %s and %s overlap (%w)", segsDir, e.table, prev, e.file, ErrCorrupt)
+		}
+		segs[e.table] = append(runs, sg)
 	}
 	removeStraySegFiles(segsDir, keep)
 	return segs, gen, false, nil

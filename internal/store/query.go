@@ -56,11 +56,9 @@ func Le(col string, v Value) Pred { return Pred{Col: col, Op: OpLe, V: v} }
 func Gt(col string, v Value) Pred { return Pred{Col: col, Op: OpGt, V: v} }
 func Ge(col string, v Value) Pred { return Pred{Col: col, Op: OpGe, V: v} }
 
-// Query is a conjunction of predicates over one table, with an optional
-// result limit.
+// Query is a conjunction of predicates over one table.
 type Query struct {
 	Preds []Pred
-	Limit int // 0 = unlimited
 }
 
 // QueryStats reports how a query executed, so callers (and tests) can
@@ -77,7 +75,6 @@ type QueryStats struct {
 	Shards       int    // shards examined (1 on a single-shard engine)
 	Segments     int    // segment files consulted (scans and index-entry resolves)
 	BlocksPruned int    // segment blocks skipped via zone maps
-	BloomSkips   int    // segment probes rejected by a bloom filter (no IO)
 	CacheHits    int    // blocks served from the shared decoded-block cache
 	CacheMisses  int    // blocks read from disk (and cached for next time)
 }
@@ -101,8 +98,7 @@ func (s QueryStats) Plan() string {
 // column constrained, the primary index is scanned. Every shard holds
 // the same secondary indexes, so all shards pick the same plan; the
 // fan-out runs them concurrently and merges the sorted per-shard
-// results (each shard honors Limit, so the merge sees at most
-// shards×Limit rows before truncating).
+// results.
 //
 // Queries run entirely under the shards' read locks, so any number can
 // overlap each other and a live ingest.
@@ -144,7 +140,6 @@ func (t *Table) Query(q Query) ([]Row, QueryStats, error) {
 		stats.RowsExamined += st.RowsExamined
 		stats.Segments += st.Segments
 		stats.BlocksPruned += st.BlocksPruned
-		stats.BloomSkips += st.BloomSkips
 		stats.CacheHits += st.CacheHits
 		stats.CacheMisses += st.CacheMisses
 	}
@@ -159,11 +154,7 @@ func (t *Table) Query(q Query) ([]Row, QueryStats, error) {
 	if stats.UsedIndex {
 		less = t.lessByColPK(t.schema.colIndex(stats.IndexCol))
 	}
-	out := kwayMerge(parts, less)
-	if q.Limit > 0 && len(out) > q.Limit {
-		out = out[:q.Limit]
-	}
-	return out, stats, nil
+	return kwayMerge(parts, less), stats, nil
 }
 
 // shardResult is one shard's answer to a fanned-out query.
@@ -181,12 +172,11 @@ type shardResult struct {
 func (ts *tableShard) query(q Query, cis []int) (out []Row, stats QueryStats, err error) {
 	ts.mu.RLock()
 
-	// rs accumulates the acceleration counters (bloom rejects, cache
-	// hits/misses, zone-map pruning) across whatever access path runs;
-	// fold them into the returned stats on every exit.
+	// rs accumulates the cache hits/misses and zone-map pruning of
+	// whatever access path runs; fold them into the returned stats on
+	// every exit.
 	var rs readStats
 	defer func() {
-		stats.BloomSkips = rs.bloomSkips
 		stats.CacheHits = rs.cacheHits
 		stats.CacheMisses = rs.cacheMisses
 	}()
@@ -215,9 +205,6 @@ func (ts *tableShard) query(q Query, cis []int) (out []Row, stats QueryStats, er
 				stats.RowsExamined++
 				if matches(q.Preds, cis, ci, row) {
 					out = append(out, row)
-					if q.Limit > 0 && len(out) >= q.Limit {
-						return false
-					}
 				}
 			}
 			return true
@@ -235,7 +222,7 @@ func (ts *tableShard) query(q Query, cis []int) (out []Row, stats QueryStats, er
 	// column tighten the scan to [lo, hi) key bounds, which the zone
 	// maps turn into skipped segment blocks.
 	lo, hi := bounds(q.Preds, cis, ts.schema.Primary)
-	ss := ts.captureLocked(lo, hi)
+	ss := ts.captureLocked()
 	ts.mu.RUnlock()
 	defer ss.release()
 	stats.FullScan = true
@@ -244,7 +231,6 @@ func (ts *tableShard) query(q Query, cis []int) (out []Row, stats QueryStats, er
 		stats.RowsExamined++
 		if matches(q.Preds, cis, -1, row) {
 			out = append(out, row)
-			return q.Limit <= 0 || len(out) < q.Limit
 		}
 		return true
 	})

@@ -162,9 +162,14 @@ func TestQueryLimitAndErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rows, _, err := tbl.Query(Query{Preds: []Pred{Eq("attribute", Str("pulse"))}, Limit: 5})
-	if err != nil || len(rows) != 5 {
-		t.Fatalf("limit: got %d rows, err %v", len(rows), err)
+	rows, _, err := tbl.Query(Query{Preds: []Pred{Eq("attribute", Str("pulse"))}})
+	if err != nil || len(rows) != 30 {
+		t.Fatalf("equality: got %d rows, err %v; want every one of the 30 pulse rows", len(rows), err)
+	}
+	for i, r := range rows {
+		if r[2].S != "pulse" || (i > 0 && r[0].I <= rows[i-1][0].I) {
+			t.Fatalf("row %d = %v: want pulse rows in ascending id order", i, r)
+		}
 	}
 	if _, _, err := tbl.Query(Query{Preds: []Pred{Eq("nope", Str("x"))}}); err == nil {
 		t.Error("unknown column accepted")
@@ -325,7 +330,7 @@ func TestPostingKeySlack(t *testing.T) {
 		keys, slots := 0, 0
 		for _, ts := range tbl.shards {
 			ts.mu.RLock()
-			ts.secondary["patient"].Ascend(func(_ string, v interface{}) bool {
+			ts.secondary["patient"].AscendRange("", "", func(_ string, v interface{}) bool {
 				pl := v.(*postingList)
 				keys += len(pl.keys)
 				slots += cap(pl.keys)
@@ -358,8 +363,10 @@ func TestPostingKeySlack(t *testing.T) {
 
 // checkIndexConsistent asserts every secondary index holds exactly the
 // table's rows on every shard — the crash invariant "index == table
-// contents", which sharding makes per-shard — and that no key is
-// stored twice: the memtable and the runs together hold count rows.
+// contents", which sharding makes per-shard — that keys ascend on every
+// shard (runs non-empty, disjoint and ascending, the memtable above
+// them and ascending), and that no key is stored twice: the memtable
+// and the runs together hold the rows the shard's view yields.
 func checkIndexConsistent(t *testing.T, tbl *Table) {
 	t.Helper()
 	for _, ts := range tbl.shards {
@@ -371,10 +378,23 @@ func checkShardIndexConsistent(t *testing.T, ts *tableShard) {
 	t.Helper()
 	ts.mu.RLock()
 	defer ts.mu.RUnlock()
-	// Materialize the shard's view — segments merged with the memtable —
-	// which is what the indexes must mirror exactly.
+	last := ""
+	for _, sg := range ts.segs {
+		if sg.nRows == 0 || sg.minKey <= last {
+			t.Errorf("shard %d: run %s (%d rows) is empty or not above the runs before it", ts.shard.id, sg.path, sg.nRows)
+		}
+		last = sg.maxKey
+	}
+	for _, mr := range ts.mem {
+		if mr.key <= last {
+			t.Errorf("shard %d: memtable key %q not above the key before it", ts.shard.id, mr.key)
+		}
+		last = mr.key
+	}
+	// Materialize the shard's view — runs then memtable — which is what
+	// the indexes must mirror exactly.
 	live := make(map[string]Row)
-	ss := ts.captureLocked("", "")
+	ss := ts.captureLocked()
 	defer ss.release()
 	pkc := ts.schema.Primary
 	if err := ss.iterate("", "", nil, func(pk string, row Row) bool {
@@ -384,20 +404,10 @@ func checkShardIndexConsistent(t *testing.T, ts *tableShard) {
 		live[pk] = row
 		return true
 	}); err != nil {
-		t.Fatalf("shard %d: merged iterate: %v", ts.shard.id, err)
+		t.Fatalf("shard %d: iterate: %v", ts.shard.id, err)
 	}
-	if len(live) != ts.count {
-		t.Errorf("shard %d: live count %d, merged view has %d rows", ts.shard.id, ts.count, len(live))
-	}
-	// Append-only: a key lives in exactly one of the memtable and the
-	// runs, so their row counts add up to the live count.
-	memRows := ts.primary.Len()
-	stored := memRows
-	for _, sg := range ts.segs {
-		stored += sg.nRows
-	}
-	if stored != ts.count {
-		t.Errorf("shard %d: memtable + runs hold %d rows, count is %d", ts.shard.id, stored, ts.count)
+	if len(live) != ts.rows() {
+		t.Errorf("shard %d: memtable + runs hold %d rows, the view has %d distinct keys", ts.shard.id, ts.rows(), len(live))
 	}
 	for col, idx := range ts.secondary {
 		ci := ts.schema.colIndex(col)
@@ -413,21 +423,23 @@ func checkShardIndexConsistent(t *testing.T, ts *tableShard) {
 			}
 		}
 		// And the index holds no extra or stale rows: every key resolves
-		// (side list or segments) to the live row. Every side-list row
-		// is the memtable's row for that key, and the side lists hold
-		// every memtable row.
+		// (side list or segments) to the live row. The side list is the
+		// memtable rows of the posting's key suffix, and the side lists
+		// hold every memtable row.
 		indexed, inMem := 0, 0
-		idx.Ascend(func(_ string, v interface{}) bool {
+		idx.AscendRange("", "", func(_ string, v interface{}) bool {
 			pl := v.(*postingList)
 			indexed += len(pl.keys)
 			inMem += len(pl.mem)
-			for _, e := range pl.mem {
-				if _, found := slices.BinarySearch(pl.keys, e.pk); !found {
-					t.Errorf("shard %d: index %s side-list pk missing from its keys", ts.shard.id, col)
-				}
-				mv, ok := ts.primary.Get(e.pk)
-				if !ok || !slices.Equal(mv.(Row), e.row) {
-					t.Errorf("shard %d: index %s side-list row %v is not the memtable's row", ts.shard.id, col, e.row[pkc])
+			if !slices.IsSorted(pl.keys) || len(pl.mem) > len(pl.keys) {
+				t.Errorf("shard %d: index %s posting keys unsorted or side list longer than keys", ts.shard.id, col)
+				return true
+			}
+			for i, row := range pl.mem {
+				pk := pl.keys[len(pl.keys)-len(pl.mem)+i]
+				j, ok := slices.BinarySearchFunc(ts.mem, pk, cmpMemKey)
+				if !ok || !slices.Equal(ts.mem[j].row, row) {
+					t.Errorf("shard %d: index %s side-list row %v is not the memtable's row for its key", ts.shard.id, col, row[pkc])
 				}
 			}
 			got, err := ts.resolveAll(pl, nil)
@@ -448,8 +460,8 @@ func checkShardIndexConsistent(t *testing.T, ts *tableShard) {
 		if indexed != len(live) {
 			t.Errorf("shard %d: index %s holds %d rows, table has %d", ts.shard.id, col, indexed, len(live))
 		}
-		if inMem != memRows {
-			t.Errorf("shard %d: index %s side lists hold %d rows, memtable has %d", ts.shard.id, col, inMem, memRows)
+		if inMem != len(ts.mem) {
+			t.Errorf("shard %d: index %s side lists hold %d rows, memtable has %d", ts.shard.id, col, inMem, len(ts.mem))
 		}
 	}
 }

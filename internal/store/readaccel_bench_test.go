@@ -5,16 +5,15 @@ import (
 	"testing"
 )
 
-// The read-acceleration benchmarks prove the PR's three claims with
-// on/off pairs: bloom filters make absent-key probes on a run stack
-// nearly free, the shared block cache turns repeated block reads into
-// memory hits, and batched index resolution decodes each touched block
-// once per query instead of once per posting entry.
+// The read-path benchmarks measure on/off pairs: the shared block cache
+// turns repeated block reads into memory hits, and batched index
+// resolution decodes each touched block once per query instead of once
+// per posting entry.
 
 // benchRunStack builds a single-shard store whose table is a stack of
-// `runs` minor-compaction runs with interleaved sparse keys: every run's
-// zone map spans the whole key range (zone maps alone prune nothing) and
-// odd pks never exist (absent-but-in-range probes).
+// `runs` minor-compaction runs over ascending keys: run r holds the
+// even pks of [2·r·perRun, 2·(r+1)·perRun), so the runs' zone maps are
+// disjoint and odd pks never exist.
 func benchRunStack(b *testing.B, runs, perRun int) (*DB, *Table) {
 	b.Helper()
 	db, err := Open(filepath.Join(b.TempDir(), "stack.db"))
@@ -31,7 +30,7 @@ func benchRunStack(b *testing.B, runs, perRun int) (*DB, *Table) {
 	for r := 0; r < runs; r++ {
 		batch := make([]Row, 0, perRun)
 		for i := 0; i < perRun; i++ {
-			pk := int64((i*runs + r) * 2)
+			pk := int64((r*perRun + i) * 2)
 			attr := "pulse"
 			if i%16 == 0 {
 				// Sparse attribute: one posting per ~16 rows, scattered
@@ -56,44 +55,6 @@ func benchRunStack(b *testing.B, runs, perRun int) (*DB, *Table) {
 	return db, tbl
 }
 
-// dropFilters simulates the pre-bloom read path on the same on-disk
-// layout by discarding the loaded filters.
-func dropFilters(tbl *Table) {
-	for _, ts := range tbl.shards {
-		for _, sg := range ts.segs {
-			sg.filter = nil
-		}
-	}
-}
-
-// BenchmarkSegGetMiss probes absent keys through an 8-run stack — the
-// dominant cost of index resolution and point gets on a compacted
-// store, since every run must be consulted. bloom=off walks zone maps
-// into block reads; bloom=on answers from the in-memory filters.
-func BenchmarkSegGetMiss(b *testing.B) {
-	const runs, perRun = 8, 4000
-	for _, bloom := range []string{"off", "on"} {
-		b.Run("bloom="+bloom, func(b *testing.B) {
-			db, tbl := benchRunStack(b, runs, perRun)
-			defer db.Close()
-			db.SetBlockCacheCapacity(0) // isolate the filter effect
-			if bloom == "off" {
-				dropFilters(tbl)
-			}
-			ts := tbl.shards[0]
-			span := int64(runs * perRun * 2)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pk := int64(i*2+1) % span // odd: in-zone, never stored
-				if _, ok, err := ts.segGet(encodeKey(Int(pk)), nil); ok || err != nil {
-					b.Fatalf("segGet(%d): ok=%v err=%v", pk, ok, err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkSegGetHot re-reads a small hot key set from a compacted
 // store. cache=off decodes the owning block from disk on every get;
 // cache=on serves the decoded rows from the shared LRU.
@@ -110,7 +71,7 @@ func BenchmarkSegGetHot(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pk := int64((i % 64) * 2 * 97) // 64 hot keys across blocks
+				pk := int64((i % 64) * 2 * 499) // 64 hot keys across every run
 				if _, ok, err := ts.segGet(encodeKey(Int(pk)), nil); !ok || err != nil {
 					b.Fatalf("segGet(%d): ok=%v err=%v", pk, ok, err)
 				}

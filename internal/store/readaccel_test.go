@@ -3,6 +3,7 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"slices"
@@ -12,63 +13,7 @@ import (
 	"time"
 )
 
-// --- bloom filter ---
-
-// TestBloomFilterBasics pins the filter contract: no false negatives
-// ever, a sane false-positive rate at the designed bits-per-key, and a
-// decode that survives round-trips but degrades to nil on any
-// corruption.
-func TestBloomFilterBasics(t *testing.T) {
-	const n = 5000
-	bf := newBloomFilter(n)
-	if bf == nil {
-		t.Fatal("newBloomFilter returned nil for a non-empty set")
-	}
-	for i := 0; i < n; i++ {
-		bf.add(encodeKey(Int(int64(i))))
-	}
-	for i := 0; i < n; i++ {
-		if !bf.mayContain(bloomHash(encodeKey(Int(int64(i))))) {
-			t.Fatalf("false negative for key %d", i)
-		}
-	}
-	fp := 0
-	const probes = 10000
-	for i := 0; i < probes; i++ {
-		if bf.mayContain(bloomHash(encodeKey(Int(int64(n + 1 + i))))) {
-			fp++
-		}
-	}
-	// ~1% designed; 5% is the alarm threshold for a broken hash.
-	if rate := float64(fp) / probes; rate > 0.05 {
-		t.Fatalf("false-positive rate %.3f, want < 0.05", rate)
-	}
-
-	enc := bf.encode()
-	dec := decodeBloom(enc)
-	if dec == nil || dec.k != bf.k || dec.nbits != bf.nbits {
-		t.Fatalf("decode(encode) mismatch: %+v vs %+v", dec, bf)
-	}
-	// Any single-byte flip breaks the region CRC: decode must return
-	// nil (degrade), never panic or accept.
-	for off := range enc {
-		bad := append([]byte(nil), enc...)
-		bad[off] ^= 0xff
-		if decodeBloom(bad) != nil {
-			t.Fatalf("decode accepted a corrupt region (flip at %d)", off)
-		}
-	}
-	for cut := 0; cut < len(enc); cut++ {
-		if decodeBloom(enc[:cut]) != nil {
-			t.Fatalf("decode accepted a truncated region (cut at %d)", cut)
-		}
-	}
-	if newBloomFilter(0) != nil {
-		t.Fatal("a filter sized for no keys should be nil")
-	}
-}
-
-// --- extended footer ---
+// --- segment footer formats ---
 
 // writeAttrSegment writes a fresh segment of n attribute rows with pks
 // 1..n and returns its path.
@@ -88,112 +33,6 @@ func writeAttrSegment(t *testing.T, dir string, n int) string {
 		t.Fatal(err)
 	}
 	return path
-}
-
-// TestSegmentFilterPersisted pins the extended footer: a new segment
-// carries a loadable filter, present keys always pass it, and a probe
-// for an absent key inside the zone map is rejected without any block
-// read.
-func TestSegmentFilterPersisted(t *testing.T) {
-	path := writeAttrSegment(t, t.TempDir(), 600)
-	sg, err := openSegment(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sg.unref()
-	if sg.filter == nil {
-		t.Fatal("new segment has no bloom filter")
-	}
-	var rs readStats
-	for i := 1; i <= 600; i++ {
-		row, ok, err := sg.get(encodeKey(Int(int64(i))), &rs)
-		if err != nil || !ok || row[0].I != int64(i) {
-			t.Fatalf("get(%d): ok=%v err=%v", i, ok, err)
-		}
-	}
-	if rs.bloomSkips != 0 {
-		t.Fatalf("present keys counted %d bloom skips", rs.bloomSkips)
-	}
-	// Absent keys inside the zone map: a sparse segment (even pks only)
-	// makes every odd pk an in-zone miss the zone map cannot reject.
-	// Nearly all must be filter-rejected; the rest are false positives.
-	sparse := filepath.Join(t.TempDir(), "sparse.seg")
-	w, err := newSegmentWriter(sparse, attrSchema(), 600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 600; i++ {
-		if err := w.add(Row{Int(int64(2 * i)), Int(0), Str("pulse"), Str("v"), Float(0)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.finish(); err != nil {
-		t.Fatal(err)
-	}
-	sg2, err := openSegment(sparse)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sg2.unref()
-	rs = readStats{}
-	for i := 1; i <= 600; i++ {
-		pk := int64(2*i + 1) // in [3,1201): inside the zone map, never stored
-		if pk > 1199 {
-			break
-		}
-		if _, ok, err := sg2.get(encodeKey(Int(pk)), &rs); ok || err != nil {
-			t.Fatalf("get(%d): ok=%v err=%v, want miss", pk, ok, err)
-		}
-	}
-	if rs.bloomSkips < 500 {
-		t.Fatalf("in-zone misses produced only %d bloom skips", rs.bloomSkips)
-	}
-}
-
-// referenceBloomRegion builds the filter region the way the writer did
-// when it buffered every key's hashes and sized the bit array once the
-// last key had arrived.
-func referenceBloomRegion(keys []string) []byte {
-	var hashes []uint64
-	for _, k := range keys {
-		h1, h2 := bloomHash(k)
-		hashes = append(hashes, h1, h2)
-	}
-	nbits := uint64(len(keys)) * bloomBitsPerKey
-	if nbits < 64 {
-		nbits = 64
-	}
-	nbits = (nbits + 7) &^ 7
-	bf := &bloomFilter{k: bloomHashes, nbits: nbits, bits: make([]byte, nbits/8)}
-	for i := 0; i < len(hashes); i += 2 {
-		for j := uint64(0); j < bloomHashes; j++ {
-			pos := (hashes[i] + j*hashes[i+1]) % nbits
-			bf.bits[pos>>3] |= 1 << (pos & 7)
-		}
-	}
-	return bf.encode()
-}
-
-// TestSegmentBloomMatchesReference pins the segment format across the
-// up-front sizing: a writer told its row count writes the same filter
-// region, byte for byte, as one that buffered the keys' hashes and sized
-// the filter at the end.
-func TestSegmentBloomMatchesReference(t *testing.T) {
-	for _, n := range []int{1, 6, 7, 255, 256, 600, 5000} {
-		path := writeAttrSegment(t, t.TempDir(), n)
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var keys []string
-		for i := 1; i <= n; i++ {
-			keys = append(keys, encodeKey(Int(int64(i))))
-		}
-		got := raw[segFilterOff(t, raw) : len(raw)-segTail2Len]
-		if want := referenceBloomRegion(keys); string(got) != string(want) {
-			t.Errorf("n=%d: filter region differs from the reference (%d vs %d bytes)", n, len(got), len(want))
-		}
-	}
 }
 
 // TestSegmentWriterCountMismatch: a run sized for one row count that
@@ -219,70 +58,51 @@ func TestSegmentWriterCountMismatch(t *testing.T) {
 	}
 }
 
-// TestBloomSkipsOnRunStack pins the end-to-end effect the filters
-// exist for: on a stack of minor-compaction runs with disjoint keys, a
-// point get of a key in the oldest run is filter-rejected by every
-// newer run instead of paying a block read per run.
-func TestBloomSkipsOnRunStack(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "stack.db")
-	db, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
+// format2SegmentBytes converts a format-1 segment image — what the
+// writer produces — into the format-2 image earlier versions wrote: a
+// filter region between the schema and a 24-byte tail carrying its
+// length. The region's bytes follow the retired bloom encoding's shape
+// ("BLM1", probe count, bit count, bits, CRC); the reader never looks
+// at them. The tail CRC covers exactly index+schema in both formats, so
+// it carries over.
+func format2SegmentBytes(tb testing.TB, f1 []byte) []byte {
+	tb.Helper()
+	if string(f1[len(f1)-8:]) != segTailMagic {
+		tb.Fatalf("writer did not produce a %s tail", segTailMagic)
 	}
-	defer db.Close()
-	tbl, err := db.CreateTable(attrSchema())
-	if err != nil {
-		t.Fatal(err)
+	tail := f1[len(f1)-segTailLen:]
+	filter := append([]byte("BLM1\x07\x80\x04"), make([]byte, 64)...)
+	for i := range filter[7:] {
+		filter[7+i] = byte(i * 37)
 	}
-	// 4 runs of interleaved sparse keys: run r holds pks r, r+8, r+16 …
-	// so every run's zone map covers the whole key range and zone maps
-	// alone cannot reject anything.
-	const runs, perRun = 4, 400
-	for r := 0; r < runs; r++ {
-		var rows []Row
-		for i := 0; i < perRun; i++ {
-			pk := int64(i*2*runs + 2*r) // even pks only; odds never exist
-			rows = append(rows, Row{Int(pk), Int(pk % 5), Str("pulse"), Str("v"), Float(float64(pk))})
-		}
-		if err := tbl.InsertBatch(rows); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ts := tbl.shards[0]
-	if len(ts.segs) != runs {
-		t.Fatalf("expected %d runs, got %d", runs, len(ts.segs))
-	}
-	// A key in the oldest run (r=0) is inside every newer run's zone
-	// map; the newer runs' filters must reject it without IO.
-	var rs readStats
-	row, ok, err := ts.segGet(encodeKey(Int(16)), &rs) // run 0 holds 16 (i=2, r=0)
-	if err != nil || !ok || row[0].I != 16 {
-		t.Fatalf("segGet(16): ok=%v err=%v", ok, err)
-	}
-	if rs.bloomSkips == 0 {
-		t.Fatalf("probing through the run stack produced no bloom skips (stats %+v)", rs)
-	}
-	// An absent odd key must miss with (almost always) zero block
-	// reads; across many probes the filter must reject nearly all.
-	rs = readStats{}
-	for pk := int64(1); pk < 2*runs*perRun; pk += 2 {
-		if _, ok, err := ts.segGet(encodeKey(Int(pk)), &rs); ok || err != nil {
-			t.Fatalf("segGet(%d): ok=%v err=%v, want miss", pk, ok, err)
-		}
-	}
-	probes := int(runs * perRun) // one potential probe per run per key
-	if rs.bloomSkips < probes/2 {
-		t.Fatalf("absent-key probes: only %d bloom skips (stats %+v)", rs.bloomSkips, rs)
-	}
+	filter = binary.BigEndian.AppendUint32(filter, crc32.ChecksumIEEE(filter))
+	out := append([]byte(nil), f1[:len(f1)-segTailLen]...)
+	out = append(out, filter...)
+	out = append(out, tail[0:8]...) // indexLen | schemaLen
+	out = binary.BigEndian.AppendUint32(out, uint32(len(filter)))
+	out = append(out, tail[8:12]...) // crc(index+schema)
+	return append(out, segTailMagic2...)
 }
 
-// TestSegmentLegacyFooterReadable pins backward compatibility: a
-// format-1 segment (20-byte tail, no filter region) — what every
-// pre-bloom database holds on disk — opens and reads identically,
-// just without a filter.
+// readAllSegment reads every row of sg in order through the scan path.
+func readAllSegment(t *testing.T, sg *segment) []Row {
+	t.Helper()
+	var rows []Row
+	ss := shardSnap{segs: []*segment{sg}}
+	if err := ss.iterate("", "", nil, func(_ string, row Row) bool {
+		rows = append(rows, row)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+// TestSegmentLegacyFooterReadable pins compatibility in both
+// directions: the writer produces the filter-less format-1 tail, and a
+// format-2 segment — what earlier versions wrote, a bloom-filter region
+// before a 24-byte tail — opens and reads identically, its filter
+// region skipped unread.
 func TestSegmentLegacyFooterReadable(t *testing.T) {
 	dir := t.TempDir()
 	path := writeAttrSegment(t, dir, 600)
@@ -290,20 +110,25 @@ func TestSegmentLegacyFooterReadable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if string(raw[len(raw)-8:]) != segTailMagic {
+		t.Fatalf("writer tail magic %q, want %q", raw[len(raw)-8:], segTailMagic)
+	}
+	current, err := openSegment(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer current.unref()
 	legacy := filepath.Join(dir, "legacy.seg")
-	if err := os.WriteFile(legacy, legacySegmentBytes(t, raw), 0o644); err != nil {
+	if err := os.WriteFile(legacy, format2SegmentBytes(t, raw), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	sg, err := openSegment(legacy)
 	if err != nil {
-		t.Fatalf("legacy footer rejected: %v", err)
+		t.Fatalf("format-2 footer rejected: %v", err)
 	}
 	defer sg.unref()
-	if sg.filter != nil {
-		t.Fatal("legacy segment grew a filter from nowhere")
-	}
-	if sg.nRows != 600 {
-		t.Fatalf("nRows = %d, want 600", sg.nRows)
+	if sg.nRows != 600 || !slices.Equal(sg.blocks, current.blocks) {
+		t.Fatalf("format-2 run: nRows %d, blocks differ %v; want the format-1 run's 600 rows and blocks", sg.nRows, !slices.Equal(sg.blocks, current.blocks))
 	}
 	for _, pk := range []int64{1, 256, 600} {
 		if row, ok, err := sg.get(encodeKey(Int(pk)), nil); err != nil || !ok || row[0].I != pk {
@@ -313,55 +138,34 @@ func TestSegmentLegacyFooterReadable(t *testing.T) {
 	if _, ok, err := sg.get(encodeKey(Int(601)), nil); ok || err != nil {
 		t.Fatalf("legacy get(601): ok=%v err=%v, want miss", ok, err)
 	}
-	it := newSegIter(sg, "", "", nil)
-	n := 0
-	for it.valid() {
-		n++
-		it.next()
+	got, want := readAllSegment(t, sg), readAllSegment(t, current)
+	if len(got) != 600 || len(got) != len(want) {
+		t.Fatalf("legacy iteration: %d rows, format-1 run %d", len(got), len(want))
 	}
-	if it.err != nil || n != 600 {
-		t.Fatalf("legacy iteration: n=%d err=%v", n, it.err)
+	for i := range got {
+		if !slices.Equal(got[i], want[i]) {
+			t.Fatalf("row %d: format-2 %v, format-1 %v", i, got[i], want[i])
+		}
 	}
 }
 
-// legacySegmentBytes converts a format-2 segment image to format 1 by
-// dropping the filter region and rewriting the 20-byte tail. The tail
-// CRC covers exactly index+schema in both formats, so it carries over.
-func legacySegmentBytes(tb testing.TB, buf []byte) []byte {
-	tb.Helper()
-	if string(buf[len(buf)-8:]) != segTailMagic2 {
-		tb.Fatalf("writer did not produce a %s tail", segTailMagic2)
-	}
-	tail := buf[len(buf)-segTail2Len:]
-	filterLen := int(binary.BigEndian.Uint32(tail[8:12]))
-	out := append([]byte(nil), buf[:len(buf)-segTail2Len-filterLen]...)
-	out = append(out, tail[0:8]...)   // indexLen | schemaLen
-	out = append(out, tail[12:16]...) // crc(index+schema)
-	out = append(out, segTailMagic...)
-	return out
-}
-
-// TestSegmentCorruptFilterFallsBack pins the degradation contract: a
-// bit flip anywhere in the filter region costs the filter, never the
-// segment — the open succeeds, reads are exact, and only bloomSkips
-// disappear. Corrupting the filter *length* in the tail shifts the
-// metadata offset and is footer corruption (ErrCorrupt), same as
-// today's torn-tail class.
+// TestSegmentCorruptFilterFallsBack: a bit flip anywhere in a format-2
+// run's filter region changes nothing — the region is never read, so
+// the open succeeds and reads are exact. Corrupting the filter *length*
+// in the tail shifts the metadata offset and is footer corruption
+// (ErrCorrupt), same as the torn-tail class.
 func TestSegmentCorruptFilterFallsBack(t *testing.T) {
 	dir := t.TempDir()
-	path := writeAttrSegment(t, dir, 600)
-	good, err := os.ReadFile(path)
+	f1, err := os.ReadFile(writeAttrSegment(t, dir, 600))
 	if err != nil {
 		t.Fatal(err)
 	}
+	good := format2SegmentBytes(t, f1)
 	tail := good[len(good)-segTail2Len:]
 	filterLen := int(binary.BigEndian.Uint32(tail[8:12]))
-	if filterLen == 0 {
-		t.Fatal("no filter region to corrupt")
-	}
 	filterOff := len(good) - segTail2Len - filterLen
 	p := filepath.Join(dir, "corrupt.seg")
-	for off := filterOff; off < filterOff+filterLen; off += 37 { // sample offsets
+	for off := filterOff; off < filterOff+filterLen; off += 7 { // sample offsets
 		bad := append([]byte(nil), good...)
 		bad[off] ^= 0xff
 		if err := os.WriteFile(p, bad, 0o644); err != nil {
@@ -371,15 +175,8 @@ func TestSegmentCorruptFilterFallsBack(t *testing.T) {
 		if err != nil {
 			t.Fatalf("flip at %d: corrupt filter failed the open: %v", off, err)
 		}
-		if sg.filter != nil {
-			t.Fatalf("flip at %d: corrupt filter decoded non-nil", off)
-		}
-		var rs readStats
-		if row, ok, gerr := sg.get(encodeKey(Int(300)), &rs); gerr != nil || !ok || row[0].I != 300 {
+		if row, ok, gerr := sg.get(encodeKey(Int(300)), nil); gerr != nil || !ok || row[0].I != 300 {
 			t.Fatalf("flip at %d: get(300): ok=%v err=%v", off, ok, gerr)
-		}
-		if rs.bloomSkips != 0 {
-			t.Fatalf("flip at %d: filter-absent read counted bloom skips", off)
 		}
 		sg.unref()
 	}
@@ -646,8 +443,9 @@ func TestCompactionDoesNotFillCache(t *testing.T) {
 
 // TestCacheInvariantUnderCompaction is the race-enabled invariant test:
 // concurrent readers and writers run against the auto-compactor
-// swapping runs underneath them. Writers insert fresh keys and publish
-// each one once its insert has returned. Readers must find every
+// swapping runs underneath them. Writers act as one logical writer, as
+// core.Ingester does: each allocates the next key and inserts it under
+// one lock, then publishes it. Readers must find every
 // published key, with its exact content, while runs move under them:
 // the cache must never lose a row a swap relocated, nor serve a
 // different row in its place, and an indexed query must return at
@@ -672,10 +470,13 @@ func TestCacheInvariantUnderCompaction(t *testing.T) {
 	rowFor := func(pk int64) Row {
 		return Row{Int(pk), Int(pk % 97), Str("pulse"), Str(fmt.Sprintf("v%d", pk)), Float(float64(pk))}
 	}
-	// Writer w inserts keys w, w+writers, w+2*writers, …; published[w]
-	// counts the ones whose insert has returned.
-	var published [writers]atomic.Int64
-	pkOf := func(w int, k int64) int64 { return int64(w) + k*writers }
+	// Keys 0, 1, 2, … in insert order; published counts the ones whose
+	// insert has returned.
+	var (
+		writeMu   sync.Mutex
+		next      int64
+		published atomic.Int64
+	)
 	check := func(pk int64) error {
 		row, err := tbl.Get(Int(pk))
 		if err != nil {
@@ -690,21 +491,27 @@ func TestCacheInvariantUnderCompaction(t *testing.T) {
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			for k := int64(0); ; k++ {
+			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				if err := tbl.Insert(rowFor(pkOf(w, k))); err != nil {
+				writeMu.Lock()
+				err := tbl.Insert(rowFor(next))
+				if err == nil {
+					next++
+					published.Store(next)
+				}
+				writeMu.Unlock()
+				if err != nil {
 					t.Errorf("insert: %v", err)
 					return
 				}
-				published[w].Store(k + 1)
 			}
-		}(w)
+		}()
 	}
 	for r := 0; r < 3; r++ {
 		wg.Add(1)
@@ -716,20 +523,16 @@ func TestCacheInvariantUnderCompaction(t *testing.T) {
 					return
 				default:
 				}
-				floor := 0
-				for w := 0; w < writers; w++ {
-					n := published[w].Load()
-					floor += int(n)
-					if n == 0 {
-						continue
-					}
+				n := published.Load()
+				floor := int(n)
+				if n > 0 {
 					for k := max(0, n-16); k < n; k++ {
-						if err := check(pkOf(w, k)); err != nil {
+						if err := check(k); err != nil {
 							t.Error(err)
 							return
 						}
 					}
-					if err := check(pkOf(w, pass%n)); err != nil {
+					if err := check(pass % n); err != nil {
 						t.Error(err)
 						return
 					}
@@ -760,14 +563,10 @@ func TestCacheInvariantUnderCompaction(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	total := 0
-	for w := 0; w < writers; w++ {
-		n := published[w].Load()
-		total += int(n)
-		for k := int64(0); k < n; k++ {
-			if err := check(pkOf(w, k)); err != nil {
-				t.Fatal(err)
-			}
+	total := int(published.Load())
+	for k := int64(0); k < int64(total); k++ {
+		if err := check(k); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if got := tbl.Len(); got != total {
@@ -783,7 +582,7 @@ func TestCacheInvariantUnderCompaction(t *testing.T) {
 }
 
 // TestBatchedResolveMatchesSingle cross-checks the batched resolver
-// against per-key liveGet over keys spread across two runs and the
+// against per-key Get over keys spread across two runs and the
 // memtable, whose rows sit in the posting's side list: both must
 // produce identical rows, and every posting key must resolve exactly
 // once, from the layer that holds it.
@@ -798,11 +597,12 @@ func TestBatchedResolveMatchesSingle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Key i lives in layer i%3: the first run, the second run, or the
+	// Key i lives in layer i/200: the first run, the second run, or the
 	// memtable. The patient column records the layer.
+	layerOf := func(i int) int { return i / 200 }
 	for layer := 0; layer < 3; layer++ {
 		var rows []Row
-		for i := layer; i < 500; i += 3 {
+		for i := layer * 200; i < min(500, (layer+1)*200); i++ {
 			rows = append(rows, Row{Int(int64(i)), Int(int64(layer)), Str("pulse"), Str("v"), Float(0)})
 		}
 		if err := tbl.InsertBatch(rows); err != nil {
@@ -818,31 +618,36 @@ func TestBatchedResolveMatchesSingle(t *testing.T) {
 	if len(ts.segs) != 2 {
 		t.Fatalf("expected a two-run stack, got %d segs", len(ts.segs))
 	}
+	// The posting holds every third key; its side list is the memtable
+	// rows of its suffix.
 	pl := &postingList{}
-	for i := 0; i < 500; i++ {
-		pk := encodeKey(Int(int64(i)))
-		pl.keys = append(pl.keys, pk)
-		if v, ok := ts.primary.Get(pk); ok {
-			pl.mem = append(pl.mem, postingEntry{pk: pk, row: v.(Row)})
+	var ids []int
+	for i := 0; i < 500; i += 3 {
+		ids = append(ids, i)
+		pl.keys = append(pl.keys, encodeKey(Int(int64(i))))
+	}
+	for _, mr := range ts.mem {
+		if _, found := slices.BinarySearch(pl.keys, mr.key); found {
+			pl.mem = append(pl.mem, mr.row)
 		}
 	}
-	if len(pl.mem) != 166 {
-		t.Fatalf("side list holds %d memtable rows, want 166", len(pl.mem))
+	if len(pl.mem) != 33 {
+		t.Fatalf("side list holds %d memtable rows, want 33", len(pl.mem))
 	}
 	got, err := ts.resolveAll(pl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, pk := range pl.keys {
-		want, ok, err := ts.liveGet(pk)
-		if err != nil || !ok {
-			t.Fatalf("liveGet(%d): ok=%v err=%v", i, ok, err)
+	for i, id := range ids {
+		want, err := tbl.Get(Int(int64(id)))
+		if err != nil {
+			t.Fatalf("Get(%d): %v", id, err)
 		}
 		if !slices.Equal(got[i], want) {
-			t.Fatalf("key %d: batched %v != single %v", i, got[i], want)
+			t.Fatalf("key %d: batched %v != single %v", id, got[i], want)
 		}
-		if got[i][1].I != int64(i%3) {
-			t.Fatalf("key %d resolved from layer %d, want %d", i, got[i][1].I, i%3)
+		if got[i][1].I != int64(layerOf(id)) {
+			t.Fatalf("key %d resolved from layer %d, want %d", id, got[i][1].I, layerOf(id))
 		}
 	}
 	// A posting for a key no segment holds must fail loudly, not

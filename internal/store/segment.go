@@ -25,19 +25,19 @@ import (
 //	block*                                    encoded rows, back to back
 //	index: per block {offset, len, rows, crc, minKey, maxKey}
 //	schema: opCreateTable payload (self-describing)
-//	filter: bloom region (see bloom.go), self-CRC'd  [format 2 only]
+//	[filter region]                           format 2 only; never read
 //	uint32 indexLen | uint32 schemaLen
 //	[uint32 filterLen]                        format 2 only
 //	uint32 CRC32(index+schema) | magic        fixed tail
 //
-// Two tail formats coexist. "MEDSEGF1" is the original 20-byte tail
-// with no filter region — every pre-bloom segment on disk. "MEDSEGF2"
-// is the 24-byte tail that adds filterLen and places the bloom region
-// between the schema and the tail. The loader dispatches on the magic,
-// so old segments stay readable forever and a new segment is simply an
-// old segment plus an optional, independently-checksummed filter: the
-// tail CRC still covers exactly index+schema, and a corrupt filter
-// region degrades to filter-absent reads instead of failing the open.
+// Two tail formats exist. "MEDSEGF1" is the 20-byte tail with no filter
+// region: the format written today. "MEDSEGF2" is the 24-byte tail of
+// runs written by earlier versions, which placed a bloom filter of
+// filterLen bytes between the schema and the tail. Keys ascend on every
+// shard, so at most one run's zone map admits a key and a filter has
+// nothing to reject: the loader dispatches on the magic and skips a
+// format-2 filter region unread. The tail CRC covers exactly
+// index+schema in both formats.
 //
 // Rows inside a block use the WAL row codec (encodeRow/decodeValues);
 // keys are re-derived from the schema's primary column, so nothing is
@@ -48,8 +48,8 @@ const (
 	segMagic      = "MEDSEG1\n"
 	segTailMagic  = "MEDSEGF1"
 	segTailMagic2 = "MEDSEGF2"
-	segTailLen    = 8 + 4 + 4 + 4     // lens + crc + magic
-	segTail2Len   = 8 + 4 + 4 + 4 + 4 // lens + filterLen + crc + magic
+	segTailLen    = 8 + 4 + 8     // lens + crc + magic
+	segTail2Len   = 8 + 4 + 4 + 8 // lens + filterLen + crc + magic
 
 	// segmentBlockRows is the target rows per block: small enough that
 	// a point read decodes little, large enough that the sparse index
@@ -90,9 +90,8 @@ type segment struct {
 	minKey string // zone map over the whole file
 	maxKey string
 
-	id     uint64       // process-unique cache key prefix
-	filter *bloomFilter // nil: no filter persisted, or filter region corrupt
-	cache  *blockCache  // shared decoded-block cache; nil disables caching
+	id    uint64      // process-unique cache key prefix
+	cache *blockCache // shared decoded-block cache; nil disables caching
 
 	refs     atomic.Int32 // owner (shard) + pinning snapshots
 	obsolete atomic.Bool  // superseded by a newer compaction: remove on last unref
@@ -140,9 +139,8 @@ func openSegment(path string) (*segment, error) {
 }
 
 // loadSegment parses the footer and block index from an open file. The
-// trailing 8-byte magic selects the tail format; the optional format-2
-// bloom filter is decoded best-effort (it carries its own CRC), so a
-// corrupt filter region costs the filter, never the segment.
+// trailing 8-byte magic selects the tail format; a format-2 filter
+// region is skipped unread.
 func loadSegment(path string, f *os.File) (*segment, error) {
 	st, err := f.Stat()
 	if err != nil {
@@ -209,12 +207,6 @@ func loadSegment(path string, f *os.File) (*segment, error) {
 	}
 	sg := &segment{path: path, f: f, schema: schema, blocks: blocks, nRows: nRows}
 	sg.id = segIDs.Add(1)
-	if filterLen > 0 {
-		fbuf := make([]byte, filterLen)
-		if _, err := f.ReadAt(fbuf, metaOff+indexLen+schemaLen); err == nil {
-			sg.filter = decodeBloom(fbuf) // nil on any deviation: degrade
-		}
-	}
 	if len(blocks) > 0 {
 		sg.minKey = blocks[0].minKey
 		sg.maxKey = blocks[len(blocks)-1].maxKey
@@ -358,28 +350,9 @@ func (sg *segment) readBlockDisk(bi int) ([]Row, []string, error) {
 	return rows, keys, nil
 }
 
-// noteBloomSkip records a probe the bloom filter answered without IO.
-func (sg *segment) noteBloomSkip(rs *readStats) {
-	if rs != nil {
-		rs.bloomSkips++
-	}
-	if sg.cache != nil {
-		sg.cache.bloomSkips.Add(1)
-	}
-}
-
 // get returns the row with the given primary key, using the zone maps
-// and the bloom filter to reject misses without touching the file.
+// to answer most misses without touching the file.
 func (sg *segment) get(key string, rs *readStats) (Row, bool, error) {
-	if len(sg.blocks) == 0 || key < sg.minKey || key > sg.maxKey {
-		return nil, false, nil
-	}
-	if sg.filter != nil {
-		if h1, h2 := bloomHash(key); !sg.filter.mayContain(h1, h2) {
-			sg.noteBloomSkip(rs)
-			return nil, false, nil
-		}
-	}
 	bi := sort.Search(len(sg.blocks), func(i int) bool { return sg.blocks[i].maxKey >= key })
 	if bi == len(sg.blocks) || sg.blocks[bi].minKey > key {
 		return nil, false, nil
@@ -395,130 +368,39 @@ func (sg *segment) get(key string, rs *readStats) (Row, bool, error) {
 	return rows[i], true, nil
 }
 
-// getBatch resolves many primary keys against this segment in one
-// index walk. keys holds a posting list's encoded primary keys
-// (ascending); missing holds the positions still unresolved. Each
-// position either fills out[pos] or survives into the returned
-// remainder for an older segment. Because both the keys and the block
-// index are sorted, the walk advances a single block cursor and decodes
-// each touched block exactly once — the whole point of batching.
-func (sg *segment) getBatch(keys []string, missing []int, out []Row, rs *readStats) ([]int, error) {
-	if len(sg.blocks) == 0 || len(missing) == 0 {
-		return missing, nil
-	}
-	rest := missing[:0]
-	bi := 0        // first candidate block (monotone: pks ascend)
+// getBatch resolves keys — ascending, each at or below the run's
+// maximum — into out, position for position, in one walk of the block
+// index: both are sorted, so a single block cursor advances and each
+// touched block is decoded exactly once, the whole point of batching.
+// A key the run does not hold is corruption: the index that named it
+// lists only stored keys.
+func (sg *segment) getBatch(keys []string, out []Row, rs *readStats) error {
+	bi := 0        // first candidate block (monotone: keys ascend)
 	var rows []Row // currently decoded block
 	var rowKeys []string
 	loaded := -1
-	for _, pos := range missing {
-		pk := keys[pos]
-		if pk < sg.minKey || pk > sg.maxKey {
-			rest = append(rest, pos)
-			continue
-		}
-		if sg.filter != nil {
-			if h1, h2 := bloomHash(pk); !sg.filter.mayContain(h1, h2) {
-				sg.noteBloomSkip(rs)
-				rest = append(rest, pos)
-				continue
-			}
-		}
-		// Advance to the first block whose maxKey >= pk.
+	for i, pk := range keys {
 		for bi < len(sg.blocks) && sg.blocks[bi].maxKey < pk {
 			bi++
 		}
 		if bi == len(sg.blocks) || sg.blocks[bi].minKey > pk {
-			rest = append(rest, pos)
-			continue
+			return errMissingRow
 		}
 		if loaded != bi {
 			var err error
 			rows, rowKeys, err = sg.readBlock(bi, rs)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			loaded = bi
 		}
-		if i, found := slices.BinarySearch(rowKeys, pk); found {
-			out[pos] = rows[i]
-		} else {
-			rest = append(rest, pos)
+		ri, found := slices.BinarySearch(rowKeys, pk)
+		if !found {
+			return errMissingRow
 		}
+		out[i] = rows[ri]
 	}
-	return rest, nil
-}
-
-// segIter streams a segment's rows in ascending key order, bounded to
-// [lo, hi) ("" = unbounded). Blocks whose zone map misses the bounds
-// are never read; pruned counts them for QueryStats.
-type segIter struct {
-	seg    *segment
-	hi     string
-	bi     int // next block to read
-	rows   []Row
-	keys   []string
-	ri     int
-	pruned int
-	stats  *readStats // cache hit/miss accounting for loaded blocks
-	err    error
-}
-
-// newSegIter positions an iterator at the first row >= lo, counting
-// the blocks the zone map let it skip.
-func newSegIter(sg *segment, lo, hi string, stats *readStats) *segIter {
-	it := &segIter{seg: sg, hi: hi, stats: stats}
-	// The first block that can contain a key >= lo.
-	it.bi = sort.Search(len(sg.blocks), func(i int) bool { return sg.blocks[i].maxKey >= lo })
-	it.pruned = it.bi
-	// Blocks past hi are pruned too; account for them up front so the
-	// stats reflect the whole zone-map saving even if iteration stops
-	// early.
-	if hi != "" {
-		end := sort.Search(len(sg.blocks), func(i int) bool { return sg.blocks[i].minKey >= hi })
-		it.pruned += len(sg.blocks) - max(end, it.bi)
-	}
-	it.loadBlock(lo)
-	return it
-}
-
-// loadBlock reads block it.bi and positions ri at the first key >= lo.
-func (it *segIter) loadBlock(lo string) {
-	for {
-		if it.bi >= len(it.seg.blocks) || (it.hi != "" && it.seg.blocks[it.bi].minKey >= it.hi) {
-			it.rows, it.keys = nil, nil
-			return
-		}
-		rows, keys, err := it.seg.readBlock(it.bi, it.stats)
-		if err != nil {
-			it.err = err
-			it.rows, it.keys = nil, nil
-			return
-		}
-		it.bi++
-		if ri, _ := slices.BinarySearch(keys, lo); ri < len(keys) {
-			it.rows, it.keys, it.ri = rows, keys, ri
-			return
-		}
-		lo = "" // the bound was past this block; the next starts fresh
-	}
-}
-
-// valid reports whether the iterator currently points at a row.
-func (it *segIter) valid() bool {
-	return it.err == nil && it.ri < len(it.keys) && (it.hi == "" || it.keys[it.ri] < it.hi)
-}
-
-// key and row return the current position (valid() must hold).
-func (it *segIter) key() string { return it.keys[it.ri] }
-func (it *segIter) row() Row    { return it.rows[it.ri] }
-
-// next advances to the following row.
-func (it *segIter) next() {
-	it.ri++
-	if it.ri >= len(it.keys) {
-		it.loadBlock("")
-	}
+	return nil
 }
 
 // segmentWriter streams pk-ascending rows into a new segment file.
@@ -534,14 +416,12 @@ type segmentWriter struct {
 	index  []byte
 	nRows  int
 	blocks int
-	want   int          // rows the run was sized for
-	bloom  *bloomFilter // filter over every added key; nil when want is 0
+	want   int // rows the run was sized for
 }
 
 // newSegmentWriter creates path (truncating any stale leftover) and
 // writes the header. nRows is the exact number of rows the caller will
-// add: the bloom filter is sized from it up front, and finish fails if
-// a different number arrived.
+// add: finish fails if a different number arrived.
 func newSegmentWriter(path string, schema Schema, nRows int) (*segmentWriter, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -552,8 +432,7 @@ func newSegmentWriter(path string, schema Schema, nRows int) (*segmentWriter, er
 		os.Remove(path)
 		return nil, err
 	}
-	return &segmentWriter{f: f, path: path, schema: schema, off: int64(len(segMagic)),
-		want: nRows, bloom: newBloomFilter(nRows)}, nil
+	return &segmentWriter{f: f, path: path, schema: schema, off: int64(len(segMagic)), want: nRows}, nil
 }
 
 // add appends one row; rows must arrive in strictly ascending primary-
@@ -562,9 +441,6 @@ func (w *segmentWriter) add(row Row) error {
 	key := encodeKey(row[w.schema.Primary])
 	if key <= w.maxKey {
 		return fmt.Errorf("store: segment writer: rows out of order")
-	}
-	if w.bloom != nil {
-		w.bloom.add(key)
 	}
 	if w.rows == 0 {
 		w.minKey = key
@@ -630,19 +506,11 @@ func (w *segmentWriter) finish() (err error) {
 	if _, err = w.f.Write(meta); err != nil {
 		return err
 	}
-	var filterBytes []byte
-	if w.bloom != nil {
-		filterBytes = w.bloom.encode()
-		if _, err = w.f.Write(filterBytes); err != nil {
-			return err
-		}
-	}
-	var tail [segTail2Len]byte
+	var tail [segTailLen]byte
 	binary.BigEndian.PutUint32(tail[0:4], uint32(len(w.index)))
 	binary.BigEndian.PutUint32(tail[4:8], uint32(len(schemaBytes)))
-	binary.BigEndian.PutUint32(tail[8:12], uint32(len(filterBytes)))
-	binary.BigEndian.PutUint32(tail[12:16], crc32.ChecksumIEEE(meta))
-	copy(tail[16:24], segTailMagic2)
+	binary.BigEndian.PutUint32(tail[8:12], crc32.ChecksumIEEE(meta))
+	copy(tail[12:20], segTailMagic)
 	if _, err = w.f.Write(tail[:]); err != nil {
 		return err
 	}

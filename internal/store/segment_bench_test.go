@@ -111,7 +111,7 @@ func BenchmarkQuerySnapshotDuringIngest(b *testing.B) {
 	base := (b.Elapsed() - start).Seconds()
 
 	// Fold phase 1 into segments (untimed) so both phases ingest into an
-	// empty memtable; otherwise phase 2 pays extra btree/GC cost for the
+	// empty memtable; otherwise phase 2 pays extra memtable/GC cost for the
 	// rows phase 1 left behind and the comparison conflates that with
 	// reader interference.
 	b.StopTimer()

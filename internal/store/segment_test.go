@@ -69,35 +69,34 @@ func TestSegmentRoundTrip(t *testing.T) {
 		}
 	}
 	// Full iteration order.
-	it := newSegIter(sg, "", "", nil)
+	ss := shardSnap{segs: []*segment{sg}}
 	prev := int64(0)
 	count := 0
-	for it.valid() {
-		if got := it.row()[0].I; got != prev+1 {
+	err = ss.iterate("", "", nil, func(_ string, row Row) bool {
+		if got := row[0].I; got != prev+1 {
 			t.Fatalf("iteration out of order: %d after %d", got, prev)
 		}
-		prev = it.row()[0].I
+		prev = row[0].I
 		count++
-		it.next()
-	}
-	if it.err != nil || count != n {
-		t.Fatalf("iterated %d rows, err %v", count, it.err)
+		return true
+	})
+	if err != nil || count != n {
+		t.Fatalf("iterated %d rows, err %v", count, err)
 	}
 	// Bounded iteration prunes blocks outside [600, 700).
-	it = newSegIter(sg, encodeKey(Int(600)), encodeKey(Int(700)), nil)
+	var rs readStats
 	count = 0
-	for it.valid() {
-		pk := it.row()[0].I
-		if pk < 600 || pk >= 700 {
+	err = ss.iterate(encodeKey(Int(600)), encodeKey(Int(700)), &rs, func(_ string, row Row) bool {
+		if pk := row[0].I; pk < 600 || pk >= 700 {
 			t.Fatalf("bounded iterator leaked pk %d", pk)
 		}
 		count++
-		it.next()
+		return true
+	})
+	if err != nil || count != 100 {
+		t.Fatalf("bounded iteration saw %d rows (err %v), want 100", count, err)
 	}
-	if count != 100 {
-		t.Fatalf("bounded iteration saw %d rows, want 100", count)
-	}
-	if it.pruned == 0 {
+	if rs.blocksPruned == 0 {
 		t.Fatal("bounded iteration pruned no blocks")
 	}
 }
@@ -142,12 +141,10 @@ func TestSegmentRejectsCorruption(t *testing.T) {
 		if err == nil {
 			// A corrupt block body is only detected when the block is
 			// read; the open validates the footer alone.
-			it := newSegIter(sg, "", "", nil)
-			for it.valid() {
-				it.next()
-			}
+			ss := shardSnap{segs: []*segment{sg}}
+			err := ss.iterate("", "", nil, func(string, Row) bool { return true })
 			sg.unref()
-			if it.err == nil {
+			if err == nil {
 				t.Errorf("%s: corruption undetected", tc.name)
 			}
 		}
@@ -280,8 +277,8 @@ func TestCompactEmitsSegments(t *testing.T) {
 	if err := tbl.Insert(Row{Int(9001), Int(41), Str("pulse"), Str("x"), Float(70)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.Insert(Row{Int(7), Int(2), Str("weight"), Str("re"), Float(1)}); !errors.Is(err, ErrDuplicate) {
-		t.Fatalf("re-insert of a run key: %v, want ErrDuplicate", err)
+	if err := tbl.Insert(Row{Int(7), Int(2), Str("weight"), Str("re"), Float(1)}); !errors.Is(err, ErrKeyOrder) {
+		t.Fatalf("re-insert of a run key: %v, want ErrKeyOrder", err)
 	}
 	if got := tbl.Len(); got != wantLen+1 {
 		t.Fatalf("Len after insert = %d, want %d", got, wantLen+1)
@@ -613,7 +610,7 @@ func pinTable(tbl *Table) pinnedTable {
 	p := make(pinnedTable, len(tbl.shards))
 	for i, ts := range tbl.shards {
 		ts.mu.RLock()
-		p[i] = ts.captureLocked("", "")
+		p[i] = ts.captureLocked()
 		ts.mu.RUnlock()
 	}
 	return p

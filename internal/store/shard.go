@@ -20,7 +20,7 @@ import (
 // Rows are assigned to shards by a stable hash of the encoded primary
 // key (see shardIndex), so a row's home shard never changes across
 // reopens and a primary key is globally unique even though each shard
-// checks uniqueness only locally.
+// checks key order only locally.
 type Shard struct {
 	id      int
 	logMu   sync.Mutex // serializes WAL appends on this shard
@@ -57,13 +57,15 @@ type Shard struct {
 
 // openShard opens (creating if necessary) one shard's WAL and segment
 // directory, replays the WAL over the segment state, and then builds
-// the indexes the WAL names, each table's from one walk of its rows. A
-// torn manifest or unreadable segment falls back to WAL-only recovery
-// (reported via Health().RecoveredWithLoss). A segment read that fails
-// during replay or the index build fails the open and keeps every
-// record the log holds; on any failure the log handle and every opened
-// segment are closed before returning, so an engine that fails mid-open
-// leaks no descriptors.
+// the indexes the WAL names, each table's from one walk of its rows.
+// Replay reads no segment block: the run footers' zone maps say which
+// replayed keys a run already holds. A torn manifest or unreadable
+// segment falls back to WAL-only recovery (reported via
+// Health().RecoveredWithLoss); runs that overlap fail the open before
+// any file is touched. A segment read that fails during the index
+// build fails the open and keeps every record the log holds; on any
+// failure the log handle and every opened segment are closed before
+// returning, so an engine that fails mid-open leaks no descriptors.
 func openShard(id int, path string, cache *blockCache) (*Shard, error) {
 	// A crashed compaction can leave its truncated-WAL temp beside the
 	// log. It holds nothing the committed state doesn't (schema/index
@@ -75,8 +77,8 @@ func openShard(id int, path string, cache *blockCache) (*Shard, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Attach the shared cache before replay: liveGet during replay (and
-	// every read after) goes through the cached block path.
+	// Attach the shared cache: the index build and every read after it
+	// go through the cached block path.
 	for _, runs := range segs {
 		for _, sg := range runs {
 			sg.cache = cache
@@ -124,12 +126,18 @@ func openShard(id int, path string, cache *blockCache) (*Shard, error) {
 	return sh, nil
 }
 
-// buildPendingIndexes builds the indexes replay noted, one walk of each
-// table's runs and memtable for all of that table's indexes.
+// buildPendingIndexes builds and installs the indexes replay noted, one
+// walk of each table's runs and memtable for all of that table's
+// indexes.
 func (sh *Shard) buildPendingIndexes() error {
 	for name, cols := range sh.pendingIdx {
-		if err := sh.tables[name].createIndexesLocked(cols); err != nil {
+		ts := sh.tables[name]
+		idxs, err := ts.buildIndexes(cols)
+		if err != nil {
 			return err
+		}
+		for i, col := range cols {
+			ts.secondary[col] = idxs[i]
 		}
 	}
 	sh.pendingIdx = nil
@@ -259,8 +267,7 @@ func (sh *Shard) noteWrite(rows int) {
 
 // newTableShard creates (or returns the existing) state for one table on
 // this shard, attaching the table's manifest runs when they are pending
-// from open. A key lives in exactly one run, so the runs' footer row
-// counts sum to the rows they hold: no block is read.
+// from open.
 func (sh *Shard) newTableShard(s Schema) *tableShard {
 	if ts, ok := sh.tables[s.Name]; ok {
 		return ts
@@ -268,16 +275,12 @@ func (sh *Shard) newTableShard(s Schema) *tableShard {
 	ts := &tableShard{
 		schema:    s,
 		shard:     sh,
-		primary:   newBtree(),
 		secondary: make(map[string]*btree),
 	}
 	if runs, ok := sh.pendingSegs[s.Name]; ok {
 		delete(sh.pendingSegs, s.Name)
 		if schemaEqual(runs[0].schema, s) {
 			ts.segs = runs
-			for _, sg := range runs {
-				ts.count += sg.nRows
-			}
 		} else {
 			// The WAL and the segment footers disagree on the schema:
 			// trust the WAL (it carries the later writes) and recover
@@ -293,7 +296,7 @@ func (sh *Shard) newTableShard(s Schema) *tableShard {
 }
 
 // logInsertBatch appends one WAL record covering the whole row batch.
-func (sh *Shard) logInsertBatch(table string, rows []Row) error {
+func (sh *Shard) logInsertBatch(table string, rows []memRow) error {
 	if err := sh.appendLog(encodeBatchPayload(table, rows)); err != nil {
 		return err
 	}
@@ -310,14 +313,11 @@ func (sh *Shard) logCreateIndex(table, col string) error {
 // applyLogRecord replays one WAL payload into this shard's in-memory
 // state. An error it returns is treated by replay as a corrupt tail:
 // replay stops and the log is truncated at the last record that applied
-// cleanly, so a mangled-but-CRC-valid record can never panic or
-// half-apply. Batch records are decoded and validated in full before any
-// row is applied, keeping replay all-or-nothing per record. The
-// exception is a segment read that fails while applying a sound record
-// (a batch's liveness checks): that is the run's fault, not the log's,
-// so it comes back as a replayAbort, which fails the open and leaves
-// the log — and the rows only it holds — intact. A create-index record
-// is only noted; open builds the index once replay ends.
+// cleanly, so a mangled-but-CRC-valid record — a batch whose keys go
+// backwards among them — can never panic or half-apply. Batch records
+// are decoded, validated and order-checked in full before any row is
+// applied, keeping replay all-or-nothing per record. A create-index
+// record is only noted; open builds the index once replay ends.
 func (sh *Shard) applyLogRecord(payload []byte) error {
 	if len(payload) == 0 {
 		return ErrCorrupt
@@ -367,11 +367,7 @@ func (sh *Shard) applyLogRecord(payload []byte) error {
 		if len(rest) != 0 {
 			return ErrCorrupt
 		}
-		for _, row := range rows {
-			if err := ts.replayInsert(row); err != nil {
-				return replayAbort{err}
-			}
-		}
+		return ts.replayBatch(rows)
 	case opCreateIndex:
 		ts, ok := sh.tables[name]
 		if !ok {
@@ -402,7 +398,7 @@ func shardIndex(key string, n int) int {
 }
 
 // fnv1a is the 64-bit FNV-1a hash of key, inlined (rather than
-// hash/fnv) to keep per-row routing and bloom probes allocation-free.
+// hash/fnv) to keep per-row routing allocation-free.
 func fnv1a(key string) uint64 {
 	const offset64, prime64 = 14695981039346656037, 1099511628211
 	h := uint64(offset64)

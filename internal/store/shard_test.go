@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -8,7 +9,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -64,12 +64,11 @@ func TestShardedQueryParity(t *testing.T) {
 		{Preds: []Pred{Eq("attribute", Str("smoking")), Eq("value", Str("current"))}},
 		{Preds: []Pred{Ge("numeric", Float(80)), Lt("numeric", Float(100))}},
 		{Preds: []Pred{Eq("value", Str("never"))}}, // unindexed: scan fallback
-		{Preds: []Pred{Eq("attribute", Str("pulse"))}, Limit: 7},
-		{Preds: []Pred{Gt("numeric", Float(55))}, Limit: 11},
+		{Preds: []Pred{Gt("numeric", Float(55))}},  // open-ended range
 	}
 	// Planner corners, each also checked against a full scan. Every one
 	// is an index walk over a single indexed value, so the reference is
-	// in primary-key order, cut to the query's Limit.
+	// in primary-key order.
 	refs := []struct {
 		q   Query
 		ref func(Row) bool
@@ -86,8 +85,8 @@ func TestShardedQueryParity(t *testing.T) {
 			Query{Preds: []Pred{Eq("attribute", Str("pulse")), Eq("attribute", Str("smoking"))}},
 			func(Row) bool { return false },
 		},
-		{ // a Limit on an indexed equality with a residual filter
-			Query{Preds: []Pred{Eq("attribute", Str("smoking")), Eq("value", Str("current"))}, Limit: 5},
+		{ // an indexed equality with a residual filter
+			Query{Preds: []Pred{Eq("attribute", Str("smoking")), Eq("value", Str("current"))}},
 			func(r Row) bool { return r[2].S == "smoking" && r[3].S == "current" },
 		},
 	}
@@ -119,9 +118,6 @@ func TestShardedQueryParity(t *testing.T) {
 		}
 		if ri := qi - (len(queries) - len(refs)); ri >= 0 {
 			ref := scanWhere(t, st, refs[ri].ref)
-			if q.Limit > 0 && len(ref) > q.Limit {
-				ref = ref[:q.Limit]
-			}
 			if !wantStats.UsedIndex || len(want) != len(ref) {
 				t.Fatalf("query %d: %d rows (index %v), scan reference has %d", qi, len(want), wantStats.UsedIndex, len(ref))
 			}
@@ -175,7 +171,7 @@ func TestShardedRowsActuallyPartition(t *testing.T) {
 	}
 	for i, ts := range tbl.shards {
 		ts.mu.RLock()
-		n := ts.primary.Len()
+		n := ts.rows()
 		ts.mu.RUnlock()
 		if n == 0 {
 			t.Errorf("shard %d holds no rows: routing is degenerate", i)
@@ -381,38 +377,103 @@ func TestShardIndexStability(t *testing.T) {
 }
 
 // TestShardedDuplicateBatchAtomic verifies the cross-shard batch
-// contract: a validation error (duplicate primary key) leaves every
-// shard untouched.
+// contract: on a 4-shard store with runs, memtable rows and two
+// indexes, a batch of fresh keys on three shards that carries bad keys
+// for the fourth — a duplicate of a stored key, a key in a gap below
+// the shard's last key, or a pair that goes backwards or repeats inside
+// the batch — is refused with ErrKeyOrder, and every shard's rows, log
+// size and indexes are as they were. A fresh batch is then accepted.
 func TestShardedDuplicateBatchAtomic(t *testing.T) {
-	db := OpenMemorySharded(4)
+	const shards = 4
+	db, err := OpenSharded(filepath.Join(t.TempDir(), "refuse.db"), shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
 	tbl, err := db.CreateTable(attrSchema())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.Insert(Row{Int(7), Int(1), Str("pulse"), Str("x"), Float(60)}); err != nil {
+	for _, col := range []string{"attribute", "patient"} {
+		if err := tbl.CreateIndex(col); err != nil {
+			t.Fatal(err)
+		}
+	}
+	row := func(id int64) Row { return Row{Int(id), Int(id % 11), Str("pulse"), Str("x"), Float(float64(id))} }
+	// Even ids 2..1200: half flushed into runs, half in the memtables.
+	insertEven := func(lo, hi int64) {
+		t.Helper()
+		var rows []Row
+		for id := lo; id <= hi; id += 2 {
+			rows = append(rows, row(id))
+		}
+		if err := tbl.InsertBatch(rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	insertEven(2, 600)
+	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	batch := []Row{
-		{Int(1), Int(1), Str("pulse"), Str("x"), Float(61)},
-		{Int(2), Int(1), Str("pulse"), Str("x"), Float(62)},
-		{Int(7), Int(1), Str("pulse"), Str("x"), Float(63)}, // dup of existing
+	insertEven(602, 1200)
+	before := captureShardStates(t, tbl)
+
+	for victim := 0; victim < shards; victim++ {
+		gap := keyOn(3, victim, shards)
+		for gap%2 == 0 { // an odd id: never stored, below the shard's last key
+			gap = keyOn(gap+1, victim, shards)
+		}
+		stored := keyOn(500, victim, shards)
+		for stored%2 != 0 {
+			stored = keyOn(stored+1, victim, shards)
+		}
+		hi, lo := keyOn(5000, victim, shards), keyOn(2000, victim, shards)
+		for name, bad := range map[string][]Row{
+			"duplicate":       {row(stored)},
+			"gap below":       {row(gap)},
+			"backwards":       {row(hi), row(lo)},
+			"batch duplicate": {row(hi), row(hi)},
+		} {
+			batch := []Row{}
+			for si := 0; si < shards; si++ { // fresh keys on every other shard
+				if si != victim {
+					batch = append(batch, row(keyOn(3000, si, shards)))
+				}
+			}
+			batch = append(batch, bad...)
+			if err := tbl.InsertBatch(batch); !errors.Is(err, ErrKeyOrder) {
+				t.Fatalf("shard %d %s: err = %v, want ErrKeyOrder", victim, name, err)
+			}
+			after := captureShardStates(t, tbl)
+			for si := range after {
+				b, a := before[si], after[si]
+				if a.logSize != b.logSize {
+					t.Fatalf("shard %d %s: shard %d log %d → %d bytes", victim, name, si, b.logSize, a.logSize)
+				}
+				if len(a.rows) != len(b.rows) {
+					t.Fatalf("shard %d %s: shard %d rows %d → %d", victim, name, si, len(b.rows), len(a.rows))
+				}
+				for i := range a.rows {
+					if !slices.Equal(a.rows[i], b.rows[i]) {
+						t.Fatalf("shard %d %s: shard %d row %d changed", victim, name, si, i)
+					}
+				}
+				for col, want := range b.indexes {
+					if a.indexes[col] != want {
+						t.Fatalf("shard %d %s: shard %d index %s changed", victim, name, si, col)
+					}
+				}
+			}
+		}
 	}
-	if err := tbl.InsertBatch(batch); err == nil {
-		t.Fatal("duplicate batch accepted")
+	var fresh []Row
+	for id := int64(1201); id <= 1300; id++ {
+		fresh = append(fresh, row(id))
 	}
-	if tbl.Len() != 1 {
-		t.Errorf("failed batch left %d rows, want 1 (validation must be all-or-nothing)", tbl.Len())
+	if err := tbl.InsertBatch(fresh); err != nil {
+		t.Fatalf("fresh ascending batch after the refusals: %v", err)
 	}
-	// In-batch duplicate, same shard by construction.
-	if err := tbl.InsertBatch([]Row{
-		{Int(9), Int(1), Str("pulse"), Str("x"), Float(61)},
-		{Int(9), Int(1), Str("pulse"), Str("x"), Float(62)},
-	}); err == nil {
-		t.Fatal("in-batch duplicate accepted")
-	}
-	if tbl.Len() != 1 {
-		t.Errorf("failed batch left %d rows, want 1", tbl.Len())
-	}
+	checkIndexConsistent(t, tbl)
 }
 
 // TestOpenRefusesNonDatabaseDir pins the layout guards: opening a
@@ -481,13 +542,17 @@ func TestMaxPK(t *testing.T) {
 		if _, ok, err := tbl.MaxPK(); ok || err != nil {
 			t.Errorf("shards=%d: empty table reported a max pk (err %v)", shards, err)
 		}
-		for _, id := range rand.New(rand.NewSource(int64(shards))).Perm(100) {
-			if err := tbl.Insert(Row{Int(int64(id + 1)), Int(1), Str("pulse"), Str("x"), Float(60)}); err != nil {
+		// Sparse ascending ids: each shard's maximum is its memtable's
+		// last row, and the table's is the largest of those.
+		id := int64(0)
+		for i := 0; i < 100; i++ {
+			id += 1 + int64(i%5)
+			if err := tbl.Insert(Row{Int(id), Int(1), Str("pulse"), Str("x"), Float(60)}); err != nil {
 				t.Fatal(err)
 			}
-		}
-		if pk, ok, err := tbl.MaxPK(); !ok || err != nil || pk.I != 100 {
-			t.Errorf("shards=%d: MaxPK = %v,%v,%v, want 100", shards, pk, ok, err)
+			if pk, ok, err := tbl.MaxPK(); !ok || err != nil || pk.I != id {
+				t.Fatalf("shards=%d: MaxPK = %v,%v,%v, want %d", shards, pk, ok, err, id)
+			}
 		}
 	}
 	for _, shards := range []int{1, 4} {
@@ -557,17 +622,18 @@ func testMaxPKSegments(t *testing.T, shards int) {
 	if _, ok, err := tbl.MaxPK(); ok || err != nil {
 		t.Fatalf("empty table: MaxPK ok=%v err=%v", ok, err)
 	}
-	// A stack of three flushed runs, a few blocks each per shard; the
-	// newest run does not hold the largest key.
+	// A stack of three flushed runs, a few blocks each per shard.
 	insert(1, 1200)
-	flush()
-	insert(2401, 3600)
 	flush()
 	insert(1201, 2400)
 	flush()
+	insert(2401, 3600)
+	flush()
 	check("run stack", 3600)
-	insert(0, 0)
-	check("memtable key below the runs", 3600)
+	if err := tbl.Insert(Row{Int(0), Int(0), Str("pulse"), Str("x"), Float(60)}); !errors.Is(err, ErrKeyOrder) {
+		t.Fatalf("key below the runs: %v, want ErrKeyOrder", err)
+	}
+	check("key below the runs refused", 3600)
 	insert(4000, 4000)
 	check("memtable key above the runs", 4000)
 	flush()
@@ -587,21 +653,17 @@ func testMaxPKSegments(t *testing.T, shards int) {
 	}
 	check("after reopen", 4000)
 
-	// Randomized cross-check: inserts of fresh keys, flushes and majors,
-	// against the merge after each step.
+	// Randomized cross-check: inserts of ascending keys with random
+	// gaps, flushes and majors, against the merge after each step.
 	rng := rand.New(rand.NewSource(int64(shards)))
-	live := map[int64]bool{}
-	if err := tbl.Scan(func(r Row) bool { live[r[0].I] = true; return true }); err != nil {
-		t.Fatal(err)
-	}
+	next := int64(4001)
 	for step := 0; step < 300; step++ {
 		switch op := rng.Intn(10); {
 		case op < 6:
-			id := int64(rng.Intn(8000) + 1)
-			if !live[id] {
-				insert(id, id)
-				live[id] = true
-			}
+			lo := next + int64(rng.Intn(40))
+			hi := lo + int64(rng.Intn(20))
+			insert(lo, hi)
+			next = hi + 1
 		case op < 8:
 			flush()
 		default:
@@ -670,7 +732,7 @@ func testMaxPKReadsOnlyRunTails(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, ts := range tbl.shards {
-		if ts.primary.Len() == 0 {
+		if len(ts.mem) == 0 {
 			t.Fatalf("shard %d got none of the 64 new keys", i)
 		}
 	}
@@ -684,11 +746,14 @@ func testMaxPKReadsOnlyRunTails(t *testing.T) {
 	}
 }
 
-// TestShardedConcurrentIngestQuery runs parallel batch writers against
-// parallel fan-out readers on a 4-shard WAL-backed store; under -race
-// this pins the lock discipline of the partitioned table (readers take
-// per-shard read locks, writers per-shard write locks, appends the
-// shard's log mutex).
+// TestShardedConcurrentIngestQuery runs concurrent batch writers
+// against parallel fan-out readers on a 4-shard WAL-backed store; under
+// -race this pins the lock discipline of the partitioned table (readers
+// take per-shard read locks, writers per-shard write locks, appends the
+// shard's log mutex). The writers act as one logical writer, as
+// core.Ingester does: each allocates its batch's ids and inserts it
+// under one lock, and the batch's per-shard sub-batches log and apply
+// in parallel.
 func TestShardedConcurrentIngestQuery(t *testing.T) {
 	db, err := OpenSharded(filepath.Join(t.TempDir(), "conc.db"), 4)
 	if err != nil {
@@ -703,7 +768,10 @@ func TestShardedConcurrentIngestQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	const writers, batches, perBatch = 4, 20, 16
-	var next atomic.Int64
+	var (
+		writeMu sync.Mutex
+		next    int64
+	)
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -711,13 +779,16 @@ func TestShardedConcurrentIngestQuery(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for bi := 0; bi < batches; bi++ {
-				base := next.Add(perBatch) - perBatch
+				writeMu.Lock()
 				batch := make([]Row, perBatch)
 				for i := range batch {
-					id := base + int64(i)
+					id := next + int64(i)
 					batch[i] = Row{Int(id), Int(id % 9), Str("pulse"), Str("x"), Float(float64(60 + id%40))}
 				}
-				if err := tbl.InsertBatch(batch); err != nil {
+				err := tbl.InsertBatch(batch)
+				next += perBatch
+				writeMu.Unlock()
+				if err != nil {
 					t.Error(err)
 					return
 				}

@@ -1,49 +1,37 @@
 package store
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // A scan reads a stable view of one shard: under the table's read lock
 // it pins the shard's immutable runs (refcounted, so a concurrent
 // compaction cannot delete the files under it) and captures the
-// memtable entries in bounds. From then on iteration touches no table
-// lock at all — a long scan proceeds while InsertBatch and Compact run
-// freely, and still sees exactly the rows that were live at capture.
-// Pinning is internal: Query's scan path and compaction's capture are
-// its only users.
+// memtable. From then on iteration touches no table lock at all — a
+// long scan proceeds while InsertBatch and Compact run freely, and
+// still sees exactly the rows that were live at capture. Pinning is
+// internal: Query's scan path and compaction's capture are its only
+// users.
 //
-// The capture copies only the memtable's entry slice headers (keys and
-// Row values are immutable once stored — a key is written once), so its
-// cost is proportional to the post-compaction write set, not the
-// corpus.
-
-// memRow is one captured memtable entry.
-type memRow struct {
-	key string
-	row Row
-}
+// The memtable only appends, and a compaction's commit replaces it with
+// a copy of its residue, so the capture is a sub-slice: no row is
+// copied, and the rows an insert appends after it lie beyond its end.
 
 // shardSnap is one shard's pinned view of a table.
 type shardSnap struct {
-	segs []*segment // pinned runs
-	mem  []memRow   // captured entries in ascending key order
+	segs []*segment // pinned runs, oldest → newest
+	mem  []memRow   // the captured memtable, ascending keys above every run's
 }
 
-// captureLocked pins the shard's runs and captures its memtable entries
-// in [lo, hi) ("" = unbounded) with the shard's lock already held (read
-// or write); the caller releases the lock, and later the view.
-func (ts *tableShard) captureLocked(lo, hi string) shardSnap {
-	var ss shardSnap
-	if len(ts.segs) > 0 {
-		ss.segs = make([]*segment, len(ts.segs))
-		for i, sg := range ts.segs {
-			sg.ref()
-			ss.segs[i] = sg
-		}
+// captureLocked pins the shard's runs and captures its memtable with
+// the shard's lock already held (read or write); the caller releases
+// the lock, and later the view.
+func (ts *tableShard) captureLocked() shardSnap {
+	ss := shardSnap{segs: slices.Clone(ts.segs), mem: ts.mem[:len(ts.mem):len(ts.mem)]}
+	for _, sg := range ss.segs {
+		sg.ref()
 	}
-	ts.primary.AscendRange(lo, hi, func(key string, val interface{}) bool {
-		ss.mem = append(ss.mem, memRow{key: key, row: val.(Row)})
-		return true
-	})
 	return ss
 }
 
@@ -57,66 +45,53 @@ func (ss *shardSnap) release() {
 }
 
 // readStats accumulates read-path observability: zone-map pruning
-// during iteration plus the acceleration counters (bloom rejects and
-// block-cache hits/misses) threaded through every segment read. A nil
-// *readStats is accepted everywhere and means "don't count". noFill
-// marks a compaction merge's reads, which bypass the block cache
-// (LevelDB's fill_cache=false).
+// during iteration plus the block-cache hits and misses threaded
+// through every segment read. A nil *readStats is accepted everywhere
+// and means "don't count". noFill marks a compaction merge's reads,
+// which bypass the block cache (LevelDB's fill_cache=false).
 type readStats struct {
 	blocksPruned int // blocks skipped via zone maps
-	bloomSkips   int // segment probes rejected by a bloom filter
 	cacheHits    int // blocks served from the decoded-block cache
 	cacheMisses  int // blocks that paid disk + CRC + decode
 	noFill       bool
 }
 
-// iterate merges the view's memtable capture and runs in ascending key
-// order, bounded to [lo, hi) ("" = unbounded). The store is
-// append-only, so a key lives in exactly one source: each step emits
-// the smallest current key and advances only its source; fn gets each
-// row with its encoded primary key. It returns the first segment read
-// error. stats may be nil.
+// iterate emits the view's rows in [lo, hi) ("" = unbounded) in
+// ascending key order: the runs hold disjoint ascending key ranges,
+// oldest first, and every memtable key is above them all, so it reads
+// the runs one after another, then the memtable. Blocks whose zone map
+// misses the bounds are never read. fn gets each row with its encoded
+// primary key. It returns the first segment read error. stats may be
+// nil.
 func (ss *shardSnap) iterate(lo, hi string, stats *readStats, fn func(key string, row Row) bool) error {
-	mem := ss.mem
-	mi := sort.Search(len(mem), func(i int) bool { return mem[i].key >= lo })
-	iters := make([]*segIter, len(ss.segs))
-	for i, sg := range ss.segs {
-		iters[i] = newSegIter(sg, lo, hi, stats)
+	below := func(key string) bool { return hi == "" || key < hi }
+	for _, sg := range ss.segs {
+		from := sort.Search(len(sg.blocks), func(i int) bool { return sg.blocks[i].maxKey >= lo })
+		to := len(sg.blocks)
+		if hi != "" {
+			to = sort.Search(len(sg.blocks), func(i int) bool { return sg.blocks[i].minKey >= hi })
+		}
+		if stats != nil {
+			stats.blocksPruned += len(sg.blocks) - max(to-from, 0)
+		}
+		for bi := from; bi < to; bi++ {
+			rows, keys, err := sg.readBlock(bi, stats)
+			if err != nil {
+				return err
+			}
+			i, _ := slices.BinarySearch(keys, lo)
+			for ; i < len(keys) && below(keys[i]); i++ {
+				if !fn(keys[i], rows[i]) {
+					return nil
+				}
+			}
+		}
 	}
-	if stats != nil {
-		defer func() {
-			for _, it := range iters {
-				stats.blocksPruned += it.pruned
-			}
-		}()
-	}
-	for {
-		best := "" // no row left
-		src := -1  // -1 = memtable
-		if mi < len(mem) && (hi == "" || mem[mi].key < hi) {
-			best = mem[mi].key
-		}
-		for si, it := range iters {
-			if it.err != nil {
-				return it.err
-			}
-			if it.valid() && (best == "" || it.key() < best) {
-				best, src = it.key(), si
-			}
-		}
-		if best == "" {
-			return nil
-		}
-		var row Row
-		if src < 0 {
-			row = mem[mi].row
-			mi++
-		} else {
-			row = iters[src].row()
-			iters[src].next()
-		}
-		if !fn(best, row) {
+	i, _ := slices.BinarySearchFunc(ss.mem, lo, cmpMemKey)
+	for _, mr := range ss.mem[i:] {
+		if !below(mr.key) || !fn(mr.key, mr.row) {
 			return nil
 		}
 	}
+	return nil
 }

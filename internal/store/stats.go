@@ -29,7 +29,7 @@ func (t *Table) Stats() Stats {
 	s := Stats{Shards: len(t.shards)}
 	for _, ts := range t.shards {
 		ts.mu.RLock()
-		s.Rows += ts.count
+		s.Rows += ts.rows()
 		s.Segments += len(ts.segs)
 		ts.mu.RUnlock()
 		if ts.shard != nil {

@@ -8,10 +8,10 @@ import (
 	"os"
 )
 
-// The write-ahead log is the single persistent representation of a DB:
-// every mutation is appended as a CRC-framed record and the in-memory
-// tables plus B-tree indexes are rebuilt by replay on open. A truncated
-// or corrupted tail (crash mid-write) is detected by the CRC and cut off.
+// The write-ahead log holds every mutation since a shard's last
+// compaction: each is appended as a CRC-framed record, and the memtables
+// plus secondary indexes are rebuilt by replay on open. A truncated or
+// corrupted tail (crash mid-write) is detected by the CRC and cut off.
 //
 // Record framing:
 //
@@ -57,20 +57,11 @@ func openWAL(path string) (*wal, error) {
 	return &wal{f: f, w: bufio.NewWriter(f), len: st.Size()}, nil
 }
 
-// replayAbort is the error a replay callback returns when it cannot
-// apply a sound record for a reason outside the log (a segment read
-// failed): replay returns the wrapped error and cuts nothing.
-type replayAbort struct{ err error }
-
-func (e replayAbort) Error() string { return e.err.Error() }
-
 // replay streams every valid record to fn, then positions the file for
 // appending. On a corrupt or truncated tail — a bad frame, a CRC
 // mismatch, or a CRC-valid payload that fn rejects — it truncates the
 // file to the last record that applied cleanly and reports how many
-// records were dropped; it never fails on malformed input. A
-// replayAbort from fn stops replay with its error and the file
-// unchanged.
+// records were dropped; it never fails on malformed input.
 func (l *wal) replay(fn func(payload []byte) error) (dropped int, err error) {
 	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
 		return 0, err
@@ -102,9 +93,6 @@ func (l *wal) replay(fn func(payload []byte) error) (dropped int, err error) {
 			break
 		}
 		if err := fn(payload); err != nil {
-			if abort, ok := err.(replayAbort); ok {
-				return 0, abort.err
-			}
 			dropped = 1
 			break
 		}
@@ -161,12 +149,12 @@ func (l *wal) close() error {
 // name, uvarint row count, then the encoded rows. It is the single
 // encoder for the format applyLogRecord's opInsertBatch case decodes;
 // logInsertBatch and Compact both go through it.
-func encodeBatchPayload(table string, rows []Row) []byte {
+func encodeBatchPayload(table string, rows []memRow) []byte {
 	payload := []byte{opInsertBatch}
 	payload = appendString(payload, table)
 	payload = binary.AppendUvarint(payload, uint64(len(rows)))
-	for _, row := range rows {
-		payload = encodeRow(payload, row)
+	for _, mr := range rows {
+		payload = encodeRow(payload, mr.row)
 	}
 	return payload
 }
