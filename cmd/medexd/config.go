@@ -35,9 +35,8 @@ type config struct {
 	MaxBody    int64
 	MaxBatch   int
 
-	CompactMemRows  int
-	CompactWALBytes int64
-	CompactFanout   int
+	CompactMemRows int
+	CompactFanout  int
 
 	BlockCacheMB int
 
@@ -66,7 +65,6 @@ func parseFlags(args []string, errOut io.Writer) (config, error) {
 	fs.Int64Var(&cfg.MaxBody, "max-body", 8<<20, "max ingest request body in bytes (larger requests get 413)")
 	fs.IntVar(&cfg.MaxBatch, "max-batch", 512, "max records per ingest request (larger batches get 413)")
 	fs.IntVar(&cfg.CompactMemRows, "compact-mem-rows", store.DefaultCompactMemRows, "rows logged on a shard since its last compaction before the background compactor wakes")
-	fs.Int64Var(&cfg.CompactWALBytes, "compact-wal-bytes", store.DefaultCompactWALBytes, "shard WAL size that wakes the background compactor")
 	fs.IntVar(&cfg.CompactFanout, "compact-fanout", store.DefaultCompactFanout, "segment runs per table before a background compaction escalates from a minor fold to a major merge")
 	fs.IntVar(&cfg.BlockCacheMB, "block-cache-mb", int(store.DefaultBlockCacheBytes>>20), "decoded-block cache capacity in MiB, shared across shards (0 disables caching)")
 	fs.DurationVar(&cfg.IngestTimeout, "ingest-timeout", 30*time.Second, "per-request bound on reading, extracting and persisting one ingest batch; also the server read timeout that cuts off stalled clients")
@@ -101,12 +99,6 @@ func (c config) validate() error {
 		}
 		return nil
 	}
-	walBytes := func() error {
-		if c.CompactWALBytes <= 0 {
-			return fmt.Errorf("-compact-wal-bytes must be positive (got %d)", c.CompactWALBytes)
-		}
-		return nil
-	}
 	trainCorpus := func() error {
 		if c.TrainCorpus == "" {
 			return nil // no startup training
@@ -124,7 +116,6 @@ func (c config) validate() error {
 		intBody(),
 		cliutil.Positive("-max-batch", c.MaxBatch),
 		cliutil.Positive("-compact-mem-rows", c.CompactMemRows),
-		walBytes(),
 		cliutil.Positive("-compact-fanout", c.CompactFanout),
 		cliutil.NonNegative("-block-cache-mb", c.BlockCacheMB),
 		cliutil.PositiveDuration("-ingest-timeout", c.IngestTimeout),
@@ -139,8 +130,7 @@ func (c config) validate() error {
 // compactionPolicy maps the -compact-* flags to the store's policy.
 func (c config) compactionPolicy() store.CompactionPolicy {
 	return store.CompactionPolicy{
-		MemRows:  c.CompactMemRows,
-		WALBytes: c.CompactWALBytes,
-		Fanout:   c.CompactFanout,
+		MemRows: c.CompactMemRows,
+		Fanout:  c.CompactFanout,
 	}
 }

@@ -256,7 +256,7 @@ func TestCrashDuringBackgroundCompaction(t *testing.T) {
 		t.Skip("fault injection is slow")
 	}
 	rng := rand.New(rand.NewSource(11))
-	flags := []string{"-compact-mem-rows", "20", "-compact-wal-bytes", "8192", "-compact-fanout", "2"}
+	flags := []string{"-compact-mem-rows", "20", "-compact-fanout", "2"}
 	totalAcked, roundsCompacted := 0, 0
 	for round := range 4 {
 		dbPath := filepath.Join(t.TempDir(), "wh.db")
@@ -380,7 +380,6 @@ func TestDaemonBadFlagsExitNonZero(t *testing.T) {
 		{"huge shards", []string{"-db", filepath.Join(t.TempDir(), "x.db"), "-shards", "9999"}, "-shards must be at most 1024"},
 		{"zero drain timeout", []string{"-db", filepath.Join(t.TempDir(), "x.db"), "-drain-timeout", "0s"}, "-drain-timeout must be a positive duration"},
 		{"zero compact trigger", []string{"-db", filepath.Join(t.TempDir(), "x.db"), "-compact-mem-rows", "0"}, "-compact-mem-rows must be positive"},
-		{"negative compact wal bytes", []string{"-db", filepath.Join(t.TempDir(), "x.db"), "-compact-wal-bytes", "-1"}, "-compact-wal-bytes must be positive"},
 		{"zero compact fanout", []string{"-db", filepath.Join(t.TempDir(), "x.db"), "-compact-fanout", "0"}, "-compact-fanout must be positive"},
 	}
 	for _, tc := range cases {

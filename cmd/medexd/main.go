@@ -19,11 +19,11 @@
 // Retry-After instead of buffering; SIGTERM drains in-flight requests
 // and the ingest queue within -drain-timeout, then closes the engine —
 // waiting for any in-flight background compaction to reach its safe
-// point first. Background compaction (on by default, tuned or disabled
-// with the -compact-* flags) folds each shard's memtable into segment
-// files off the write path once the -compact-mem-rows / -compact-wal-
-// bytes thresholds trip, escalating to a full merge at -compact-fanout
-// runs per table.
+// point first. Background compaction (always on, tuned with the
+// -compact-* flags) folds each shard's memtable into segment files off
+// the write path once -compact-mem-rows rows have been logged on a
+// shard since its last compaction (a restart keeps the count),
+// escalating to a full merge at -compact-fanout runs per table.
 package main
 
 import (

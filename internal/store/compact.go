@@ -8,44 +8,47 @@ import (
 	"slices"
 )
 
-// Compaction folds a shard's write-ahead log and memtable into
-// immutable sorted segment files, in two flavors:
+// Compaction folds a suffix of each table's run stack, plus the
+// captured memtable, into one new immutable sorted run. The suffix is
+// all that tells its two flavors apart:
 //
-//   - A minor compaction writes only the captured memtable rows into
-//     one new small segment appended to each table's run stack. Old
-//     segments are untouched, and the WAL is truncated to schema/index
-//     records plus the residue — the rows inserted after the capture.
-//     Cost is proportional to the write set since the last compaction,
-//     not the corpus.
+//   - Flush (minor) folds the empty suffix: the memtable alone becomes
+//     one new small run on top of the old ones, so the cost is
+//     proportional to the writes since the last compaction, not the
+//     corpus.
 //
-//   - A major compaction rewrites each table's whole view (all segment
-//     runs, then the memtable) into a single new segment, collapsing
-//     the run stack.
+//   - Compact (major) folds the whole stack, collapsing it to one run.
 //
-// Keys ascend on every shard, so neither merges anything: a minor run's
-// keys are all above the older runs', and a major run is the old runs
-// and the memtable copied back to back.
+// Keys ascend on every shard, so the fold merges nothing: the folded
+// runs and the memtable are copied back to back, and the new run's
+// keys lie above those of every run the fold leaves.
 //
-// Both run in three phases designed to stay off the write path:
-// capture (a brief per-table read lock pins segments and takes the
-// memtable as a sub-slice), build (segment files are written with NO
-// table lock held — writers and readers proceed), and commit (all table
-// locks + the log lock, held only to write the truncated WAL with the
-// residue — the memtable rows appended after the capture —, atomically
-// replace the CRC'd MANIFEST — the rename is the commit point — and
-// swap in-memory state, the memtable becoming a copy of the residue).
+// A compaction runs in three phases that stay off the write path:
+// capture (a brief per-table read lock pins the runs and takes the
+// memtable as a sub-slice), build (the new run files are written with
+// NO table lock held — writers and readers proceed), and commit (all
+// table locks plus the log lock). The commit stages the truncated log —
+// schema and index records, then the residue: the memtable rows
+// appended after the capture — and renames a new MANIFEST into place.
+// That rename is the only commit point. Once the segments directory is
+// synced, the in-memory state is swapped (the memtable becoming a copy
+// of the residue) and the staged log is renamed over the old one; its
+// open handle becomes the shard's log.
 //
-// Every crash window recovers consistently: before the manifest commit
-// the old manifest and full WAL are untouched (new segment files are
-// swept as strays on reopen); between commit and WAL swap the new
-// segments load under the old WAL, whose replay skips every key at or
-// below the largest run key without reading a block; after the swap
-// the truncated WAL's residue records replay over the segments alone.
+// Every crash window recovers. Before the manifest rename the old
+// manifest and log are untouched (new run files and the staged log are
+// swept as strays on reopen). After it, a power cut may bring back
+// either manifest, and the old log replays correctly over both: over
+// the new one it skips every key at or below the largest run key,
+// reading no block. Once renamed, the staged log replays its residue
+// over the new runs alone. A failure after the manifest rename
+// therefore removes no run file, old or new: it latches the shard,
+// which refuses writes until a reopen.
 type compactMode int
 
 const (
 	minorCompact compactMode = iota // fold the memtable into one new run
-	majorCompact                    // rewrite every table to a single run
+	majorCompact                    // fold every run and the memtable into one
 )
 
 // testHookCompactBuild, when non-nil, runs during the lock-free build
@@ -98,15 +101,17 @@ func (db *DB) compactShard(sh *Shard, mode compactMode) error {
 type tableCompact struct {
 	name string
 	ts   *tableShard
-	snap shardSnap // pinned segments + captured memtable
+	snap shardSnap // pinned runs + captured memtable
+	from int       // the fold takes the runs from this index on
 	seg  *segment  // the new run (nil: nothing to write)
 }
 
-// compactShardLocked is the compaction body; compactMu is held. It
+// compactShardLocked is the compaction body; compactMu is held, so no
+// other path changes the shard's runs between capture and commit. It
 // returns the rows and bytes written into new segment files.
 func (db *DB) compactShardLocked(sh *Shard, mode compactMode) (rowsOut, bytesOut int64, err error) {
 	if failed := sh.failedErr(); failed != nil {
-		// A previous compaction lost this shard's log; pretending the
+		// A latched shard stays as it is until a reopen; pretending the
 		// rewrite succeeded would hide a dead shard.
 		return 0, 0, failed
 	}
@@ -132,8 +137,8 @@ func (db *DB) compactShardLocked(sh *Shard, mode compactMode) (rowsOut, bytesOut
 	}
 	slices.Sort(lockNames)
 
-	// Phase A: capture. A brief read lock per table pins its segments
-	// and takes the memtable; writers resume immediately after.
+	// Phase A: capture. A brief read lock per table pins its runs and
+	// takes the memtable; writers resume immediately after.
 	tcs := make([]*tableCompact, 0, len(lockNames))
 	defer func() {
 		for _, c := range tcs {
@@ -143,9 +148,12 @@ func (db *DB) compactShardLocked(sh *Shard, mode compactMode) (rowsOut, bytesOut
 	for _, name := range lockNames {
 		ts := sh.tables[name]
 		ts.mu.RLock()
-		snap := ts.captureLocked()
+		c := &tableCompact{name: name, ts: ts, snap: ts.captureLocked()}
 		ts.mu.RUnlock()
-		tcs = append(tcs, &tableCompact{name: name, ts: ts, snap: snap})
+		if mode == minorCompact {
+			c.from = len(c.snap.segs)
+		}
+		tcs = append(tcs, c)
 	}
 
 	// Phase B: build the new runs with no table lock held — everything
@@ -153,56 +161,43 @@ func (db *DB) compactShardLocked(sh *Shard, mode compactMode) (rowsOut, bytesOut
 	if testHookCompactBuild != nil {
 		testHookCompactBuild()
 	}
-	abort := func() {
+	// dropNew closes the new runs; before the commit point it also
+	// deletes their files.
+	dropNew := func(remove bool) {
 		for _, c := range tcs {
 			if c.seg != nil {
-				path := c.seg.path
+				if remove {
+					c.seg.markObsolete()
+				}
 				c.seg.unref()
-				os.Remove(path)
 			}
 		}
 	}
 	for ti, c := range tcs {
-		path := filepath.Join(segsDir, segFileName(gen, ti))
-		var seg *segment
-		var serr error
-		switch mode {
-		case minorCompact:
-			if len(c.snap.mem) == 0 {
-				continue // nothing to fold for this table
-			}
-			seg, serr = writeTableRun(path, c.ts.schema, len(c.snap.mem), func(add func(Row) error) error {
-				for _, mr := range c.snap.mem {
-					if err := add(mr.row); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-		case majorCompact:
-			// Exact: a key lives in exactly one of the memtable and one run.
-			n := len(c.snap.mem)
-			for _, sg := range c.snap.segs {
-				n += sg.nRows
-			}
-			if n == 0 {
-				continue // an empty table keeps no run
-			}
-			seg, serr = writeTableRun(path, c.ts.schema, n, func(add func(Row) error) error {
-				var addErr error
-				iterErr := c.snap.iterate("", "", &readStats{noFill: true}, func(_ string, row Row) bool {
-					addErr = add(row)
-					return addErr == nil
-				})
-				if addErr != nil {
-					return addErr
-				}
-				return iterErr
-			})
+		fold := shardSnap{segs: c.snap.segs[c.from:], mem: c.snap.mem}
+		// Exact: a key lives in exactly one of the memtable and one run.
+		n := len(fold.mem)
+		for _, sg := range fold.segs {
+			n += sg.nRows
 		}
-		if serr != nil {
-			abort()
-			return 0, 0, serr
+		if n == 0 {
+			continue // nothing to fold for this table
+		}
+		path := filepath.Join(segsDir, segFileName(gen, ti))
+		seg, err := writeTableRun(path, c.ts.schema, n, func(add func(Row) error) error {
+			var addErr error
+			iterErr := fold.iterate("", "", &readStats{noFill: true}, func(_ string, row Row) bool {
+				addErr = add(row)
+				return addErr == nil
+			})
+			if addErr != nil {
+				return addErr
+			}
+			return iterErr
+		})
+		if err != nil {
+			dropNew(true)
+			return 0, 0, err
 		}
 		seg.cache = sh.cache
 		c.seg = seg
@@ -214,7 +209,7 @@ func (db *DB) compactShardLocked(sh *Shard, mode compactMode) (rowsOut, bytesOut
 
 	// Phase C: commit. All table locks (sorted — the same (name, shard)
 	// order every multi-lock path uses) plus the log lock freeze the
-	// shard only for the split-and-swap.
+	// shard for the commit.
 	for _, name := range lockNames {
 		sh.tables[name].mu.Lock()
 		defer sh.tables[name].mu.Unlock()
@@ -222,142 +217,123 @@ func (db *DB) compactShardLocked(sh *Shard, mode compactMode) (rowsOut, bytesOut
 	sh.logMu.Lock()
 	defer sh.logMu.Unlock()
 
-	// The truncated WAL: schema and index records for every table, then
-	// the residue — whatever the memtable holds beyond the capture the
-	// new runs were built from.
 	tmpPath := compactTempPath(sh.path)
-	tmp, err := openWAL(tmpPath)
+	staged, err := stageLog(tmpPath, tcs)
 	if err != nil {
-		abort()
+		dropNew(true)
 		return 0, 0, err
 	}
-	cleanup := func() {
-		tmp.close()
+	var entries []manifestEntry // in table order, each table's runs oldest first
+	for _, c := range tcs {
+		for _, sg := range c.ts.segs[:c.from] {
+			entries = append(entries, manifestEntry{table: c.name, file: filepath.Base(sg.path)})
+		}
+		if c.seg != nil {
+			entries = append(entries, manifestEntry{table: c.name, file: filepath.Base(c.seg.path)})
+		}
+	}
+	if err := writeManifest(segsDir, gen, entries); err != nil {
+		staged.close()
 		os.Remove(tmpPath)
-		abort()
+		dropNew(true)
+		return 0, 0, err
+	}
+
+	// The manifest rename is the commit point. From here on a failure
+	// latches the shard and removes no run file: until the segments
+	// directory's sync returns, a power cut may bring back either
+	// manifest, and the old log replays to the same rows over both.
+	latch := func(step string, err error) error {
+		sh.failed = fmt.Errorf("store: shard %d compact %s: %w (reopen to recover)", sh.id, step, err)
+		return sh.failed
+	}
+	if err := syncDir(segsDir); err != nil {
+		staged.close()
+		os.Remove(tmpPath)
+		dropNew(false)
+		return 0, 0, latch("manifest sync", err)
 	}
 	for _, c := range tcs {
-		if err := tmp.append(encodeCreateTablePayload(c.ts.schema)); err != nil {
-			cleanup()
-			return 0, 0, err
+		ts := c.ts
+		for _, old := range ts.segs[c.from:] {
+			old.markObsolete()
+			old.unref()
 		}
+		ts.segs = ts.segs[:c.from:c.from]
+		if c.seg != nil {
+			ts.segs = append(ts.segs, c.seg)
+		}
+		// A copy, so the captured rows' array is freed with the last
+		// view that pins it.
+		ts.mem = slices.Clone(ts.mem[len(c.snap.mem):])
+		// A compaction never changes the set of rows, so the index keys
+		// stand; the captured rows now live in the new run and leave the
+		// side lists, which stop holding row memory the run persists.
+		ts.deinline(c.snap.mem)
+	}
+	sh.gen = gen
+	sh.pending.Store(0)
+
+	if err := os.Rename(tmpPath, sh.path); err != nil {
+		staged.close()
+		os.Remove(tmpPath)
+		return 0, 0, latch("log rename", err)
+	}
+	// Every record of the old log is in the runs or the staged log, and
+	// the rename replaced its file: closing it can lose nothing.
+	_ = sh.log.close()
+	sh.log = staged
+	// The rename is durable only once the log's directory is synced;
+	// until then a power cut can bring back the old log, so the new one
+	// takes no write before it.
+	if err := syncDir(filepath.Dir(sh.path)); err != nil {
+		return 0, 0, latch("log rename sync", err)
+	}
+	return rowsOut, bytesOut, nil
+}
+
+// stageLog writes, at path, the log a compaction's commit renames over
+// the shard's: schema and index records for every table, then each
+// table's residue — whatever its memtable holds beyond the capture the
+// new run was built from — as one batch record. The log is synced and
+// left open for the shard to append to once renamed; on any error it
+// is closed and removed.
+func stageLog(path string, tcs []*tableCompact) (*wal, error) {
+	var payloads [][]byte
+	for _, c := range tcs {
+		payloads = append(payloads, encodeCreateTablePayload(c.ts.schema))
 		idxCols := make([]string, 0, len(c.ts.secondary))
 		for col := range c.ts.secondary {
 			idxCols = append(idxCols, col)
 		}
 		slices.Sort(idxCols)
 		for _, col := range idxCols {
-			if err := tmp.append(encodeCreateIndexPayload(c.name, col)); err != nil {
-				cleanup()
-				return 0, 0, err
-			}
+			payloads = append(payloads, encodeCreateIndexPayload(c.name, col))
 		}
 		// The memtable only appended since the capture, so the residue is
 		// its tail past the captured rows.
 		if residue := c.ts.mem[len(c.snap.mem):]; len(residue) > 0 {
-			if err := tmp.append(encodeBatchPayload(c.name, residue)); err != nil {
-				cleanup()
-				return 0, 0, err
-			}
+			payloads = append(payloads, encodeBatchPayload(c.name, residue))
 		}
 	}
-	if err := tmp.sync(); err != nil {
-		cleanup()
-		return 0, 0, err
-	}
-	if err := tmp.close(); err != nil {
-		os.Remove(tmpPath)
-		abort()
-		return 0, 0, err
-	}
-
-	// Manifest commit: the rename is the point of no return — before it
-	// the old state is fully intact, after it the new segments are
-	// authoritative and the old WAL merely re-applies rows the segments
-	// already hold.
-	var entries []manifestEntry
-	for _, c := range tcs {
-		if mode == minorCompact {
-			for _, sg := range c.ts.segs {
-				entries = append(entries, manifestEntry{table: c.name, file: filepath.Base(sg.path)})
-			}
-		}
-		if c.seg != nil {
-			entries = append(entries, manifestEntry{table: c.name, file: filepath.Base(c.seg.path)})
-		}
-	}
-	sortManifestEntries(entries)
-	if err := writeManifest(segsDir, gen, entries); err != nil {
-		os.Remove(tmpPath)
-		abort()
-		return 0, 0, err
-	}
-
-	// Swap the WAL. Once the old log is closed, sh.log is nilled and
-	// any error below latches sh.failed, so later appends report the
-	// lost log instead of writing to a closed file; reopening the
-	// database recovers from the committed manifest plus whatever WAL
-	// survives.
-	swapInMemory := func() {
-		for _, c := range tcs {
-			ts := c.ts
-			switch mode {
-			case minorCompact:
-				if c.seg != nil {
-					ts.segs = append(ts.segs, c.seg)
-				}
-			case majorCompact:
-				for _, old := range ts.segs {
-					old.markObsolete()
-					old.unref()
-				}
-				ts.segs = nil
-				if c.seg != nil {
-					ts.segs = []*segment{c.seg}
-				}
-			}
-			// A copy, so the captured rows' array is freed with the
-			// last view that pins it.
-			ts.mem = slices.Clone(ts.mem[len(c.snap.mem):])
-			// A compaction never changes the set of rows, so the index
-			// keys stand; the captured rows now live in the new run and
-			// leave the side lists, which stop holding row memory the
-			// run persists.
-			ts.deinline(c.snap.mem)
-		}
-		sh.gen = gen
-		sh.pending.Store(0)
-	}
-	fail := func(err error) error {
-		sh.failed = err
-		swapInMemory() // the manifest committed; reads follow it
-		return err
-	}
-	if err := sh.log.close(); err != nil {
-		return 0, 0, fail(fmt.Errorf("store: compact close: %w (shard closed; reopen to recover)", err))
-	}
-	sh.log = nil
-	if err := os.Rename(tmpPath, sh.path); err != nil {
-		return 0, 0, fail(fmt.Errorf("store: compact rename: %w (shard closed; reopen to recover)", err))
-	}
-	// The rename is durable only once the log's directory is synced;
-	// until then a power cut can bring back the old log, so the new one
-	// takes no write before it.
-	if err := syncDir(filepath.Dir(sh.path)); err != nil {
-		return 0, 0, fail(fmt.Errorf("store: compact rename sync: %w (shard closed; reopen to recover)", err))
-	}
-	l, err := openWAL(sh.path)
+	l, err := openWAL(path)
 	if err != nil {
-		return 0, 0, fail(fmt.Errorf("store: compact reopen: %w (shard closed; reopen to recover)", err))
+		return nil, err
 	}
-	if _, err := l.replay(func([]byte) error { return nil }); err != nil {
+	for _, p := range payloads {
+		if err = l.append(p); err != nil {
+			break
+		}
+	}
+	if err == nil {
+		err = l.sync()
+	}
+	if err != nil {
 		l.close()
-		return 0, 0, fail(fmt.Errorf("store: compact reopen replay: %w (shard closed; reopen to recover)", err))
+		os.Remove(path)
+		return nil, err
 	}
-	sh.log = l
-	sh.walLen.Store(l.len)
-	swapInMemory()
-	return rowsOut, bytesOut, nil
+	return l, nil
 }
 
 // writeTableRun streams nRows pk-ascending rows from emit into a new
@@ -386,6 +362,6 @@ func writeTableRun(path string, schema Schema, nRows int, emit func(add func(Row
 	return seg, nil
 }
 
-// compactTempPath is where a compaction stages the truncated WAL
+// compactTempPath is where a compaction stages the truncated log
 // before renaming it over the live log; openShard sweeps leftovers.
 func compactTempPath(walPath string) string { return walPath + ".compact" }

@@ -10,12 +10,9 @@ import (
 // do not. The zero value selects every default threshold.
 type CompactionPolicy struct {
 	// MemRows wakes a shard's compactor once this many rows have been
-	// logged on the shard since its last compaction. <= 0 selects
-	// DefaultCompactMemRows.
+	// logged on the shard since its last compaction, counting the rows
+	// a reopen replayed. <= 0 selects DefaultCompactMemRows.
 	MemRows int
-	// WALBytes wakes a shard's compactor once its write-ahead log
-	// reaches this size. <= 0 selects DefaultCompactWALBytes.
-	WALBytes int64
 	// Fanout bounds each table's segment-run stack: when any table on
 	// the shard holds at least this many runs, the next triggered
 	// compaction is a major merge (collapsing the stack to one run)
@@ -25,18 +22,14 @@ type CompactionPolicy struct {
 
 // Default auto-compaction thresholds.
 const (
-	DefaultCompactMemRows  = 50_000
-	DefaultCompactWALBytes = 64 << 20
-	DefaultCompactFanout   = 8
+	DefaultCompactMemRows = 50_000
+	DefaultCompactFanout  = 8
 )
 
 // withDefaults fills unset thresholds.
 func (p CompactionPolicy) withDefaults() CompactionPolicy {
 	if p.MemRows <= 0 {
 		p.MemRows = DefaultCompactMemRows
-	}
-	if p.WALBytes <= 0 {
-		p.WALBytes = DefaultCompactWALBytes
 	}
 	if p.Fanout <= 0 {
 		p.Fanout = DefaultCompactFanout
@@ -50,7 +43,7 @@ type CompactionStats struct {
 	MajorRuns      int64 // full table merges completed
 	RowsRewritten  int64 // rows written into new segment files
 	BytesRewritten int64 // bytes of new segment files
-	Backlog        int64 // rows logged since each shard's last compaction
+	Backlog        int64 // rows written since each shard's last compaction, a reopen's replayed rows included
 	LastError      string
 }
 
@@ -107,9 +100,9 @@ func addShardCompactionStats(cs *CompactionStats, sh *Shard) {
 
 // startCompactors launches one compactor goroutine per durable shard.
 // Each sleeps on its shard's wake channel — fed by noteWrite when the
-// policy thresholds trip — and runs minor compactions off the write
-// path, escalating to a major merge when a table's run stack reaches
-// the fan-out bound.
+// shard's row count trips the policy's MemRows — and runs minor
+// compactions off the write path, escalating to a major merge when a
+// table's run stack reaches the fan-out bound.
 func (db *DB) startCompactors() {
 	db.stopCh = make(chan struct{})
 	for _, sh := range db.shards {
@@ -148,13 +141,13 @@ func (db *DB) compactorLoop(sh *Shard) {
 	}
 }
 
-// autoCompact runs one background compaction if the thresholds still
-// hold (a wake token posted during a compaction that already covered
+// autoCompact runs one background compaction if the row trigger still
+// holds (a wake token posted during a compaction that already covered
 // those writes is dropped here).
 func (db *DB) autoCompact(sh *Shard) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	if sh.pending.Load() < int64(sh.pol.MemRows) && sh.walLen.Load() < sh.pol.WALBytes {
+	if sh.pending.Load() < int64(sh.pol.MemRows) {
 		return
 	}
 	mode := minorCompact
@@ -167,7 +160,8 @@ func (db *DB) autoCompact(sh *Shard) {
 			break
 		}
 	}
-	// Errors are latched in the shard's counters (and, for swap
-	// failures, in Health); the loop keeps serving later triggers.
+	// Errors are latched in the shard's counters (and, for failures
+	// after the commit point, in Health); the loop keeps serving later
+	// triggers.
 	_ = db.compactShard(sh, mode)
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -26,11 +27,11 @@ func minorCompactAll(t testing.TB, db *DB) {
 
 func TestCompactionPolicyDefaults(t *testing.T) {
 	p := CompactionPolicy{}.withDefaults()
-	if p.MemRows != DefaultCompactMemRows || p.WALBytes != DefaultCompactWALBytes || p.Fanout != DefaultCompactFanout {
+	if p.MemRows != DefaultCompactMemRows || p.Fanout != DefaultCompactFanout {
 		t.Fatalf("zero policy did not pick defaults: %+v", p)
 	}
-	q := CompactionPolicy{MemRows: 7, WALBytes: 9, Fanout: 2}.withDefaults()
-	if q.MemRows != 7 || q.WALBytes != 9 || q.Fanout != 2 {
+	q := CompactionPolicy{MemRows: 7, Fanout: 2}.withDefaults()
+	if q.MemRows != 7 || q.Fanout != 2 {
 		t.Fatalf("explicit thresholds overridden: %+v", q)
 	}
 }
@@ -369,7 +370,7 @@ func TestIndexCreatedDuringMajorCompaction(t *testing.T) {
 // run under -race this is the data-race pin for the whole trigger path.
 func TestBackgroundCompactionUnderLoad(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bg.db")
-	db, err := OpenShardedWithPolicy(path, 4, CompactionPolicy{MemRows: 100, WALBytes: 1 << 20, Fanout: 3})
+	db, err := OpenShardedWithPolicy(path, 4, CompactionPolicy{MemRows: 100, Fanout: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,7 +500,7 @@ func TestBackgroundCompactionUnderLoad(t *testing.T) {
 // reaches the fan-out bound the next trigger majors, collapsing it.
 func TestBackgroundCompactionFanoutEscalates(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fan.db")
-	db, err := OpenShardedWithPolicy(path, 1, CompactionPolicy{MemRows: 50, WALBytes: 1 << 30, Fanout: 3})
+	db, err := OpenShardedWithPolicy(path, 1, CompactionPolicy{MemRows: 50, Fanout: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -698,5 +699,179 @@ func TestReopenAfterCommitBeforeWALSwap(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFailureAfterManifestRename injects a failure into each directory
+// sync a compaction's commit makes after its MANIFEST rename — the
+// segments directory's, then the log's — for a minor and a major
+// compaction, on a 1-shard file store and a 4-shard directory, each
+// holding two runs and memtable rows. The compaction returns the error
+// and latches every shard; reads still return every row; no descriptor
+// leaks. A power cut may bring back either manifest, so no run file may
+// go: a reopen serves every row again, healthy and consistent.
+func TestFailureAfterManifestRename(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		for _, mode := range []string{"minor", "major"} {
+			for _, dir := range []string{"segments", "log"} {
+				t.Run(fmt.Sprintf("shards=%d/%s/%s-dir", shards, mode, dir), func(t *testing.T) {
+					testFailureAfterManifestRename(t, shards, mode == "major", dir == "segments")
+				})
+			}
+		}
+	}
+}
+
+func testFailureAfterManifestRename(t *testing.T, shards int, major, segsDir bool) {
+	fdsAtStart := openFDs(t)
+	path := filepath.Join(t.TempDir(), "fail.db")
+	db, err := OpenSharded(path, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTable(attrSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.CreateIndex("attribute"); err != nil {
+		t.Fatal(err)
+	}
+	for id := int64(1); id <= 900; id += 300 {
+		if id > 1 {
+			if err := db.Flush(); err != nil { // two runs, then memtable rows
+				t.Fatal(err)
+			}
+		}
+		rows := make([]Row, 0, 300)
+		for i := id; i < id+300; i++ {
+			rows = append(rows, Row{Int(i), Int(i % 40), Str([]string{"pulse", "weight", "smoking"}[i%3]), Str("x"), Float(float64(i))})
+		}
+		if err := tbl.InsertBatch(rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := collectRows(tbl)
+	verify := func(stage string) {
+		t.Helper()
+		got, _, err := tbl.Query(Query{})
+		if err != nil {
+			t.Fatalf("%s: scan: %v", stage, err)
+		}
+		if len(got) != len(want) || tbl.Len() != len(want) {
+			t.Fatalf("%s: scan %d rows, Len %d, want %d", stage, len(got), tbl.Len(), len(want))
+		}
+		for i := range got {
+			if !slices.Equal(got[i], want[i]) {
+				t.Fatalf("%s: row %d = %v, want %v", stage, i, got[i], want[i])
+			}
+		}
+		checkIndexConsistent(t, tbl)
+	}
+
+	fdsBefore, segsBefore := openFDs(t), tbl.Stats().Segments
+	injected := errors.New("injected directory sync failure")
+	testHookSyncDir = func(dir string) error {
+		if strings.HasSuffix(dir, ".segs") == segsDir {
+			return injected
+		}
+		return nil
+	}
+	defer func() { testHookSyncDir = nil }()
+	compact := db.Flush
+	if major {
+		compact = db.Compact
+	}
+	err = compact()
+	testHookSyncDir = nil
+	if !errors.Is(err, injected) {
+		t.Fatalf("compaction error = %v, want the injected sync failure", err)
+	}
+	if h := db.Health(); !h.ReadOnly || len(h.FailedShards) != shards {
+		t.Fatalf("Health = %+v, want every shard read-only", h)
+	}
+	verify("after the failure")
+	// Descriptors follow the runs serving reads: the failed commit keeps
+	// its new runs only if it swapped them in.
+	if grew, runs := openFDs(t)-fdsBefore, tbl.Stats().Segments-segsBefore; grew > runs {
+		t.Errorf("failed commit leaked fds: %d more open, %d more runs", grew, runs)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if after := openFDs(t); after > fdsAtStart {
+		t.Errorf("fds after Close: %d, before open %d", after, fdsAtStart)
+	}
+
+	db, err = OpenSharded(path, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if h := db.Health(); !h.Ok() {
+		t.Fatalf("reopen: Health = %s", h)
+	}
+	if tbl, err = db.Table("extracted"); err != nil {
+		t.Fatal(err)
+	}
+	verify("after reopen")
+}
+
+// TestRowTriggerSurvivesReopen: the rows a reopen replays into the
+// memtables count toward Backlog and the MemRows trigger, so a shard
+// reopened with k logged rows reports Backlog k and compacts once
+// MemRows-k more rows arrive.
+func TestRowTriggerSurvivesReopen(t *testing.T) {
+	const k, memRows = 70, 100
+	path := filepath.Join(t.TempDir(), "trigger.db")
+	db, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTable(testSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := int64(0)
+	insert := func(n int) {
+		t.Helper()
+		rows := make([]Row, 0, n)
+		for range n {
+			rows = append(rows, Row{Int(next), Str("n"), Str("p"), Float(0), Bool(true)})
+			next++
+		}
+		if err := tbl.InsertBatch(rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	insert(k)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err = OpenShardedWithPolicy(path, 1, CompactionPolicy{MemRows: memRows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if cs := db.CompactionStats(); cs.Backlog != k {
+		t.Fatalf("reopened Backlog = %d, want the %d replayed rows", cs.Backlog, k)
+	}
+	if tbl, err = db.Table("concepts"); err != nil {
+		t.Fatal(err)
+	}
+	insert(memRows - k - 1) // one row short: no wake token is posted
+	if cs := db.CompactionStats(); cs.Backlog != memRows-1 || cs.MinorRuns+cs.MajorRuns != 0 {
+		t.Fatalf("one row below the trigger: %+v, want Backlog %d and no compaction", cs, memRows-1)
+	}
+	insert(1)
+	deadline := time.Now().Add(10 * time.Second)
+	for db.CompactionStats().MinorRuns == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("no compaction %d rows after a reopen with %d logged, MemRows %d: %+v", memRows-k, k, memRows, db.CompactionStats())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if cs := db.CompactionStats(); cs.Backlog != 0 || cs.RowsRewritten != memRows {
+		t.Fatalf("after the trigger: %+v, want Backlog 0 and %d rows folded", cs, memRows)
 	}
 }

@@ -101,9 +101,9 @@ func OpenSharded(path string, n int) (*DB, error) {
 
 // OpenShardedWithPolicy opens the database like OpenSharded and starts
 // the background compactor: one goroutine per shard, woken when the
-// shard's post-compaction write volume or WAL size crosses the policy
-// thresholds, folding the memtable into a new small segment off the
-// write path (and escalating to a major merge when a table's segment
+// rows logged on the shard since its last compaction — a reopen's
+// replayed rows included — reach the policy's MemRows, folding the
+// memtable into a new small segment off the write path (and escalating to a major merge when a table's segment
 // stack hits the fan-out bound). Close waits for an in-flight
 // background compaction to finish before closing the shards.
 func OpenShardedWithPolicy(path string, n int, pol CompactionPolicy) (*DB, error) {

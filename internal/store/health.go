@@ -9,10 +9,10 @@ import (
 // healthy: every shard accepts writes and recovery lost nothing.
 type Health struct {
 	// ReadOnly reports that at least one shard latched a write
-	// failure: a WAL write, flush or fsync failed, or a failed
-	// compaction swap lost the durable log. The shard (and so the
-	// engine) refuses writes until the database is reopened, but reads
-	// keep serving the state in memory.
+	// failure: a WAL write, flush or fsync failed, or a directory sync
+	// or log rename failed after a compaction's commit point. The shard
+	// (and so the engine) refuses writes until the database is
+	// reopened, but reads keep serving the state in memory.
 	ReadOnly bool
 	// FailedShards lists the shard ids refusing writes, in order.
 	FailedShards []int

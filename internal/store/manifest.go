@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -16,11 +15,11 @@ import (
 // order, as minor compactions append new runs without rewriting the
 // old ones; a major compaction collapses the table back to a single
 // entry. The manifest is replaced atomically (write temp, fsync,
-// rename, fsync dir), so a crash leaves either the old or the new
-// manifest intact; the only way to observe a torn manifest is
-// outside-the-protocol corruption, and then the store falls back to
-// replaying whatever the WAL holds, reporting the loss rather than
-// failing the open.
+// rename; the compaction then fsyncs the directory), so a crash leaves
+// either the old or the new manifest intact; the only way to observe a
+// torn manifest is outside-the-protocol corruption, and then the store
+// falls back to replaying whatever the WAL holds, reporting the loss
+// rather than failing the open.
 //
 // Format:
 //
@@ -107,7 +106,9 @@ func decodeManifest(buf []byte) (gen uint64, entries []manifestEntry, err error)
 }
 
 // writeManifest atomically replaces dir's MANIFEST: temp file, fsync,
-// rename, fsync dir.
+// rename. The rename is a compaction's commit point; the caller syncs
+// dir, and a failure of that sync must remove no run file, because a
+// power cut may bring back either manifest.
 func writeManifest(dir string, gen uint64, entries []manifestEntry) error {
 	tmp := filepath.Join(dir, manifestName+".tmp")
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -132,11 +133,22 @@ func writeManifest(dir string, gen uint64, entries []manifestEntry) error {
 		os.Remove(tmp)
 		return err
 	}
-	return syncDir(dir)
+	return nil
 }
 
-// syncDir fsyncs a directory so a rename inside it is durable.
+// testHookSyncDir, when non-nil, injects an error into syncDir before
+// the directory is opened — the failures after a compaction's commit
+// point are exercised without a failing disk.
+var testHookSyncDir func(dir string) error
+
+// syncDir fsyncs a directory so a create, rename or remove inside it is
+// durable.
 func syncDir(dir string) error {
+	if testHookSyncDir != nil {
+		if err := testHookSyncDir(dir); err != nil {
+			return err
+		}
+	}
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
@@ -249,11 +261,4 @@ func removeStraySegFiles(segsDir string, keep map[string]bool) {
 			os.Remove(filepath.Join(segsDir, name))
 		}
 	}
-}
-
-// sortManifestEntries orders entries deterministically: by table name,
-// preserving each table's oldest → newest run order (the order entries
-// were appended in).
-func sortManifestEntries(entries []manifestEntry) {
-	sort.SliceStable(entries, func(i, j int) bool { return entries[i].table < entries[j].table })
 }

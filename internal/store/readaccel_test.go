@@ -455,7 +455,7 @@ func TestCompactionDoesNotFillCache(t *testing.T) {
 // every segment's entries released with its last pin.
 func TestCacheInvariantUnderCompaction(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "race.db")
-	db, err := OpenShardedWithPolicy(path, 1, CompactionPolicy{MemRows: 50, WALBytes: 1 << 20, Fanout: 3})
+	db, err := OpenShardedWithPolicy(path, 1, CompactionPolicy{MemRows: 50, Fanout: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

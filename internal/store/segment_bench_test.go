@@ -49,16 +49,24 @@ func benchCompactedTable(b *testing.B, shards int, rows int) (*DB, *Table) {
 }
 
 // BenchmarkSegmentScan measures a full snapshot scan of a compacted
-// store: every row streams from segment files through the k-way merge
-// with an empty memtable.
-func BenchmarkSegmentScan(b *testing.B) {
+// one-shard store: every row streams from segment files with an empty
+// memtable.
+func BenchmarkSegmentScan(b *testing.B) { benchSegmentScan(b, 1) }
+
+// BenchmarkSegmentScanSharded is the same scan over the same rows on
+// four shards, whose answers the scan k-way-merges.
+func BenchmarkSegmentScanSharded(b *testing.B) { benchSegmentScan(b, 4) }
+
+func benchSegmentScan(b *testing.B, shards int) {
 	const rows = 50000
-	db, tbl := benchCompactedTable(b, 1, rows)
+	db, tbl := benchCompactedTable(b, shards, rows)
 	defer db.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		tbl.Scan(func(Row) bool { n++; return true })
+		if err := tbl.Scan(func(Row) bool { n++; return true }); err != nil {
+			b.Fatal(err)
+		}
 		if n != rows {
 			b.Fatalf("scan saw %d rows, want %d", n, rows)
 		}

@@ -25,7 +25,7 @@ type Shard struct {
 	id      int
 	logMu   sync.Mutex // serializes WAL appends on this shard
 	log     *wal       // nil = in-memory shard
-	failed  error      // latched WAL or compaction-swap failure: the shard refuses writes
+	failed  error      // latched WAL failure, or one after a compaction's commit point: the shard refuses writes
 	path    string
 	dropped int  // WAL records dropped during this shard's recovery
 	segLost bool // segment state was unreadable; recovered from WAL alone
@@ -50,14 +50,15 @@ type Shard struct {
 	compactMu sync.Mutex
 	pol       CompactionPolicy // effective policy; zero when background off
 	wakeCh    chan struct{}    // buffered(1) compactor wake; nil = no compactor
-	pending   atomic.Int64     // rows logged since the last compaction
-	walLen    atomic.Int64     // mirror of log.len readable without logMu
+	pending   atomic.Int64     // rows written since the last compaction, replayed ones included
 	cstats    compactionCounters
 }
 
 // openShard opens (creating if necessary) one shard's WAL and segment
 // directory, replays the WAL over the segment state, and then builds
 // the indexes the WAL names, each table's from one walk of its rows.
+// The rows replay put back in the memtables seed the compaction
+// trigger's row count, so a restart does not reset it.
 // Replay reads no segment block: the run footers' zone maps say which
 // replayed keys a run already holds. A torn manifest or unreadable
 // segment falls back to WAL-only recovery (reported via
@@ -116,7 +117,9 @@ func openShard(id int, path string, cache *blockCache) (*Shard, error) {
 		return nil, fmt.Errorf("store: replay %s: %w", path, err)
 	}
 	sh.dropped = dropped
-	sh.walLen.Store(l.len)
+	for _, ts := range sh.tables {
+		sh.pending.Add(int64(len(ts.mem)))
+	}
 	// Segments whose create-table record was lost to a torn WAL:
 	// the footer schema makes the segment self-describing, so the table
 	// (and its rows) survive anyway.
@@ -223,8 +226,8 @@ func (sh *Shard) logSize() int64 {
 
 // appendLog appends and flushes one record under logMu; a nil log
 // (in-memory shard) is a no-op. A failed write or flush latches the
-// shard, and a latched shard — its log failed, or was lost to a failed
-// compaction swap — refuses writes instead of silently dropping
+// shard, and a latched shard — its log failed, or a compaction failed
+// after its commit point — refuses writes instead of silently dropping
 // durability.
 func (sh *Shard) appendLog(payload []byte) error {
 	sh.logMu.Lock()
@@ -243,21 +246,16 @@ func (sh *Shard) appendLog(payload []byte) error {
 		sh.failed = fmt.Errorf("store: shard %d wal write: %w (reopen to recover)", sh.id, err)
 		return sh.failed
 	}
-	sh.walLen.Store(sh.log.len)
 	return nil
 }
 
-// noteWrite feeds the background compactor's trigger: rows logged since
-// the last compaction, plus the WAL-size mirror. When either crosses
-// the policy threshold a wake token is posted (non-blocking — the
-// channel holds one token, and the compactor re-checks after each run,
-// so a full channel never loses a trigger).
+// noteWrite counts the rows logged since the last compaction, the
+// background compactor's one trigger. Once they reach the policy's
+// MemRows a wake token is posted (non-blocking — the channel holds one
+// token, and the compactor re-checks after each run, so a full channel
+// never loses a trigger).
 func (sh *Shard) noteWrite(rows int) {
-	if sh.wakeCh == nil {
-		return
-	}
-	p := sh.pending.Add(int64(rows))
-	if p >= int64(sh.pol.MemRows) || sh.walLen.Load() >= sh.pol.WALBytes {
+	if sh.pending.Add(int64(rows)) >= int64(sh.pol.MemRows) && sh.wakeCh != nil {
 		select {
 		case sh.wakeCh <- struct{}{}:
 		default:

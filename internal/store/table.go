@@ -279,9 +279,10 @@ func (ts *tableShard) logApplyBatch(rows []memRow) error {
 
 // replayBatch applies one logged sub-batch during WAL replay, from
 // memory alone. A key at or below the largest run key is skipped: a
-// run already holds it, which happens only after a compaction
-// interrupted between its manifest commit and its WAL swap, whose old
-// log replays rows the committed runs hold. Any other key must ascend
+// run already holds it, which happens only after a compaction was cut
+// short — by a crash or a failed directory sync — between its manifest
+// rename and its log rename: the old log replays rows the committed
+// runs hold. Any other key must ascend
 // past the shard's last key; one that does not makes the whole record
 // ErrCorrupt, and replay cuts the log there like any malformed record.
 func (ts *tableShard) replayBatch(rows []Row) error {
