@@ -133,13 +133,15 @@ func runQuery(args []string, out io.Writer) error {
 	return nil
 }
 
-// planLine summarizes how the question executed, including the fan-out
-// width so a sharded store is visible from the CLI, the segment
-// read-path counters so a compacted store is too, and the engine health
-// so answers computed over a degraded store carry the caveat inline.
+// planLine summarizes how the question executed, including how many
+// conditions were answered index-only (from a covering index, reading
+// no block), the fan-out width so a sharded store is visible from the
+// CLI, the segment read-path counters when a condition read segments,
+// and the engine health so answers computed over a degraded store
+// carry the caveat inline.
 func planLine(s core.QueryStats, h store.Health) string {
-	line := fmt.Sprintf("plan: %d/%d conditions indexed, %d index probes, %d rows examined, %d full scans, %d shard(s)",
-		s.IndexedConds, s.Conds, s.IndexProbes, s.RowsExamined, s.FullScans, s.Shards)
+	line := fmt.Sprintf("plan: %d/%d conditions indexed (%d index-only), %d index probes, %d rows examined, %d full scans, %d shard(s)",
+		s.IndexedConds, s.Conds, s.CoveredConds, s.IndexProbes, s.RowsExamined, s.FullScans, s.Shards)
 	if s.Segments > 0 {
 		line += fmt.Sprintf(", %d segment(s), %d blocks pruned", s.Segments, s.BlocksPruned)
 	}

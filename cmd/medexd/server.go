@@ -222,6 +222,7 @@ func (c condJSON) cond() core.Cond {
 type queryStatsJSON struct {
 	Conds        int    `json:"conds"`
 	IndexedConds int    `json:"indexedConds"`
+	CoveredConds int    `json:"coveredConds"` // answered index-only: no block read
 	IndexProbes  int    `json:"indexProbes"`
 	RowsExamined int    `json:"rowsExamined"`
 	FullScans    int    `json:"fullScans"`
@@ -235,6 +236,7 @@ func (s *server) statsJSON(qs core.QueryStats) queryStatsJSON {
 	out := queryStatsJSON{
 		Conds:        qs.Conds,
 		IndexedConds: qs.IndexedConds,
+		CoveredConds: qs.CoveredConds,
 		IndexProbes:  qs.IndexProbes,
 		RowsExamined: qs.RowsExamined,
 		FullScans:    qs.FullScans,

@@ -132,8 +132,8 @@ func TestIngestAndQueryRoundTrip(t *testing.T) {
 		t.Fatalf("query min=100 matched %d patients (%v), want 3", got, q)
 	}
 	stats := q["stats"].(map[string]any)
-	if stats["indexedConds"].(float64) != 1 {
-		t.Fatalf("query did not use the index: %v", stats)
+	if stats["indexedConds"].(float64) != 1 || stats["coveredConds"].(float64) != 1 {
+		t.Fatalf("query was not answered index-only: %v", stats)
 	}
 	if _, degraded := stats["health"]; degraded {
 		t.Fatalf("healthy engine reported degraded stats: %v", stats)
@@ -166,6 +166,9 @@ func TestIngestAndQueryRoundTrip(t *testing.T) {
 	}
 	if got := len(ask["patients"].([]any)); got != 3 {
 		t.Fatalf("ask matched %d patients (%v), want 3", got, ask)
+	}
+	if covered := ask["stats"].(map[string]any)["coveredConds"]; covered != 2.0 {
+		t.Fatalf("ask stats report %v index-only conditions, want 2", covered)
 	}
 
 	st := getJSON(t, ts.URL+"/v1/stats", http.StatusOK)

@@ -26,6 +26,11 @@ type Warehouse struct {
 
 // OpenWarehouse opens (creating if necessary) the extracted table in db
 // and ensures its secondary indexes on the attribute and patient columns.
+// The attribute index includes every other column, so it covers the
+// table: Ask, Rows and Prevalence answer from its postings and read no
+// segment block. The patient index includes nothing: a chart reads
+// whole rows, which the block cache serves. A store whose attribute
+// index predates the include list gets it rebuilt here, once.
 // A nil ontology disables synonym resolution in term conditions; terms
 // then match by normalized string only.
 func OpenWarehouse(db Storage, ont *ontology.Ontology) (*Warehouse, error) {
@@ -33,10 +38,11 @@ func OpenWarehouse(db Storage, ont *ontology.Ontology) (*Warehouse, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, col := range []string{"attribute", "patient"} {
-		if err := tbl.CreateIndex(col); err != nil {
-			return nil, err
-		}
+	if err := tbl.CreateIndex("attribute", "patient", "value", "numeric"); err != nil {
+		return nil, err
+	}
+	if err := tbl.CreateIndex("patient"); err != nil {
+		return nil, err
 	}
 	return &Warehouse{tbl: tbl, ont: ont}, nil
 }
@@ -143,6 +149,7 @@ func (w *Warehouse) resolveTerm(term string) string {
 type QueryStats struct {
 	Conds        int
 	IndexedConds int // conditions answered via a secondary index
+	CoveredConds int // of those, answered from the index alone (index-only: no block read)
 	IndexProbes  int
 	RowsExamined int
 	FullScans    int
@@ -157,6 +164,9 @@ func (s *QueryStats) add(st store.QueryStats) {
 	s.Conds++
 	if st.UsedIndex {
 		s.IndexedConds++
+	}
+	if st.Covered {
+		s.CoveredConds++
 	}
 	if st.FullScan {
 		s.FullScans++

@@ -2,6 +2,9 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"path/filepath"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -217,5 +220,73 @@ func TestWarehouseConcurrentWithIngest(t *testing.T) {
 	}
 	if len(rows) != scan {
 		t.Errorf("index answered %d rows, scan %d", len(rows), scan)
+	}
+}
+
+// TestOpenWarehouseCoversAttributeIndex: a store whose attribute index
+// includes nothing — as versions before include lists wrote it, with
+// rows in runs and in the log — opens through OpenWarehouse with the
+// attribute index rebuilt to cover the table: questions answer the
+// same, index-only, reading no block, and stay covered across a reopen.
+func TestOpenWarehouseCoversAttributeIndex(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.db")
+	db, err := store.OpenSharded(path, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTable(resultSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, col := range []string{"attribute", "patient"} {
+		if err := tbl.CreateIndex(col); err != nil {
+			t.Fatal(err)
+		}
+	}
+	insert := func(from, to int64) {
+		var rows []store.Row
+		for id := from; id < to; id++ {
+			attr, val := "pulse", store.Str(fmt.Sprint(60+id%70))
+			if id%2 == 1 {
+				attr, val = "smoking", store.Str([]string{"current", "never"}[id%4/2])
+			}
+			rows = append(rows, store.Row{store.Int(id), store.Int(id / 3), store.Str(attr), val, store.Float(float64(60 + id%70))})
+		}
+		if err := tbl.InsertBatch(rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	insert(1, 600)
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	insert(600, 800)
+	q := store.Query{Preds: []store.Pred{store.Eq("attribute", store.Str("pulse")), store.Gt("numeric", store.Float(100))}}
+	want, st, err := tbl.Query(q)
+	if err != nil || st.Covered || len(want) == 0 {
+		t.Fatalf("before the upgrade: %d rows, %+v, %v", len(want), st, err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, open := range []string{"upgrade", "reopen"} {
+		db, err := store.OpenSharded(path, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := OpenWarehouse(db, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gst, err := w.Table().Query(q)
+		if err != nil || !gst.Covered || gst.CacheHits+gst.CacheMisses != 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: %d rows (want %d), %+v, %v; want the same rows index-only", open, len(got), len(want), gst, err)
+		}
+		if _, qs, err := w.Ask(NumAbove("pulse", 100), HasTerm("smoking", "current")); err != nil || qs.CoveredConds != 2 || qs.CacheMisses != 0 {
+			t.Fatalf("%s: Ask stats %+v, %v; want both conditions index-only", open, qs, err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

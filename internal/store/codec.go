@@ -82,27 +82,31 @@ var (
 )
 
 // encodeRow appends the binary encoding of row to buf and returns the
-// extended buffer. Layout per value: 1 type byte then a fixed or
-// length-prefixed payload.
+// extended buffer: each value in turn, through appendValue.
 func encodeRow(buf []byte, row Row) []byte {
 	for _, v := range row {
-		buf = append(buf, byte(v.Type))
-		switch v.Type {
-		case TInt:
-			buf = binary.AppendUvarint(buf, zigzag(v.I))
-		case TFloat:
-			var b [8]byte
-			binary.BigEndian.PutUint64(b[:], math.Float64bits(v.F))
-			buf = append(buf, b[:]...)
-		case TString:
-			buf = binary.AppendUvarint(buf, uint64(len(v.S)))
-			buf = append(buf, v.S...)
-		case TBool:
-			if v.B {
-				buf = append(buf, 1)
-			} else {
-				buf = append(buf, 0)
-			}
+		buf = appendValue(buf, v)
+	}
+	return buf
+}
+
+// appendValue appends one value in the row codec: 1 type byte then a
+// fixed or length-prefixed payload.
+func appendValue(buf []byte, v Value) []byte {
+	buf = append(buf, byte(v.Type))
+	switch v.Type {
+	case TInt:
+		buf = binary.AppendUvarint(buf, zigzag(v.I))
+	case TFloat:
+		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(v.F))
+	case TString:
+		buf = binary.AppendUvarint(buf, uint64(len(v.S)))
+		buf = append(buf, v.S...)
+	case TBool:
+		if v.B {
+			buf = append(buf, 1)
+		} else {
+			buf = append(buf, 0)
 		}
 	}
 	return buf
@@ -111,45 +115,57 @@ func encodeRow(buf []byte, row Row) []byte {
 // decodeValues decodes n values from the front of buf and returns the
 // unconsumed remainder, letting batch records concatenate several rows.
 func decodeValues(buf []byte, n int) (Row, []byte, error) {
-	row := make(Row, 0, n)
-	for i := 0; i < n; i++ {
-		if len(buf) == 0 {
-			return nil, nil, ErrCorrupt
-		}
-		t := ColType(buf[0])
-		buf = buf[1:]
-		switch t {
-		case TInt:
-			u, k := binary.Uvarint(buf)
-			if k <= 0 {
-				return nil, nil, ErrCorrupt
-			}
-			buf = buf[k:]
-			row = append(row, Int(unzigzag(u)))
-		case TFloat:
-			if len(buf) < 8 {
-				return nil, nil, ErrCorrupt
-			}
-			row = append(row, Float(math.Float64frombits(binary.BigEndian.Uint64(buf[:8]))))
-			buf = buf[8:]
-		case TString:
-			u, k := binary.Uvarint(buf)
-			if k <= 0 || uint64(len(buf[k:])) < u {
-				return nil, nil, ErrCorrupt
-			}
-			row = append(row, Str(string(buf[k:k+int(u)])))
-			buf = buf[k+int(u):]
-		case TBool:
-			if len(buf) < 1 {
-				return nil, nil, ErrCorrupt
-			}
-			row = append(row, Bool(buf[0] == 1))
-			buf = buf[1:]
-		default:
-			return nil, nil, ErrCorrupt
+	row := make(Row, n)
+	for i := range row {
+		var err error
+		if row[i], buf, err = decodeValue(buf); err != nil {
+			return nil, nil, err
 		}
 	}
 	return row, buf, nil
+}
+
+// decodeValue decodes one value from the front of buf and returns the
+// rest. From a []byte (a log record, a block) a string value is copied
+// out; from a string (a posting stream read as one) it is a substring,
+// so decoding allocates nothing.
+func decodeValue[T []byte | string](buf T) (Value, T, error) {
+	if len(buf) == 0 {
+		return Value{}, buf, ErrCorrupt
+	}
+	t := ColType(buf[0])
+	buf = buf[1:]
+	switch t {
+	case TInt:
+		if u, k := uvarint(buf); k > 0 {
+			return Int(unzigzag(u)), buf[k:], nil
+		}
+	case TFloat:
+		if len(buf) >= 8 {
+			return Float(math.Float64frombits(be64(buf))), buf[8:], nil
+		}
+	case TString:
+		if u, k := uvarint(buf); k > 0 && uint64(len(buf[k:])) >= u {
+			return Str(string(buf[k : k+int(u)])), buf[k+int(u):], nil
+		}
+	case TBool:
+		if len(buf) >= 1 {
+			return Bool(buf[0] == 1), buf[1:], nil
+		}
+	}
+	return Value{}, buf, ErrCorrupt
+}
+
+// be64 is binary.BigEndian.Uint64 over a []byte or a string (whose
+// first 8 bytes go through a stack copy).
+func be64[T []byte | string](buf T) uint64 {
+	return binary.BigEndian.Uint64([]byte(buf[:8]))
+}
+
+// uvarint is binary.Uvarint over a []byte or a string (whose first
+// bytes, at most a varint's longest encoding, go through a stack copy).
+func uvarint[T []byte | string](buf T) (uint64, int) {
+	return binary.Uvarint([]byte(buf[:min(len(buf), binary.MaxVarintLen64)]))
 }
 
 func zigzag(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }
@@ -162,30 +178,57 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 // type byte makes an encoded key never empty, so "" can stand for "no
 // bound".
 func encodeKey(v Value) string {
+	if v.Type == TString {
+		return string(rune(TString)) + v.S
+	}
+	var b [9]byte
+	return string(appendKey(b[:0], v))
+}
+
+// appendKey appends encodeKey(v) to buf.
+func appendKey(buf []byte, v Value) []byte {
+	buf = append(buf, byte(v.Type))
 	switch v.Type {
 	case TString:
-		return string(rune(TString)) + v.S
+		return append(buf, v.S...)
 	case TInt:
-		var b [9]byte
-		b[0] = byte(TInt)
-		binary.BigEndian.PutUint64(b[1:], uint64(v.I)^(1<<63))
-		return string(b[:])
+		return binary.BigEndian.AppendUint64(buf, uint64(v.I)^(1<<63))
 	case TFloat:
-		var b [9]byte
-		b[0] = byte(TFloat)
 		bits := math.Float64bits(v.F)
 		if v.F >= 0 {
 			bits |= 1 << 63
 		} else {
 			bits = ^bits
 		}
-		binary.BigEndian.PutUint64(b[1:], bits)
-		return string(b[:])
+		return binary.BigEndian.AppendUint64(buf, bits)
 	case TBool:
 		if v.B {
-			return string(rune(TBool)) + "\x01"
+			return append(buf, 1)
 		}
-		return string(rune(TBool)) + "\x00"
+		return append(buf, 0)
 	}
-	return ""
+	return buf[:len(buf)-1]
+}
+
+// decodeKey inverts encodeKey for a key of column type t. It is exact
+// for every value but -0.0, whose key is +0.0's: a float index's key
+// cannot tell the two apart.
+func decodeKey(key string, t ColType) Value {
+	switch t {
+	case TString:
+		return Str(key[1:])
+	case TInt:
+		return Int(int64(be64(key[1:]) ^ (1 << 63)))
+	case TFloat:
+		bits := be64(key[1:])
+		if bits&(1<<63) != 0 {
+			bits &^= 1 << 63
+		} else {
+			bits = ^bits
+		}
+		return Float(math.Float64frombits(bits))
+	case TBool:
+		return Bool(key[1] == 1)
+	}
+	return Value{}
 }

@@ -272,7 +272,11 @@ func (db *DB) compactShardLocked(sh *Shard, mode compactMode) (rowsOut, bytesOut
 		ts.deinline(c.snap.mem)
 	}
 	sh.gen = gen
-	sh.pending.Store(0)
+	// The residue stays in the memtable, re-logged: only the captured
+	// rows leave the backlog.
+	for _, c := range tcs {
+		sh.pending.Add(-int64(len(c.snap.mem)))
+	}
 
 	if err := os.Rename(tmpPath, sh.path); err != nil {
 		staged.close()
@@ -308,7 +312,7 @@ func stageLog(path string, tcs []*tableCompact) (*wal, error) {
 		}
 		slices.Sort(idxCols)
 		for _, col := range idxCols {
-			payloads = append(payloads, encodeCreateIndexPayload(c.name, col))
+			payloads = append(payloads, encodeCreateIndexPayload(c.name, col, c.ts.secondary[col].include))
 		}
 		// The memtable only appended since the capture, so the residue is
 		// its tail past the captured rows.

@@ -875,3 +875,50 @@ func TestRowTriggerSurvivesReopen(t *testing.T) {
 		t.Fatalf("after the trigger: %+v, want Backlog 0 and %d rows folded", cs, memRows)
 	}
 }
+
+// TestBacklogKeepsResidue: the rows inserted while a compaction builds
+// stay in the memtable, re-logged as residue, so they stay in Backlog:
+// the commit subtracts the captured rows instead of zeroing the count.
+// A reopen replays the residue and reports the same Backlog.
+func TestBacklogKeepsResidue(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "backlog.db")
+	db, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTable(testSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := func(id int64) Row { return Row{Int(id), Str("n"), Str("p"), Float(0), Bool(true)} }
+	for i := int64(0); i < 10; i++ {
+		if err := tbl.Insert(row(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hookDone := make(chan error, 1)
+	testHookCompactBuild = func() {
+		testHookCompactBuild = nil
+		hookDone <- tbl.Insert(row(10))
+	}
+	defer func() { testHookCompactBuild = nil }()
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-hookDone; err != nil {
+		t.Fatalf("mid-build insert: %v", err)
+	}
+	if cs := db.CompactionStats(); cs.Backlog != 1 || cs.RowsRewritten != 10 {
+		t.Fatalf("after the flush: %+v, want Backlog 1 (the residue) and 10 rows folded", cs)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = Open(path); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if cs := db.CompactionStats(); cs.Backlog != 1 {
+		t.Fatalf("after a reopen: Backlog %d, want the 1 replayed residue row", cs.Backlog)
+	}
+}

@@ -38,11 +38,11 @@ func captureShardStates(t *testing.T, tbl *Table) []shardState {
 		ts.mu.RLock()
 		ss := ts.captureLocked()
 		st := shardState{logSize: ts.shard.logSize(), indexes: make(map[string]string)}
-		for col, idx := range ts.secondary {
+		for col, ix := range ts.secondary {
 			var b strings.Builder
-			idx.AscendRange("", "", func(sk string, v interface{}) bool {
+			ix.tree.AscendRange("", "", func(sk string, v interface{}) bool {
 				pl := v.(*postingList)
-				fmt.Fprintf(&b, "%q:%q+%d;", sk, pl.keys, len(pl.mem))
+				fmt.Fprintf(&b, "%q:%q/%d+%d;", sk, pl.stream, pl.n, len(pl.mem))
 				return true
 			})
 			st.indexes[col] = b.String()

@@ -1,8 +1,10 @@
 package store
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -234,10 +236,12 @@ func makeShardDirs(dir string, n int) ([]string, error) {
 // WAL into cross-shard Table routers. Shards normally agree on the
 // table and index inventory (CreateTable and CreateIndex log to every
 // shard); a shard whose WAL lost the tail of that inventory to a crash
-// is repaired by re-appending the missing create records, so the
-// invariant "every shard WAL self-describes its tables and indexes"
-// holds again after open. Conflicting schemas for the same table name
-// are corruption and fail the open.
+// — a missing record, or an index whose include list another shard's
+// later record changed — is repaired by building the index and
+// re-appending the create records, so the invariant "every shard WAL
+// self-describes its tables and indexes" holds again after open.
+// Conflicting schemas for the same table name are corruption and fail
+// the open.
 func (db *DB) buildRouters() error {
 	nameSet := make(map[string]bool)
 	for _, sh := range db.shards {
@@ -245,13 +249,7 @@ func (db *DB) buildRouters() error {
 			nameSet[name] = true
 		}
 	}
-	names := make([]string, 0, len(nameSet))
-	for n := range nameSet {
-		names = append(names, n)
-	}
-	slices.Sort(names)
-
-	for _, name := range names {
+	for _, name := range slices.Sorted(maps.Keys(nameSet)) {
 		var schema Schema
 		found := false
 		for _, sh := range db.shards {
@@ -265,19 +263,20 @@ func (db *DB) buildRouters() error {
 				return fmt.Errorf("store: shards disagree on schema of table %q", name)
 			}
 		}
-		idxSet := make(map[string]bool)
+		// The lowest shard holding an index names its include list:
+		// CreateIndex logs shard by shard in order, so a crash cut short
+		// leaves the new list on a prefix of the shards.
+		want := make(map[string]*index)
 		for _, sh := range db.shards {
 			if ts, ok := sh.tables[name]; ok {
-				for col := range ts.secondary {
-					idxSet[col] = true
+				for col, ix := range ts.secondary {
+					if _, seen := want[col]; !seen {
+						want[col] = ix
+					}
 				}
 			}
 		}
-		idxCols := make([]string, 0, len(idxSet))
-		for c := range idxSet {
-			idxCols = append(idxCols, c)
-		}
-		slices.Sort(idxCols)
+		idxCols := slices.Sorted(maps.Keys(want))
 
 		shards := make([]*tableShard, len(db.shards))
 		for i, sh := range db.shards {
@@ -288,21 +287,22 @@ func (db *DB) buildRouters() error {
 				}
 				ts = sh.newTableShard(schema)
 			}
-			var missing []string
+			var stale []*index
 			for _, col := range idxCols {
-				if _, ok := ts.secondary[col]; !ok {
-					missing = append(missing, col)
+				if ix, ok := ts.secondary[col]; !ok || !slices.Equal(ix.include, want[col].include) {
+					ix := *want[col]
+					stale = append(stale, &ix)
 				}
 			}
-			idxs, err := ts.buildIndexes(missing)
-			if err != nil {
+			if err := ts.buildIndexes(stale); err != nil {
 				return err
 			}
-			for i, col := range missing {
-				if err := sh.appendLog(encodeCreateIndexPayload(name, col)); err != nil {
+			for _, ix := range stale {
+				col := schema.Columns[ix.col].Name
+				if err := sh.appendLog(encodeCreateIndexPayload(name, col, ix.include)); err != nil {
 					return err
 				}
-				ts.secondary[col] = idxs[i]
+				ts.secondary[col] = ix
 			}
 			shards[i] = ts
 		}
@@ -462,12 +462,45 @@ func encodeCreateTablePayload(s Schema) []byte {
 	return payload
 }
 
-// encodeCreateIndexPayload frames an opCreateIndex payload; CreateIndex
-// and Compact both go through it.
-func encodeCreateIndexPayload(table, col string) []byte {
+// encodeCreateIndexPayload frames an opCreateIndex payload (see
+// opCreateIndex); CreateIndex, buildRouters and Compact all go through
+// it.
+func encodeCreateIndexPayload(table, col string, include []string) []byte {
 	payload := []byte{opCreateIndex}
 	payload = appendString(payload, table)
-	return appendString(payload, col)
+	payload = appendString(payload, col)
+	if len(include) == 0 {
+		return payload
+	}
+	payload = binary.AppendUvarint(payload, uint64(len(include)))
+	for _, c := range include {
+		payload = appendString(payload, c)
+	}
+	return payload
+}
+
+// decodeIncludeList reads what follows the column of an opCreateIndex
+// payload: nothing, or a non-zero count and that many column names.
+func decodeIncludeList(rest []byte) ([]string, error) {
+	if len(rest) == 0 {
+		return nil, nil
+	}
+	n, k := binary.Uvarint(rest)
+	if k <= 0 || n == 0 || n > uint64(len(rest)) {
+		return nil, ErrCorrupt
+	}
+	rest = rest[k:]
+	include := make([]string, n)
+	for i := range include {
+		var err error
+		if include[i], rest, err = readString(rest); err != nil {
+			return nil, err
+		}
+	}
+	if len(rest) != 0 {
+		return nil, ErrCorrupt
+	}
+	return include, nil
 }
 
 // Table returns the named table, or an error if it does not exist.

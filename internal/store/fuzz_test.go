@@ -66,6 +66,7 @@ func FuzzWALReplay(f *testing.F) {
 	flip[len(flip)/2] ^= 0xff
 	f.Add(flip)
 	f.Add(backwardKeysWALBytes(f)) // a CRC-valid record whose keys go backwards
+	f.Add(badIncludeWALBytes(f))   // a CRC-valid create-index record whose include list names no column
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.db")

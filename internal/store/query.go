@@ -69,6 +69,7 @@ type Query struct {
 type QueryStats struct {
 	UsedIndex    bool   // candidates came from a secondary index
 	IndexCol     string // the index column, when UsedIndex
+	Covered      bool   // the index covers every column: answered from its postings, reading no block
 	IndexProbes  int    // postings (distinct indexed values) visited; 0 for an absent value
 	RowsExamined int    // candidate rows fetched and tested
 	FullScan     bool   // fell back to scanning the primary index
@@ -79,9 +80,13 @@ type QueryStats struct {
 	CacheMisses  int    // blocks read from disk (and cached for next time)
 }
 
-// Plan renders the access path for logs ("index(attribute)" or "scan").
+// Plan renders the access path for logs: "index-only(attribute)" for a
+// covering index, "index(attribute)" for another, or "scan".
 func (s QueryStats) Plan() string {
-	if s.UsedIndex {
+	switch {
+	case s.Covered:
+		return "index-only(" + s.IndexCol + ")"
+	case s.UsedIndex:
 		return "index(" + s.IndexCol + ")"
 	}
 	return "scan"
@@ -94,11 +99,12 @@ func (s QueryStats) Plan() string {
 // Planning: the first indexed column carrying an equality predicate is
 // chosen, else the first indexed column carrying a range predicate;
 // every predicate on that column folds into one bounded index walk, and
-// the other predicates filter the rows it visits. With no indexed
-// column constrained, the primary index is scanned. Every shard holds
-// the same secondary indexes, so all shards pick the same plan; the
-// fan-out runs them concurrently and merges the sorted per-shard
-// results.
+// the other predicates filter the rows it visits. A covering index
+// (see CreateIndex) builds those rows from its postings and reads no
+// block. With no indexed column constrained, the primary index is
+// scanned. Every shard holds the same secondary indexes, so all shards
+// pick the same plan; the fan-out runs them concurrently and merges the
+// sorted per-shard results.
 //
 // Queries run entirely under the shards' read locks, so any number can
 // overlap each other and a live ingest.
@@ -132,6 +138,7 @@ func (t *Table) Query(q Query) ([]Row, QueryStats, error) {
 		err = errors.Join(err, r.err)
 		st := r.stats
 		stats.UsedIndex = stats.UsedIndex || st.UsedIndex
+		stats.Covered = stats.Covered || st.Covered
 		stats.FullScan = stats.FullScan || st.FullScan
 		if stats.IndexCol == "" {
 			stats.IndexCol = st.IndexCol
@@ -182,32 +189,28 @@ func (ts *tableShard) query(q Query, cis []int) (out []Row, stats QueryStats, er
 	}()
 	// Index walk: every predicate on the chosen column tightens [lo, hi),
 	// so none of them needs re-checking per row; matches tests the rest.
-	// Each posting visited is one probe, resolved in one batched segment
-	// walk (keys are sorted, so each touched block is decoded once).
+	// Each posting visited is one probe: a covering index answers from
+	// the posting alone; any other resolves its run-resident entries in
+	// one batched segment walk (keys are sorted, so each touched block
+	// is decoded once).
 	if pick := ts.indexPick(q.Preds); pick >= 0 {
 		defer ts.mu.RUnlock()
 		col, ci := q.Preds[pick].Col, cis[pick]
+		ix := ts.secondary[col]
 		lo, hi := bounds(q.Preds, cis, ci)
-		stats.UsedIndex = true
-		stats.IndexCol = col
+		stats.UsedIndex, stats.IndexCol, stats.Covered = true, col, ix.covered
+		keep := func(row Row) bool {
+			stats.RowsExamined++
+			return matches(q.Preds, cis, ci, row)
+		}
 		var walkErr error
 		segReads := false
-		ts.secondary[col].AscendRange(lo, hi, func(_ string, v interface{}) bool {
+		ix.tree.AscendRange(lo, hi, func(sk string, v interface{}) bool {
 			stats.IndexProbes++
 			pl := v.(*postingList)
-			segReads = segReads || len(pl.mem) < len(pl.keys)
-			rows, rerr := ts.resolveAll(pl, &rs)
-			if rerr != nil {
-				walkErr = rerr
-				return false
-			}
-			for _, row := range rows {
-				stats.RowsExamined++
-				if matches(q.Preds, cis, ci, row) {
-					out = append(out, row)
-				}
-			}
-			return true
+			segReads = segReads || !ix.covered && len(pl.mem) < pl.n
+			out, walkErr = ts.postingRows(ix, sk, pl, &rs, keep, out)
+			return walkErr == nil
 		})
 		if walkErr != nil {
 			return nil, stats, walkErr

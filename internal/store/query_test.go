@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"path/filepath"
 	"slices"
@@ -290,11 +291,12 @@ func TestIndexSurvivesCompact(t *testing.T) {
 }
 
 // TestPostingKeySlack: a new patient's rows arrive in one batch, so the
-// patient posting list grows one key at a time from empty. Append's
-// doubling would leave its key slice about half empty (cap 32 for 17
-// keys); growth by a quarter keeps the index's total capacity within
-// 1.3× its key count, live and after a reopen rebuilds the index from a
-// run and the WAL.
+// patient posting's stream grows one entry at a time from empty.
+// Append's doubling would leave it about half empty; growth by a
+// quarter keeps the index's total stream capacity within 1.3× its
+// length live, and the open-time build, which doubles, trims every
+// stream once it ends, so the bound holds after a reopen rebuilds the
+// index from a run and the WAL.
 func TestPostingKeySlack(t *testing.T) {
 	const patients, rowsPer = 200, 17
 	path := filepath.Join(t.TempDir(), "w.db")
@@ -327,22 +329,23 @@ func TestPostingKeySlack(t *testing.T) {
 	}
 	check := func(when string, tbl *Table) {
 		t.Helper()
-		keys, slots := 0, 0
+		entries, length, capacity := 0, 0, 0
 		for _, ts := range tbl.shards {
 			ts.mu.RLock()
-			ts.secondary["patient"].AscendRange("", "", func(_ string, v interface{}) bool {
+			ts.secondary["patient"].tree.AscendRange("", "", func(_ string, v interface{}) bool {
 				pl := v.(*postingList)
-				keys += len(pl.keys)
-				slots += cap(pl.keys)
+				entries += pl.n
+				length += len(pl.stream)
+				capacity += cap(pl.stream)
 				return true
 			})
 			ts.mu.RUnlock()
 		}
-		if keys != patients*rowsPer {
-			t.Fatalf("%s: patient index holds %d keys, want %d", when, keys, patients*rowsPer)
+		if entries != patients*rowsPer {
+			t.Fatalf("%s: patient index holds %d entries, want %d", when, entries, patients*rowsPer)
 		}
-		if ratio := float64(slots) / float64(keys); ratio > 1.3 {
-			t.Errorf("%s: patient index key slices hold %d slots for %d keys (%.2f×), want ≤ 1.3×", when, slots, keys, ratio)
+		if ratio := float64(capacity) / float64(length); ratio > 1.3 {
+			t.Errorf("%s: patient index streams hold %d bytes of capacity for %d bytes (%.2f×), want ≤ 1.3×", when, capacity, length, ratio)
 		}
 	}
 	check("live", tbl)
@@ -363,18 +366,20 @@ func TestPostingKeySlack(t *testing.T) {
 
 // checkIndexConsistent asserts every secondary index holds exactly the
 // table's rows on every shard — the crash invariant "index == table
-// contents", which sharding makes per-shard — that keys ascend on every
-// shard (runs non-empty, disjoint and ascending, the memtable above
-// them and ascending), and that no key is stored twice: the memtable
-// and the runs together hold the rows the shard's view yields.
-func checkIndexConsistent(t *testing.T, tbl *Table) {
+// contents", which sharding makes per-shard — with every posting
+// entry's primary key and included values equal to its row's, that
+// keys ascend on every shard (runs non-empty, disjoint and ascending,
+// the memtable above them and ascending), and that no key is stored
+// twice: the memtable and the runs together hold the rows the shard's
+// view yields.
+func checkIndexConsistent(t testing.TB, tbl *Table) {
 	t.Helper()
 	for _, ts := range tbl.shards {
 		checkShardIndexConsistent(t, ts)
 	}
 }
 
-func checkShardIndexConsistent(t *testing.T, ts *tableShard) {
+func checkShardIndexConsistent(t testing.TB, ts *tableShard) {
 	t.Helper()
 	ts.mu.RLock()
 	defer ts.mu.RUnlock()
@@ -409,51 +414,60 @@ func checkShardIndexConsistent(t *testing.T, ts *tableShard) {
 	if len(live) != ts.rows() {
 		t.Errorf("shard %d: memtable + runs hold %d rows, the view has %d distinct keys", ts.shard.id, ts.rows(), len(live))
 	}
-	for col, idx := range ts.secondary {
-		ci := ts.schema.colIndex(col)
-		// Every live row appears in the index under its column value.
-		for pk, row := range live {
-			v, ok := idx.Get(encodeKey(row[ci]))
-			if !ok {
-				t.Errorf("shard %d: index %s missing value %v", ts.shard.id, col, row[ci])
-				continue
-			}
-			if _, found := slices.BinarySearch(v.(*postingList).keys, pk); !found {
-				t.Errorf("shard %d: index %s missing row pk %v", ts.shard.id, col, row[pkc])
-			}
-		}
-		// And the index holds no extra or stale rows: every key resolves
-		// (side list or segments) to the live row. The side list is the
-		// memtable rows of the posting's key suffix, and the side lists
-		// hold every memtable row.
+	for col, ix := range ts.secondary {
+		// Every entry is a live row filed under its column value, with
+		// its primary key and included values byte for byte, keys
+		// strictly ascending within the posting; as many entries as live
+		// rows then means every live row is filed exactly once. The side
+		// list is the memtable rows of the stream's suffix, and the side
+		// lists hold every memtable row. The posting's rows as a query
+		// reads them — covered or resolved — are the live rows.
 		indexed, inMem := 0, 0
-		idx.AscendRange("", "", func(_ string, v interface{}) bool {
+		ix.tree.AscendRange("", "", func(sk string, v interface{}) bool {
 			pl := v.(*postingList)
-			indexed += len(pl.keys)
+			indexed += pl.n
 			inMem += len(pl.mem)
-			if !slices.IsSorted(pl.keys) || len(pl.mem) > len(pl.keys) {
-				t.Errorf("shard %d: index %s posting keys unsorted or side list longer than keys", ts.shard.id, col)
+			if len(pl.mem) > pl.n {
+				t.Errorf("shard %d: index %s side list longer than its stream", ts.shard.id, col)
 				return true
 			}
-			for i, row := range pl.mem {
-				pk := pl.keys[len(pl.keys)-len(pl.mem)+i]
-				j, ok := slices.BinarySearchFunc(ts.mem, pk, cmpMemKey)
-				if !ok || !slices.Equal(ts.mem[j].row, row) {
-					t.Errorf("shard %d: index %s side-list row %v is not the memtable's row for its key", ts.shard.id, col, row[pkc])
+			var want []Row
+			stream, prev := pl.stream, ""
+			for i := 0; i < pl.n; i++ {
+				pk, _, err := decodeValue(stream)
+				if err != nil {
+					t.Errorf("shard %d: index %s stream entry %d: %v", ts.shard.id, col, i, err)
+					return true
 				}
+				key := encodeKey(pk)
+				row, ok := live[key]
+				if !ok || key <= prev || encodeKey(row[ix.col]) != sk {
+					t.Errorf("shard %d: index %s entry pk %v is absent, out of order or filed under the wrong value", ts.shard.id, col, pk)
+					return true
+				}
+				prev = key
+				var entry []byte
+				for _, c := range ix.cols {
+					entry = appendValue(entry, row[c])
+				}
+				if !bytes.HasPrefix(stream, entry) {
+					t.Errorf("shard %d: index %s entry for pk %v does not hold its row's included values", ts.shard.id, col, pk)
+					return true
+				}
+				stream = stream[len(entry):]
+				if m := i - (pl.n - len(pl.mem)); m >= 0 && !slices.Equal(pl.mem[m], row) {
+					t.Errorf("shard %d: index %s side-list row %v is not the memtable's row for its key", ts.shard.id, col, pk)
+				}
+				want = append(want, row)
 			}
-			got, err := ts.resolveAll(pl, nil)
+			if len(stream) != 0 {
+				t.Errorf("shard %d: index %s stream holds %d bytes past its %d entries", ts.shard.id, col, len(stream), pl.n)
+			}
+			got, err := ts.postingRows(ix, sk, pl, nil, func(Row) bool { return true }, nil)
 			if err != nil {
-				t.Errorf("shard %d: index %s resolve: %v", ts.shard.id, col, err)
-				return true
-			}
-			for i, pk := range pl.keys {
-				want, ok := live[pk]
-				if !ok {
-					t.Errorf("shard %d: index %s holds pk absent from live view", ts.shard.id, col)
-				} else if !slices.Equal(got[i], want) {
-					t.Errorf("shard %d: index %s holds stale row for pk %v", ts.shard.id, col, want[pkc])
-				}
+				t.Errorf("shard %d: index %s posting rows: %v", ts.shard.id, col, err)
+			} else if !rowsIdentical(got, want) {
+				t.Errorf("shard %d: index %s posting rows differ from the live rows", ts.shard.id, col)
 			}
 			return true
 		})
@@ -464,6 +478,20 @@ func checkShardIndexConsistent(t *testing.T, ts *tableShard) {
 			t.Errorf("shard %d: index %s side lists hold %d rows, memtable has %d", ts.shard.id, col, inMem, len(ts.mem))
 		}
 	}
+}
+
+// rowsIdentical compares rows by their encoding, so -0.0 and +0.0
+// differ.
+func rowsIdentical(a, b []Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !bytes.Equal(encodeRow(nil, a[i]), encodeRow(nil, b[i])) {
+			return false
+		}
+	}
+	return true
 }
 
 // benchTable builds a large attribute table, optionally indexed.

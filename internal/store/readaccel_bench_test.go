@@ -13,8 +13,9 @@ import (
 // benchRunStack builds a single-shard store whose table is a stack of
 // `runs` minor-compaction runs over ascending keys: run r holds the
 // even pks of [2·r·perRun, 2·(r+1)·perRun), so the runs' zone maps are
-// disjoint and odd pks never exist.
-func benchRunStack(b *testing.B, runs, perRun int) (*DB, *Table) {
+// disjoint and odd pks never exist. The attribute index carries the
+// include columns.
+func benchRunStack(b *testing.B, runs, perRun int, include ...string) (*DB, *Table) {
 	b.Helper()
 	db, err := Open(filepath.Join(b.TempDir(), "stack.db"))
 	if err != nil {
@@ -24,7 +25,7 @@ func benchRunStack(b *testing.B, runs, perRun int) (*DB, *Table) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := tbl.CreateIndex("attribute"); err != nil {
+	if err := tbl.CreateIndex("attribute", include...); err != nil {
 		b.Fatal(err)
 	}
 	for r := 0; r < runs; r++ {
@@ -84,14 +85,20 @@ func BenchmarkSegGetHot(b *testing.B) {
 // repeatedly against segment-resident rows — the warehouse's hot
 // shape (per-condition index probe, then batched pk resolution).
 // cache=off pays block decodes per query; cache=on resolves from the
-// shared LRU after the first.
+// shared LRU after the first; include=on, with the cache off, indexes
+// attribute with every other column included, so the query answers
+// from the posting stream and reads no block.
 func BenchmarkIndexedQuerySegments(b *testing.B) {
 	const runs, perRun = 4, 8000
-	for _, cache := range []string{"off", "on"} {
-		b.Run("cache="+cache, func(b *testing.B) {
-			db, tbl := benchRunStack(b, runs, perRun)
+	for _, variant := range []string{"cache=off", "cache=on", "include=on"} {
+		b.Run(variant, func(b *testing.B) {
+			var include []string
+			if variant == "include=on" {
+				include = []string{"patient", "value", "numeric"}
+			}
+			db, tbl := benchRunStack(b, runs, perRun, include...)
 			defer db.Close()
-			if cache == "off" {
+			if variant != "cache=on" {
 				db.SetBlockCacheCapacity(0)
 			}
 			// One posting per ~16 rows: the resolver touches nearly every

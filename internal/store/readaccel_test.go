@@ -619,24 +619,36 @@ func TestBatchedResolveMatchesSingle(t *testing.T) {
 		t.Fatalf("expected a two-run stack, got %d segs", len(ts.segs))
 	}
 	// The posting holds every third key; its side list is the memtable
-	// rows of its suffix.
-	pl := &postingList{}
+	// rows of its suffix. The index includes nothing, so its stream
+	// holds each entry's primary key alone and reads resolve the rows.
+	ix, err := newIndex(&ts.schema, "attribute", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix.tree = newBtree()
+	sk := encodeKey(Str("pulse"))
 	var ids []int
 	for i := 0; i < 500; i += 3 {
 		ids = append(ids, i)
-		pl.keys = append(pl.keys, encodeKey(Int(int64(i))))
-	}
-	for _, mr := range ts.mem {
-		if _, found := slices.BinarySearch(pl.keys, mr.key); found {
-			pl.mem = append(pl.mem, mr.row)
+		row := Row{Int(int64(i)), Int(0), Str("pulse"), Str("v"), Float(0)}
+		j, inMem := slices.BinarySearchFunc(ts.mem, encodeKey(row[0]), cmpMemKey)
+		if inMem {
+			row = ts.mem[j].row
 		}
+		ix.add(row, inMem, false)
 	}
+	v, _ := ix.tree.Get(sk)
+	pl := v.(*postingList)
 	if len(pl.mem) != 33 {
 		t.Fatalf("side list holds %d memtable rows, want 33", len(pl.mem))
 	}
-	got, err := ts.resolveAll(pl, nil)
+	all := func(Row) bool { return true }
+	got, err := ts.postingRows(ix, sk, pl, nil, all, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(got) != len(ids) {
+		t.Fatalf("resolved %d rows, want %d", len(got), len(ids))
 	}
 	for i, id := range ids {
 		want, err := tbl.Get(Int(int64(id)))
@@ -652,7 +664,8 @@ func TestBatchedResolveMatchesSingle(t *testing.T) {
 	}
 	// A posting for a key no segment holds must fail loudly, not
 	// silently drop.
-	if _, err := ts.resolveAll(&postingList{keys: []string{encodeKey(Int(99999))}}, nil); err == nil {
+	missing := &postingList{stream: appendValue(nil, Int(99999)), n: 1}
+	if _, err := ts.postingRows(ix, sk, missing, nil, all, nil); err == nil {
 		t.Fatal("missing segment row resolved without error")
 	}
 }

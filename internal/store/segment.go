@@ -368,39 +368,50 @@ func (sg *segment) get(key string, rs *readStats) (Row, bool, error) {
 	return rows[i], true, nil
 }
 
-// getBatch resolves keys — ascending, each at or below the run's
-// maximum — into out, position for position, in one walk of the block
-// index: both are sorted, so a single block cursor advances and each
-// touched block is decoded exactly once, the whole point of batching.
-// A key the run does not hold is corruption: the index that named it
-// lists only stored keys.
-func (sg *segment) getBatch(keys []string, out []Row, rs *readStats) error {
-	bi := 0        // first candidate block (monotone: keys ascend)
-	var rows []Row // currently decoded block
-	var rowKeys []string
-	loaded := -1
-	for i, pk := range keys {
-		for bi < len(sg.blocks) && sg.blocks[bi].maxKey < pk {
-			bi++
-		}
-		if bi == len(sg.blocks) || sg.blocks[bi].minKey > pk {
-			return errMissingRow
-		}
-		if loaded != bi {
-			var err error
-			rows, rowKeys, err = sg.readBlock(bi, rs)
-			if err != nil {
-				return err
+// runCursor finds ascending keys in a shard's runs in one forward walk
+// of their block indexes: the keys and the runs both ascend, so a
+// single block cursor advances and each touched block is decoded once
+// per walk, the whole point of batching. A key no run holds is
+// corruption: the index that named it lists only stored keys.
+type runCursor struct {
+	segs []*segment // the runs not yet passed, oldest first
+	bi   int        // the first block of segs[0] not yet loaded
+	rows []Row      // the loaded block's rows and keys past the last found
+	keys []string
+}
+
+// get returns the row of key, which is above every key asked before.
+// A key arrives as bytes, compared in place, so asking allocates
+// nothing.
+func (c *runCursor) get(key []byte, rs *readStats) (Row, error) {
+	for {
+		if i := sort.Search(len(c.keys), func(i int) bool { return c.keys[i] >= string(key) }); i < len(c.keys) {
+			if c.keys[i] != string(key) {
+				return nil, errMissingRow
 			}
-			loaded = bi
+			row := c.rows[i]
+			c.rows, c.keys = c.rows[i+1:], c.keys[i+1:]
+			return row, nil
 		}
-		ri, found := slices.BinarySearch(rowKeys, pk)
-		if !found {
-			return errMissingRow
+		// key is above the loaded block: load the first block of the
+		// first run whose maximum admits it.
+		for len(c.segs) > 0 && c.segs[0].maxKey < string(key) {
+			c.segs, c.bi = c.segs[1:], 0
 		}
-		out[i] = rows[ri]
+		if len(c.segs) == 0 {
+			return nil, errMissingRow
+		}
+		blocks := c.segs[0].blocks
+		c.bi += sort.Search(len(blocks)-c.bi, func(i int) bool { return blocks[c.bi+i].maxKey >= string(key) })
+		if c.bi == len(blocks) {
+			return nil, errMissingRow
+		}
+		var err error
+		if c.rows, c.keys, err = c.segs[0].readBlock(c.bi, rs); err != nil {
+			return nil, err
+		}
+		c.bi++ // a block whose rows belie its zone map cannot be loaded twice
 	}
-	return nil
 }
 
 // segmentWriter streams pk-ascending rows into a new segment file.

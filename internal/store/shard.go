@@ -38,10 +38,11 @@ type Shard struct {
 	// record was lost to a crash) are synthesized from the segment's own
 	// footer schema after replay.
 	pendingSegs map[string][]*segment
-	// pendingIdx holds each table's index columns named by the WAL's
-	// create-index records; replay only notes them, and open builds
-	// every table's noted indexes after replay in one walk of its rows.
-	pendingIdx map[string][]string
+	// pendingIdx holds each table's indexes named by the WAL's
+	// create-index records, the last record per column; replay only
+	// notes them, and open builds every table's noted indexes after
+	// replay in one walk of its rows.
+	pendingIdx map[string][]*index
 
 	// Compaction state. compactMu serializes compactions of this shard
 	// (explicit Compact vs the background compactor); the counters below
@@ -105,7 +106,7 @@ func openShard(id int, path string, cache *blockCache) (*Shard, error) {
 	sh := &Shard{
 		id: id, log: l, path: path, gen: gen, segLost: segLost,
 		tables: make(map[string]*tableShard), pendingSegs: segs, cache: cache,
-		pendingIdx: make(map[string][]string),
+		pendingIdx: make(map[string][]*index),
 	}
 	dropped, err := l.replay(sh.applyLogRecord)
 	if err == nil {
@@ -122,8 +123,14 @@ func openShard(id int, path string, cache *blockCache) (*Shard, error) {
 	}
 	// Segments whose create-table record was lost to a torn WAL:
 	// the footer schema makes the segment self-describing, so the table
-	// (and its rows) survive anyway.
+	// (and its rows) survive anyway. The record is logged again, or the
+	// index records buildRouters appends would name a table the next
+	// replay does not know, and be cut.
 	for _, runs := range sh.pendingSegs {
+		if err := sh.appendLog(encodeCreateTablePayload(runs[0].schema)); err != nil {
+			sh.close()
+			return nil, err
+		}
 		sh.newTableShard(runs[0].schema)
 	}
 	return sh, nil
@@ -133,14 +140,13 @@ func openShard(id int, path string, cache *blockCache) (*Shard, error) {
 // walk of each table's runs and memtable for all of that table's
 // indexes.
 func (sh *Shard) buildPendingIndexes() error {
-	for name, cols := range sh.pendingIdx {
+	for name, ixs := range sh.pendingIdx {
 		ts := sh.tables[name]
-		idxs, err := ts.buildIndexes(cols)
-		if err != nil {
+		if err := ts.buildIndexes(ixs); err != nil {
 			return err
 		}
-		for i, col := range cols {
-			ts.secondary[col] = idxs[i]
+		for _, ix := range ixs {
+			ts.secondary[ts.schema.Columns[ix.col].Name] = ix
 		}
 	}
 	sh.pendingIdx = nil
@@ -273,7 +279,7 @@ func (sh *Shard) newTableShard(s Schema) *tableShard {
 	ts := &tableShard{
 		schema:    s,
 		shard:     sh,
-		secondary: make(map[string]*btree),
+		secondary: make(map[string]*index),
 	}
 	if runs, ok := sh.pendingSegs[s.Name]; ok {
 		delete(sh.pendingSegs, s.Name)
@@ -303,9 +309,9 @@ func (sh *Shard) logInsertBatch(table string, rows []memRow) error {
 }
 
 // logCreateIndex appends a create-index record for the table, making the
-// secondary index durable across reopen.
-func (sh *Shard) logCreateIndex(table, col string) error {
-	return sh.appendLog(encodeCreateIndexPayload(table, col))
+// secondary index and its include list durable across reopen.
+func (sh *Shard) logCreateIndex(table, col string, include []string) error {
+	return sh.appendLog(encodeCreateIndexPayload(table, col, include))
 }
 
 // applyLogRecord replays one WAL payload into this shard's in-memory
@@ -375,11 +381,19 @@ func (sh *Shard) applyLogRecord(payload []byte) error {
 		if err != nil {
 			return err
 		}
-		if len(rest) != 0 || ts.schema.colIndex(col) < 0 {
-			return ErrCorrupt
+		include, err := decodeIncludeList(rest)
+		if err != nil {
+			return err
 		}
-		if !slices.Contains(sh.pendingIdx[name], col) {
-			sh.pendingIdx[name] = append(sh.pendingIdx[name], col)
+		ix, err := newIndex(&ts.schema, col, include)
+		if err != nil {
+			return err
+		}
+		pending := sh.pendingIdx[name]
+		if i := slices.IndexFunc(pending, func(p *index) bool { return p.col == ix.col }); i >= 0 {
+			pending[i] = ix // a later record rebuilt the index
+		} else {
+			sh.pendingIdx[name] = append(pending, ix)
 		}
 	default:
 		return ErrCorrupt

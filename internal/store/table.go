@@ -83,7 +83,7 @@ type tableShard struct {
 	mu        sync.RWMutex
 	segs      []*segment        // immutable sorted runs, oldest → newest, disjoint ascending key ranges
 	mem       []memRow          // memtable: ascending keys, all above every run key
-	secondary map[string]*btree // column name → encoded value → postingList
+	secondary map[string]*index // column name → index
 }
 
 // memRow is one memtable row with its encoded primary key.
@@ -316,10 +316,9 @@ func (ts *tableShard) apply(rows []memRow) {
 		ts.mem = grown
 	}
 	ts.mem = append(ts.mem, rows...)
-	for col, idx := range ts.secondary {
-		ci := ts.schema.colIndex(col)
+	for _, ix := range ts.secondary {
 		for _, mr := range rows {
-			indexAdd(idx, encodeKey(mr.row[ci]), mr.key, mr.row)
+			ix.add(mr.row, true, false)
 		}
 	}
 }
@@ -350,11 +349,17 @@ func (t *Table) Get(pk Value) (Row, error) {
 func cmpMemKey(mr memRow, key string) int { return strings.Compare(mr.key, key) }
 
 // CreateIndex builds a non-unique secondary index on the named column,
-// on every shard. The index is durable: each shard's WAL carries a
-// create-index record re-created on replay and through Compact, so once
-// built it exists after every reopen and is maintained transactionally
-// by every insert alongside the rows. Creating an existing index is a
-// no-op.
+// on every shard, whose postings carry the include columns beside each
+// row's primary key. When the indexed value, the primary key and the
+// included columns make up every column, the index covers the table:
+// Query answers from it alone and reads no block. (A float index
+// covers only when it includes its own column: its key folds -0.0 into
+// +0.0.) The index is durable: each shard's WAL carries a create-index
+// record, with the include list, re-created on replay and through
+// Compact, so once built it exists after every reopen and is
+// maintained transactionally by every insert alongside the rows.
+// Creating an existing index with the same include list is a no-op;
+// with another list it rebuilds the index and logs the new record.
 //
 // Every shard's lock is held while the index is built on every shard
 // (in memory, from one walk of each shard's runs and memtable); only
@@ -365,153 +370,263 @@ func cmpMemKey(mr memRow, key string) int { return strings.Compare(mr.key, key) 
 // that still installs the index everywhere (the fan-out planner needs
 // identical inventories); the next open repairs the missing record from
 // the other shards' logs (buildRouters).
-func (t *Table) CreateIndex(col string) error {
-	if t.schema.colIndex(col) < 0 {
-		return fmt.Errorf("store: table %s has no column %s", t.schema.Name, col)
+func (t *Table) CreateIndex(col string, include ...string) error {
+	spec, err := newIndex(&t.schema, col, slices.Clone(include))
+	if err != nil {
+		return err
 	}
 	for _, ts := range t.shards {
 		ts.mu.Lock()
 		defer ts.mu.Unlock()
 	}
-	if _, ok := t.shards[0].secondary[col]; ok {
+	if ix, ok := t.shards[0].secondary[col]; ok && slices.Equal(ix.include, spec.include) {
 		return nil
 	}
-	built := make([][]*btree, len(t.shards))
+	built := make([]*index, len(t.shards))
 	errs := make([]error, len(t.shards))
 	fanOut(len(t.shards), func(i int) {
-		built[i], errs[i] = t.shards[i].buildIndexes([]string{col})
+		ix := *spec
+		built[i], errs[i] = &ix, t.shards[i].buildIndexes([]*index{&ix})
 	})
 	if err := errors.Join(errs...); err != nil {
 		return err
 	}
 	var firstErr error
 	for i, ts := range t.shards {
-		ts.secondary[col] = built[i][0]
-		if err := ts.shard.logCreateIndex(ts.schema.Name, col); err != nil && firstErr == nil {
+		ts.secondary[col] = built[i]
+		if err := ts.shard.logCreateIndex(ts.schema.Name, col, spec.include); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return firstErr
 }
 
-// buildIndexes builds an index on each of cols from one walk of the
-// shard's runs then its memtable, without installing them. Keys arrive
-// ascending, so every posting list only appends: run rows enter by
-// primary key only, so an index holds no second copy of rows that
-// already live on disk; memtable rows also enter their posting's side
-// list. Callers hold the shard's lock (or are single-threaded open).
-func (ts *tableShard) buildIndexes(cols []string) ([]*btree, error) {
-	if len(cols) == 0 {
-		return nil, nil
+// index is one shard's half of a secondary index: a B-tree from each
+// indexed value to its posting list, and the columns every posting
+// entry carries.
+type index struct {
+	col     int      // the indexed column
+	include []string // the included columns, as CreateIndex named them
+	cols    []int    // each posting entry's columns: the primary key, then the included ones
+	covered bool     // the postings rebuild every column: Query reads no block
+	tree    *btree   // encoded value → *postingList
+
+	// The posting the last add filed under, with its value: a run of
+	// rows sharing a value — a patient's rows — costs one key encoding
+	// and one tree probe. Equal Values have equal keys.
+	lastVal Value
+	last    *postingList
+}
+
+// newIndex validates an index on column col of s carrying the include
+// columns; buildIndexes gives it its tree. An unknown or repeated
+// column, or the primary key (every entry carries it), cannot be
+// included.
+func newIndex(s *Schema, col string, include []string) (*index, error) {
+	ix := &index{col: s.colIndex(col), include: include, cols: []int{s.Primary}}
+	if ix.col < 0 {
+		return nil, fmt.Errorf("store: table %s has no column %s", s.Name, col)
 	}
-	cis := make([]int, len(cols))
-	idxs := make([]*btree, len(cols))
-	for i, col := range cols {
-		cis[i], idxs[i] = ts.schema.colIndex(col), newBtree()
+	for _, name := range include {
+		ci := s.colIndex(name)
+		if ci < 0 || slices.Contains(ix.cols, ci) {
+			return nil, fmt.Errorf("store: index on %s.%s cannot include %q: not a column, the primary key or a repeat", s.Name, col, name)
+		}
+		ix.cols = append(ix.cols, ci)
+	}
+	known := len(ix.cols)
+	if !slices.Contains(ix.cols, ix.col) && s.Columns[ix.col].Type != TFloat {
+		known++ // the posting's key gives the indexed value
+	}
+	ix.covered = known == len(s.Columns)
+	return ix, nil
+}
+
+// buildIndexes gives each of ixs a fresh tree (a copied index may
+// carry another shard's) and fills them all from one walk of the
+// shard's runs then its memtable, without installing them. Keys arrive
+// ascending, so every posting only appends: memtable rows also enter
+// their posting's side list. The streams double as they fill and are
+// trimmed to their length once the walk ends. Callers hold the shard's
+// lock (or are single-threaded open).
+func (ts *tableShard) buildIndexes(ixs []*index) error {
+	if len(ixs) == 0 {
+		return nil
+	}
+	for _, ix := range ixs {
+		ix.tree, ix.last = newBtree(), nil
 	}
 	ss := shardSnap{segs: ts.segs} // borrowed refs; not released
-	err := ss.iterate("", "", nil, func(pk string, row Row) bool {
-		for i, idx := range idxs {
-			indexAdd(idx, encodeKey(row[cis[i]]), pk, nil)
+	err := ss.iterate("", "", nil, func(_ string, row Row) bool {
+		for _, ix := range ixs {
+			ix.add(row, false, true)
 		}
 		return true
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for _, mr := range ts.mem {
-		for i, idx := range idxs {
-			indexAdd(idx, encodeKey(mr.row[cis[i]]), mr.key, mr.row)
+		for _, ix := range ixs {
+			ix.add(mr.row, true, true)
 		}
 	}
-	return idxs, nil
+	for _, ix := range ixs {
+		ix.tree.AscendRange("", "", func(_ string, v interface{}) bool {
+			if pl := v.(*postingList); cap(pl.stream) > len(pl.stream) {
+				pl.stream = slices.Clone(pl.stream)
+			}
+			return true
+		})
+	}
+	return nil
 }
 
-// postingList is the value type of secondary index entries: the
-// encoded primary keys of the rows sharing one indexed value, ascending
-// so reads stream them in deterministic order without sorting. Keys
-// are all it holds for a segment-resident row, which is fetched by key
-// on read, so the index never duplicates disk-resident row data in
-// memory. The rows still in the memtable also sit in mem, a side list
-// that is a suffix of keys (memtable keys are above every run key):
-// mem[i] is the row of keys[len(keys)-len(mem)+i], so reading them
-// costs no memtable probe.
+// postingList is the value type of secondary index entries: the rows
+// sharing one indexed value, ascending by primary key so reads stream
+// them in deterministic order without sorting. Its stream holds, per
+// row, the primary-key value and then the index's included columns,
+// back to back in the row codec: no per-row Go string or slice header,
+// and no second copy of a column the index does not include. The rows
+// still in the memtable also sit in mem, a side list that is a suffix
+// of the stream (memtable keys are above every run key): mem[i] is the
+// row of entry n-len(mem)+i, so reading them costs no memtable probe
+// and no decode.
 type postingList struct {
-	keys []string // every row's encoded primary key, ascending
-	mem  []Row    // the rows of the memtable-resident suffix of keys
+	stream []byte
+	n      int   // entries in stream
+	mem    []Row // the rows of the memtable-resident suffix of stream
 }
 
-// resolveAll resolves a posting list into rows, position for position.
-// The side-list suffix costs nothing; the keys before it live in the
-// runs, and both they and the runs ascend, so each run resolves its
-// slice of them in one sorted walk (getBatch) that decodes each touched
-// block once per query instead of once per row. Callers hold at least
-// the shard's read lock. rs may be nil.
-func (ts *tableShard) resolveAll(pl *postingList, rs *readStats) ([]Row, error) {
-	out := make([]Row, len(pl.keys))
-	inRuns := len(pl.keys) - len(pl.mem)
-	copy(out[inRuns:], pl.mem)
-	keys, rest := pl.keys[:inRuns], out[:inRuns]
-	for _, sg := range ts.segs {
-		n := sort.Search(len(keys), func(i int) bool { return keys[i] > sg.maxKey }) // the keys this run can hold
-		if err := sg.getBatch(keys[:n], rest[:n], rs); err != nil {
-			return nil, err
+// add files row — its key above every key already filed — under its
+// indexed value: its primary key and included values go to the end of
+// the posting's stream, and a memtable row also enters the side list.
+// A stream that must grow doubles during a build (which trims it once
+// it ends) and otherwise grows by a quarter, at least four entries:
+// doubling would leave half of a fresh posting empty, since a new
+// patient's rows arrive in one batch, one insert at a time.
+func (ix *index) add(row Row, inMem, build bool) {
+	pl := ix.last
+	if v := row[ix.col]; pl == nil || v != ix.lastVal {
+		sk := encodeKey(v)
+		if found, ok := ix.tree.Get(sk); ok {
+			pl = found.(*postingList)
+		} else {
+			pl = &postingList{}
+			ix.tree.Put(sk, pl)
 		}
-		keys, rest = keys[n:], rest[n:]
+		ix.lastVal, ix.last = v, pl
 	}
-	if len(keys) > 0 {
-		return nil, errMissingRow
+	var buf [64]byte
+	e := buf[:0]
+	for _, c := range ix.cols {
+		e = appendValue(e, row[c])
 	}
-	return out, nil
-}
-
-// indexAdd files pk — above every key already filed — under the
-// indexed value sk; a non-nil row is a memtable row and also enters the
-// side list.
-func indexAdd(idx *btree, sk, pk string, row Row) {
-	var pl *postingList
-	if v, ok := idx.Get(sk); ok {
-		pl = v.(*postingList)
-	} else {
-		pl = &postingList{}
-		idx.Put(sk, pl)
+	if n := len(pl.stream); n+len(e) > cap(pl.stream) {
+		grow := n / 4
+		if build {
+			grow = n
+		}
+		grown := make([]byte, n, n+max(grow, 4*len(e)))
+		copy(grown, pl.stream)
+		pl.stream = grown
 	}
-	if len(pl.keys) == cap(pl.keys) {
-		// Grow by a quarter, at least 4 slots. Append's doubling would
-		// leave half of a fresh list's slots empty: a new patient's keys
-		// arrive in one batch, one insert at a time.
-		grown := make([]string, len(pl.keys), len(pl.keys)+max(4, len(pl.keys)/4))
-		copy(grown, pl.keys)
-		pl.keys = grown
-	}
-	pl.keys = append(pl.keys, pk)
-	if row != nil {
+	pl.stream = append(pl.stream, e...)
+	pl.n++
+	if inMem {
 		pl.mem = append(pl.mem, row)
 	}
 }
 
+// postingRows appends to out the rows of pl, filed under sk, that keep
+// accepts, in posting order. The side-list suffix costs nothing. The
+// entries before it live in the runs: a covering index rebuilds each
+// row from its stream entry and sk, reading no block; any other index
+// reads each entry's primary key from the stream and fetches the row
+// through one ascending runCursor walk, decoding each touched block
+// once. rs may be nil. Callers hold at least the shard's read lock.
+func (ts *tableShard) postingRows(ix *index, sk string, pl *postingList, rs *readStats, keep func(Row) bool, out []Row) ([]Row, error) {
+	if inRuns := pl.n - len(pl.mem); inRuns > 0 {
+		nc := len(ts.schema.Columns)
+		s := string(pl.stream) // one copy; decoded strings are substrings of it
+		var key Value          // a covered row's indexed value
+		var vals []Value       // a chunk of covered rows' values, back to back
+		if ix.covered {
+			key = decodeKey(sk, ts.schema.Columns[ix.col].Type)
+		}
+		cur := runCursor{segs: ts.segs}
+		var kb [16]byte
+		for left := inRuns; left > 0; left-- {
+			var row Row
+			if ix.covered {
+				if len(vals)+nc > cap(vals) {
+					// A new chunk, twice the last and at most what the
+					// entries left can fill; earlier rows keep theirs.
+					vals = make([]Value, 0, nc*min(max(2*cap(vals)/nc, 16), left))
+				}
+				row = vals[len(vals) : len(vals)+nc : len(vals)+nc]
+				row[ix.col] = key
+			}
+			var pk Value
+			for j, c := range ix.cols {
+				v, rest, err := decodeValue(s)
+				if err != nil {
+					return nil, err
+				}
+				s = rest
+				if ix.covered {
+					row[c] = v
+				} else if j == 0 {
+					pk = v
+				}
+			}
+			if !ix.covered {
+				var err error
+				if row, err = cur.get(appendKey(kb[:0], pk), rs); err != nil {
+					return nil, err
+				}
+			}
+			if keep(row) {
+				if ix.covered {
+					vals = vals[:len(vals)+nc] // the row keeps its slot
+				}
+				out = append(out, row)
+			}
+		}
+	}
+	for _, r := range pl.mem {
+		if keep(r) {
+			out = append(out, r)
+		}
+	}
+	return out, nil
+}
+
 // deinline drops the rows a compaction folded into a run — every key
 // up to the capture's last, folded — from the side lists of every
-// index: their keys stay, and reads fetch them from the run. Each
-// touched list loses a prefix of its side list. Callers hold the write
-// lock.
+// index: their stream entries stay, and reads fetch them from the run
+// or, on a covering index, from the stream. Each touched list loses a
+// prefix of its side list, found by comparing primary-key values.
+// Callers hold the write lock.
 func (ts *tableShard) deinline(folded []memRow) {
 	if len(folded) == 0 {
 		return
 	}
-	top := folded[len(folded)-1].key
-	for col, idx := range ts.secondary {
-		ci := ts.schema.colIndex(col)
+	pk := ts.schema.Primary
+	top := folded[len(folded)-1].row[pk]
+	for _, ix := range ts.secondary {
 		done := make(map[*postingList]bool)
-		for _, mr := range folded {
-			v, ok := idx.Get(encodeKey(mr.row[ci]))
+		for i, mr := range folded {
+			if i > 0 && mr.row[ix.col] == folded[i-1].row[ix.col] {
+				continue // equal values, so the posting just handled
+			}
+			v, ok := ix.tree.Get(encodeKey(mr.row[ix.col]))
 			if !ok || done[v.(*postingList)] {
 				continue
 			}
 			pl := v.(*postingList)
 			done[pl] = true
-			memKeys := pl.keys[len(pl.keys)-len(pl.mem):]
-			n := sort.Search(len(memKeys), func(i int) bool { return memKeys[i] > top }) // side-list rows now in the run
+			n := sort.Search(len(pl.mem), func(i int) bool { return cmpValues(pl.mem[i][pk], top) > 0 }) // side-list rows now in the run
 			pl.mem = slices.Delete(pl.mem, 0, n)
 			if len(pl.mem) == 0 {
 				pl.mem = nil

@@ -31,10 +31,18 @@ const (
 	// CRC covers the whole record, a crash mid-batch drops the batch
 	// atomically on recovery.
 	opInsertBatch byte = 4
-	// opCreateIndex records a secondary index: table name, column name.
-	// Replay re-creates the index (rebuilding it from the rows applied so
-	// far), so indexes are durable and stay maintained by every later
-	// record.
+	// opCreateIndex records a secondary index and its included columns:
+	//
+	//	op byte 5 | table name | column name | [count | name × count]
+	//
+	// each name uvarint-length-prefixed and count a non-zero uvarint.
+	// With no included columns the list is absent, so the record keeps
+	// the bytes of versions without include lists (which cut a log at a
+	// record that carries one). Replay takes the last record per column
+	// and re-creates the index once replay ends (building it from the
+	// rows applied), so indexes are durable and stay maintained by every
+	// later record. A list naming an unknown column, the primary key or
+	// a column twice is corrupt, and replay cuts the log there.
 	opCreateIndex byte = 5
 )
 
